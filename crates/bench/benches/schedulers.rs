@@ -50,11 +50,12 @@ fn bench_parallel_speedup(c: &mut Criterion) {
             |b, &threads| {
                 let pool = pim_par::Pool::with_threads(threads);
                 b.iter(|| {
-                    black_box(pim_sched::schedule_parallel(
-                        Method::Gomcds,
-                        black_box(&trace),
-                        pool,
-                    ))
+                    black_box(
+                        pim_sched::Run::new(black_box(&trace))
+                            .policy(MemoryPolicy::Unbounded)
+                            .parallel(pool)
+                            .run_method(Method::Gomcds),
+                    )
                 })
             },
         );

@@ -3,9 +3,10 @@
 //! 10k data up to 64×64 grids with 1M data, and writes the results to
 //! `BENCH_scale.json`.
 //!
-//! Small instances also run the classic nested-trace schedulers for a
-//! cost-parity assertion and a speedup column; at the large sizes the
-//! exact path is the thing being escaped, so only the flat path runs.
+//! Small instances also schedule the equivalent nested trace with the
+//! reference oracles (`Run::cached(false)`, the pre-cache
+//! implementations) for a cost-parity assertion and a speedup column; at
+//! the large sizes only the flat path runs.
 //!
 //! Flags:
 //!
@@ -37,9 +38,9 @@ fn main() {
     } else {
         for side in [16u32, 32, 64] {
             for num_data in [10_000usize, 100_000, 1_000_000] {
-                // Parity (classic path) only where the nested representation
-                // is affordable: every 10k instance, plus 100k on 16×16 —
-                // the acceptance point for the ≥5× speedup.
+                // Parity (reference oracle) only where the nested
+                // representation is affordable: every 10k instance, plus
+                // 100k on 16×16.
                 let parity = num_data == 10_000 || (num_data == 100_000 && side == 16);
                 let reps = if num_data <= 100_000 { 3 } else { 1 };
                 rows.push(report(side, num_data, parity, reps));

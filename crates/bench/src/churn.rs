@@ -46,9 +46,9 @@ pub struct ChurnRow {
     /// bit for bit (always true — divergence panics — recorded so the CI
     /// validator can check the field exists and holds).
     pub parity: bool,
-    /// Process-wide peak-RSS high-water mark (`VmHWM`) sampled after this
-    /// row, kilobytes — monotone across rows within one report run; 0 when
-    /// unavailable.
+    /// Peak RSS of this row, kilobytes: the `VmHWM` high-water mark,
+    /// reset when the row starts and sampled when it ends (0 when
+    /// unavailable).
     pub peak_rss_kb: u64,
 }
 
@@ -153,6 +153,7 @@ pub fn churn_row(
     policy_label: &'static str,
     ticks: usize,
 ) -> ChurnRow {
+    crate::timing::reset_peak_rss();
     let grid = Grid::new(side, side);
     let method = method_of(method_label);
     let pool = pim_par::Pool::auto();

@@ -101,15 +101,17 @@ pub struct MethodScale {
     pub flat_ns: u128,
     /// Total cost of the flat schedule (reference + movement).
     pub total_cost: u64,
-    /// Wall time of the classic nested-trace path, when measured.
+    /// Wall time of the reference oracle (`Run::cached(false)`, the
+    /// pre-cache implementation) on the nested trace, when measured.
     pub exact_ns: Option<u128>,
-    /// Total cost of the classic schedule, when measured (must equal
-    /// `total_cost` — asserted by [`scale_row`]).
+    /// Total cost of the reference oracle's schedule, when measured (must
+    /// equal `total_cost` — asserted by [`scale_row`]).
     pub exact_cost: Option<u64>,
 }
 
 impl MethodScale {
-    /// `exact_ns / flat_ns` when the exact path was measured.
+    /// `exact_ns / flat_ns` (speedup over the reference oracle) when the
+    /// oracle was measured.
     pub fn speedup(&self) -> Option<f64> {
         self.exact_ns.map(|e| e as f64 / self.flat_ns.max(1) as f64)
     }
@@ -130,9 +132,9 @@ pub struct ScaleRow {
     pub build_ns: u128,
     /// Per-method timings.
     pub methods: Vec<MethodScale>,
-    /// Process-wide peak-RSS high-water mark (`VmHWM`) sampled after this
-    /// row, kilobytes — monotone across rows within one report run; 0 when
-    /// unavailable.
+    /// Peak RSS of this row, kilobytes: the `VmHWM` high-water mark,
+    /// reset when the row starts and sampled when it ends (0 when
+    /// unavailable).
     pub peak_rss_kb: u64,
 }
 
@@ -143,11 +145,13 @@ pub const SCALE_WINDOWS: usize = 32;
 pub const SCALE_SEED: u64 = 1998;
 
 /// Build and measure one scale instance. `parity` additionally runs the
-/// classic schedulers on the equivalent nested trace and asserts the total
-/// costs are identical; `reps` is the timed-repetition count for the flat
-/// path, reported min-of-reps (the exact path always runs once — it is the
-/// slow side).
+/// reference oracles (`Run::cached(false)`) on the equivalent nested trace
+/// and asserts the total costs are identical — the registry drives the
+/// same flat code, so it would compare the flat path with itself; `reps`
+/// is the timed-repetition count for the flat path, reported min-of-reps
+/// (the oracle always runs once — it is the slow side).
 pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRow {
+    crate::timing::reset_peak_rss();
     let grid = Grid::new(side, side);
     let pool = pim_par::Pool::auto();
     let records = synthetic_records(grid, SCALE_WINDOWS, num_data, SCALE_SEED);
@@ -174,13 +178,14 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
                 let start = Instant::now();
                 let exact = Run::new(trace)
                     .policy(policy)
+                    .cached(false)
                     .run_named(method)
                     .expect("unbounded cannot exhaust");
                 let exact_ns = start.elapsed().as_nanos();
                 let exact_cost = exact.evaluate(trace).total();
                 assert_eq!(
                     exact_cost, total_cost,
-                    "flat/{method} diverged from the exact path at {side}x{side} n={num_data}"
+                    "flat/{method} diverged from the reference oracle at {side}x{side} n={num_data}"
                 );
                 (Some(exact_ns), Some(exact_cost))
             }

@@ -41,13 +41,37 @@ pub fn bench_ns<R>(reps: u32, mut f: impl FnMut() -> R) -> (u128, R) {
 /// `/proc/self/status`), or `None` off Linux.
 ///
 /// `VmHWM` is a process-wide high-water mark: it only ever rises, so a
-/// reading reflects the hungriest phase *so far*, not the current working
-/// set. Report binaries that compare phases must isolate each phase in its
+/// reading reflects the hungriest phase since the last
+/// [`reset_peak_rss`] (or process start), not the current working set.
+/// Report binaries reset it before each row, or isolate each phase in its
 /// own process (see `report_stream`).
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Reset the peak-RSS high-water mark to the current RSS, so the next
+/// [`peak_rss_kb`] reads the peak of what ran since — one report row's
+/// own footprint rather than the hungriest earlier row's. Freed heap pages
+/// go back to the kernel first (glibc's `malloc_trim`); otherwise the
+/// allocator would keep an earlier row's memory resident and the mark
+/// would start there. Returns `false` where the kernel offers no reset
+/// (`/proc/self/clear_refs` missing, non-Linux).
+pub fn reset_peak_rss() -> bool {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointers and only releases memory
+        // glibc's allocator holds free; the Rust global allocator here is
+        // that same allocator, so no live allocation is touched.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// Warn on stderr when a measured speedup dips below 1 — the optimized

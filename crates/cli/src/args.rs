@@ -78,9 +78,6 @@ pub struct ParsedArgs {
     /// Write a JSON run report (analytic cost + routed traffic +
     /// scheduler metrics) to this path (`run`/`compare` only).
     pub metrics_out: Option<String>,
-    /// `run` only: convert the trace to the flat SoA layout and use the
-    /// big-instance fast path (SCDS/LOMCDS/GOMCDS only).
-    pub flat: bool,
     /// `run`: `--trace` is a `.pimb` binary file, memory-mapped and
     /// scheduled zero-copy through the flat fast path. `scale`: pack the
     /// synthetic instance to a temporary `.pimb` and schedule it through
@@ -124,7 +121,6 @@ impl Default for ParsedArgs {
             trace_file: None,
             threads: 0,
             metrics_out: None,
-            flat: false,
             bin: false,
             dag: None,
             data: 100_000,
@@ -248,7 +244,6 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, ParseError> {
                     .parse()
                     .map_err(|_| format!("bad value '{v}' for --seed, expected an integer"))?;
             }
-            "--flat" => out.flat = true,
             "--bin" => out.bin = true,
             "--dag" => out.dag = Some(value()?),
             "--data" => {
@@ -333,17 +328,9 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, ParseError> {
     if out.metrics_out.is_some() && !matches!(out.command, Command::Run | Command::Compare) {
         return Err("--metrics is only supported by `run` and `compare`".to_string());
     }
-    if out.flat && out.command != Command::Run {
-        return Err(
-            "--flat is only supported by `run` (use `scale` for synthetic instances)".to_string(),
-        );
-    }
     if out.bin {
         if !matches!(out.command, Command::Run | Command::Scale) {
             return Err("--bin is only supported by `run` and `scale`".to_string());
-        }
-        if out.flat {
-            return Err("--bin already takes the flat fast path; drop --flat".to_string());
         }
         if out.command == Command::Run && out.trace_file.is_none() {
             return Err("run --bin needs --trace FILE.pimb".to_string());
@@ -358,13 +345,6 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, ParseError> {
     if out.dag.is_some() {
         if !matches!(out.command, Command::Run | Command::Export) {
             return Err("--dag is only supported by `run` and `export`".to_string());
-        }
-        if out.flat {
-            return Err(
-                "--dag cannot be combined with --flat (the SoA fast path has no \
-                        precedence context)"
-                    .to_string(),
-            );
         }
         if out.dag.as_deref() == Some("natural") && out.trace_file.is_some() {
             return Err(
@@ -385,7 +365,6 @@ pub fn usage() -> String {
      [--memory unbounded|Nx|CAP] [--seed S] [--out FILE] [--trace FILE] \
      [--threads N (0 = sequential)] \
      [--metrics FILE (run/compare: write a JSON run report)] \
-     [--flat (run: SoA fast path for scds/lomcds/gomcds)] \
      [--bin (run: --trace is a memory-mapped .pimb; scale: stream out-of-core)] \
      [--dag FILE|natural (run: precedence-gated simulation; export: write the DAG)] \
      [--data N] [--windows N (scale/pack: synthetic instance shape)] \
@@ -522,13 +501,12 @@ mod tests {
         assert_eq!(a.data, 1_000_000);
         assert_eq!(a.windows, 16);
 
-        let a = parse(&v(&["run", "--flat", "--method", "scds"])).unwrap();
-        assert!(a.flat);
-        assert_eq!(a.method, "SCDS");
-        assert!(!parse(&v(&["run"])).unwrap().flat);
-
-        let err = parse(&v(&["compare", "--flat"])).unwrap_err();
-        assert!(err.contains("--flat"), "{err}");
+        // No `--flat`: the registry strategies `run` drives already run the
+        // flat drivers, and `run --bin` / `scale` reach them directly.
+        for cmd in ["run", "compare"] {
+            let err = parse(&v(&[cmd, "--flat", "--method", "scds"])).unwrap_err();
+            assert!(err.contains("--flat"), "{err}");
+        }
         let err = parse(&v(&["scale", "--data", "0"])).unwrap_err();
         assert!(err.contains("--data must be positive"), "{err}");
         let err = parse(&v(&["scale", "--windows", "none"])).unwrap_err();
@@ -546,8 +524,6 @@ mod tests {
         assert_eq!(parse(&v(&["run"])).unwrap().dag, None);
         let err = parse(&v(&["compare", "--dag", "natural"])).unwrap_err();
         assert!(err.contains("--dag"), "{err}");
-        let err = parse(&v(&["run", "--flat", "--dag", "natural"])).unwrap_err();
-        assert!(err.contains("--flat"), "{err}");
         let err = parse(&v(&["run", "--dag", "natural", "--trace", "t.bin"])).unwrap_err();
         assert!(err.contains("--trace"), "{err}");
     }
@@ -607,7 +583,7 @@ mod tests {
             "run", "--bin", "--trace", "t.pimb", "--method", "scds",
         ]))
         .unwrap();
-        assert!(a.bin && !a.flat);
+        assert!(a.bin);
         let a = parse(&v(&["scale", "--bin", "--data", "5000"])).unwrap();
         assert!(a.bin);
 
@@ -619,8 +595,6 @@ mod tests {
         assert!(err.contains("--bin"), "{err}");
         let err = parse(&v(&["run", "--bin"])).unwrap_err();
         assert!(err.contains("--trace"), "{err}");
-        let err = parse(&v(&["run", "--bin", "--flat", "--trace", "t.pimb"])).unwrap_err();
-        assert!(err.contains("--flat"), "{err}");
     }
 
     #[test]

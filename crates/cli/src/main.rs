@@ -148,27 +148,11 @@ fn main() -> ExitCode {
 
     match parsed.command {
         Command::Run => {
-            let s = if parsed.flat {
-                let flat = pim_trace::flat::FlatTrace::from_trace(&trace);
-                let pool = if parsed.threads > 0 {
-                    Pool::with_threads(parsed.threads)
-                } else {
-                    Pool::serial()
-                };
-                match flat_schedule(&parsed.method, &flat, parsed.memory, pool) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match run.run_named(&parsed.method) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
+            let s = match run.run_named(&parsed.method) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
                 }
             };
             println!("{}", render::breakdown(&parsed.method, s.evaluate(&trace)));
@@ -509,8 +493,8 @@ fn load_dag(
 }
 
 /// Dispatch a method name to its flat SoA fast path. Generic over
-/// [`pim_trace::flat::FlatView`] so the same dispatch serves owned traces
-/// (`--flat`) and memory-mapped `.pimb` files (`--bin`).
+/// [`pim_trace::flat::FlatView`] so the same dispatch serves synthetic
+/// owned traces (`scale`) and memory-mapped `.pimb` files (`run --bin`).
 fn flat_schedule<V: pim_trace::flat::FlatView + ?Sized>(
     method: &str,
     flat: &V,
@@ -522,7 +506,7 @@ fn flat_schedule<V: pim_trace::flat::FlatView + ?Sized>(
         "LOMCDS" => pim_sched::flat_lomcds(flat, memory, pool).map_err(|e| e.to_string()),
         "GOMCDS" => pim_sched::flat_gomcds(flat, memory, pool).map_err(|e| e.to_string()),
         other => Err(format!(
-            "--flat supports SCDS, LOMCDS and GOMCDS (got '{other}')"
+            "the flat fast path supports SCDS, LOMCDS and GOMCDS (got '{other}')"
         )),
     }
 }

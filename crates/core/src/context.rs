@@ -7,7 +7,10 @@
 //! context — not the scheduler — decides the *execution mode*:
 //!
 //! * **cached** (the default): the context owns a [`CostCache`] and every
-//!   scheduler serves its cost tables from prefix sums;
+//!   scheduler serves its cost tables from prefix sums; schedulers whose
+//!   kernels read flat spans (SCDS medians, LOMCDS window medians and
+//!   anchors) share one [`FlatTrace`] copy of the trace, converted on
+//!   first use;
 //! * **uncached**: no cache is built and schedulers fall back to the
 //!   pre-cache reference implementations (the bit-identity oracles);
 //! * **parallel**: a [`Pool`] is attached; schedulers that support
@@ -15,10 +18,11 @@
 //!   capacity constraint the whole schedule is computed in parallel (the
 //!   per-datum subproblems are independent). Under a bounded policy the
 //!   schedulers run a deterministic **two-phase** scheme: phase 1 computes
-//!   the pure, order-independent per-datum quantities (cost tables, center
-//!   paths, groupings) in parallel; phase 2 replays capacity assignment
-//!   sequentially in datum order, exactly as the sequential run would —
-//!   so the output is bit-identical regardless of thread count.
+//!   the pure, order-independent per-datum kernel results (medians,
+//!   anchors, center paths, groupings) in parallel; phase 2 is the
+//!   algorithm's one sequential capacity replay in datum order, the same
+//!   code the sequential run uses — so the output is bit-identical
+//!   regardless of thread count.
 //!
 //! All modes are property-tested bit-identical for every registered
 //! scheduler × every memory policy in `tests/cache_equivalence.rs`.
@@ -31,6 +35,7 @@ use pim_array::memory::MemorySpec;
 use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::dag::TaskDag;
+use pim_trace::flat::FlatTrace;
 use pim_trace::window::WindowedTrace;
 
 /// Whether (and how) task precedence constrains a scheduling run.
@@ -69,6 +74,7 @@ pub struct SchedContext<'t> {
     policy: MemoryPolicy,
     spec: MemorySpec,
     cache: Option<CostCache<'t>>,
+    flat: Option<FlatTrace>,
     ws: Workspace,
     pool: Option<Pool>,
     metrics: Metrics,
@@ -94,6 +100,7 @@ impl<'t> SchedContext<'t> {
             policy,
             spec: policy.resolve(trace),
             cache: Some(cache),
+            flat: None,
             ws: Workspace::new(),
             pool: None,
             metrics: Metrics::disabled(),
@@ -109,6 +116,7 @@ impl<'t> SchedContext<'t> {
             policy,
             spec: policy.resolve(trace),
             cache: None,
+            flat: None,
             ws: Workspace::new(),
             pool: None,
             metrics: Metrics::disabled(),
@@ -199,7 +207,7 @@ impl<'t> SchedContext<'t> {
     }
 
     /// Split-borrow the cache (if cached) and the workspace — the shape
-    /// every `*_cached` scheduler entry point wants.
+    /// the cache-reading drivers want.
     pub fn cache_and_ws(&mut self) -> (Option<&CostCache<'t>>, &mut Workspace) {
         (self.cache.as_ref(), &mut self.ws)
     }
@@ -209,11 +217,18 @@ impl<'t> SchedContext<'t> {
         &mut self.ws
     }
 
-    /// Swap the context's workspace with a caller-owned one (used by the
-    /// deprecated `schedule_cached` shim to honour its warm-buffer
-    /// contract).
-    pub(crate) fn swap_workspace(&mut self, ws: &mut Workspace) {
-        core::mem::swap(&mut self.ws, ws);
+    /// Split-borrow the flat copy of `trace` (converted with
+    /// [`FlatTrace::from_trace`] on the first call, then reused by every
+    /// later scheduler of this context), the cache (if cached) and the
+    /// workspace — the shape the span-reading drivers want.
+    pub(crate) fn flat_cache_ws(
+        &mut self,
+        trace: &WindowedTrace,
+    ) -> (&FlatTrace, Option<&CostCache<'t>>, &mut Workspace) {
+        let flat = self
+            .flat
+            .get_or_insert_with(|| FlatTrace::from_trace(trace));
+        (flat, self.cache.as_ref(), &mut self.ws)
     }
 }
 

@@ -105,15 +105,11 @@ pub fn lomcds_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> 
     trace
         .iter_data()
         .map(|(_, rs)| {
-            let mut centers: Vec<Option<ProcId>> = rs
+            let centers: Vec<Option<ProcId>> = rs
                 .windows()
                 .map(|w| (!w.is_empty()).then(|| optimal_center_generic(topo, w).0))
                 .collect();
-            crate::lomcds::resolve_gaps_pub(&mut centers);
-            centers
-                .into_iter()
-                .map(|c| c.unwrap_or(ProcId(0)))
-                .collect()
+            crate::lomcds::resolve_gaps(centers)
         })
         .collect()
 }

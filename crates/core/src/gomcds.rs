@@ -22,27 +22,33 @@
 //! * [`Solver::DistanceTransform`] — the `O(m)` two-pass L1 distance
 //!   transform from [`crate::dt`], giving `O(n·m)` per datum.
 //!
-//! Node costs (the per-window reference cost tables) are needed twice per
-//! window — once in the forward pass, once during backtracking — so the
-//! entry points route them through a [`DatumCostCache`], which serves any
-//! window (or grouped window range) in `O(width + height + m)` from prefix
-//! sums. The pre-cache implementations survive as `*_uncached` references,
-//! property-tested bit-identical to the cached paths.
+//! The module owns GOMCDS's two decisions. The per-datum kernel is one
+//! layered DP (`solve_layered`): node costs come from the raw reference
+//! string, a [`DatumCostCache`] (single windows or grouped ranges), or
+//! precedence-weighted raw windows; full (window, processor) slots are
+//! masked to [`INF`]; an optional checkpoint resumes the forward pass from
+//! the first edited window. The capacity replay (`GomcdsReplay`) places
+//! data in ascending id order, each claiming its path's slots before the
+//! next datum solves. The registry strategy, the flat fast path, the
+//! chunked stream walk, the incremental engine and the precedence layer
+//! are drivers around these two. The pre-cache implementation survives as
+//! [`gomcds_schedule_with_uncached`], property-tested bit-identical.
 //!
 //! Both solvers produce bit-identical schedules (shared tie-breaking,
-//! verified by tests and the `ablation_solver` bench). Memory capacity is
-//! honoured by masking full (window, processor) slots with [`INF`] node
-//! cost and re-running nothing: data are processed in ascending id order,
-//! each allocating its path's slots before the next datum solves.
+//! verified by tests and the `ablation_solver` bench).
 
-use crate::cache::{CostCache, DatumCostCache};
+use crate::cache::DatumCostCache;
 use crate::cost::{cost_table_with, AxisScratch, INF};
 use crate::error::{ensure_feasible, exhausted, SchedError};
+use crate::pipeline::MemoryPolicy;
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
+use core::borrow::Borrow;
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_par::Pool;
+use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowedTrace};
 use serde::{Deserialize, Serialize};
 
@@ -55,10 +61,13 @@ pub enum Solver {
     DistanceTransform,
 }
 
-/// Where the DP gets its per-window node costs from.
-enum NodeSource<'a> {
+/// Where the DP gets its per-layer node costs from.
+pub(crate) enum NodeSource<'a> {
     /// Walk the raw reference string each time (pre-cache reference path).
     Raw(&'a DataRefString),
+    /// Raw windows with layer `w`'s reference costs scaled by `weights[w]`
+    /// (the precedence layer's task-priority weights).
+    Weighted(&'a DataRefString, &'a [u64]),
     /// Serve each window from the datum's prefix-sum cache.
     Cached(&'a DatumCostCache<'a>),
     /// Serve grouped window ranges from the cache — layer `g` of the DP is
@@ -70,14 +79,14 @@ enum NodeSource<'a> {
 impl NodeSource<'_> {
     fn num_layers(&self) -> usize {
         match self {
-            NodeSource::Raw(rs) => rs.num_windows(),
+            NodeSource::Raw(rs) | NodeSource::Weighted(rs, _) => rs.num_windows(),
             NodeSource::Cached(c) => c.num_windows(),
             NodeSource::CachedRanges(_, ranges) => ranges.len(),
         }
     }
 
-    /// Node costs of layer `w`: the reference cost table with full
-    /// processors masked to [`INF`].
+    /// Node costs of layer `w`: the (weighted) reference cost table with
+    /// full processors masked to [`INF`].
     fn node_costs(
         &self,
         grid: &Grid,
@@ -88,6 +97,12 @@ impl NodeSource<'_> {
     ) {
         match self {
             NodeSource::Raw(rs) => cost_table_with(grid, rs.window(w), axes, out),
+            NodeSource::Weighted(rs, weights) => {
+                cost_table_with(grid, rs.window(w), axes, out);
+                for slot in out.iter_mut() {
+                    *slot = slot.saturating_mul(weights[w]);
+                }
+            }
             NodeSource::Cached(c) => c.window_table(w, axes, out),
             NodeSource::CachedRanges(c, ranges) => {
                 c.range_table(ranges[w].start, ranges[w].end, axes, out)
@@ -132,7 +147,7 @@ pub fn gomcds_path_cached(
     solver: Solver,
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
-    solve_layered(grid, &NodeSource::Cached(cache), None, solver, ws, 1)
+    solve_layered(grid, &NodeSource::Cached(cache), None, solver, 1, None, ws)
         .expect("unconstrained path always feasible")
 }
 
@@ -146,15 +161,9 @@ pub fn gomcds_path_ranges(
     groups: &[Range<usize>],
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
-    solve_layered(
-        grid,
-        &NodeSource::CachedRanges(cache, groups),
-        None,
-        Solver::DistanceTransform,
-        ws,
-        1,
-    )
-    .expect("unconstrained path always feasible")
+    let src = NodeSource::CachedRanges(cache, groups);
+    solve_layered(grid, &src, None, Solver::DistanceTransform, 1, None, ws)
+        .expect("unconstrained path always feasible")
 }
 
 /// Like [`gomcds_path`] but charging `move_weight` per hop of data
@@ -168,15 +177,9 @@ pub fn gomcds_path_weighted(
     move_weight: u64,
 ) -> (Vec<ProcId>, u64) {
     let mut ws = Workspace::new();
-    solve_layered(
-        grid,
-        &NodeSource::Raw(rs),
-        None,
-        solver,
-        &mut ws,
-        move_weight,
-    )
-    .expect("unconstrained path always feasible")
+    let src = NodeSource::Raw(rs);
+    solve_layered(grid, &src, None, solver, move_weight, None, &mut ws)
+        .expect("unconstrained path always feasible")
 }
 
 /// GOMCDS with per-datum movement volumes (unconstrained memory): datum
@@ -188,19 +191,15 @@ pub fn gomcds_path_weighted(
 pub fn gomcds_schedule_volumes(trace: &WindowedTrace, volumes: &[u64]) -> Schedule {
     assert_eq!(volumes.len(), trace.num_data(), "volumes length mismatch");
     let grid = trace.grid();
-    let mut ws = Workspace::new();
     let centers = trace
         .iter_data()
         .map(|(d, rs)| {
-            solve_layered(
+            gomcds_path_weighted(
                 &grid,
-                &NodeSource::Raw(rs),
-                None,
+                rs,
                 Solver::DistanceTransform,
-                &mut ws,
                 volumes[d.index()].max(1),
             )
-            .expect("unconstrained path always feasible")
             .0
         })
         .collect();
@@ -216,13 +215,15 @@ pub(crate) fn solve_masked_path(
     masks: &[MemoryMap],
 ) -> Option<Vec<ProcId>> {
     let mut ws = Workspace::new();
+    let src = NodeSource::Raw(rs);
     solve_layered(
         grid,
-        &NodeSource::Raw(rs),
+        &src,
         Some(masks),
         Solver::DistanceTransform,
-        &mut ws,
         1,
+        None,
+        &mut ws,
     )
     .map(|(path, _)| path)
 }
@@ -234,13 +235,15 @@ pub(crate) fn solve_masked_path_cached(
     masks: &[MemoryMap],
     ws: &mut Workspace,
 ) -> Option<Vec<ProcId>> {
+    let src = NodeSource::Cached(cache);
     solve_layered(
         grid,
-        &NodeSource::Cached(cache),
+        &src,
         Some(masks),
         Solver::DistanceTransform,
-        ws,
         1,
+        None,
+        ws,
     )
     .map(|(path, _)| path)
 }
@@ -254,27 +257,61 @@ pub(crate) fn solve_masked_ranges(
     masks: &[MemoryMap],
     ws: &mut Workspace,
 ) -> Option<Vec<ProcId>> {
+    let src = NodeSource::CachedRanges(cache, groups);
     solve_layered(
         grid,
-        &NodeSource::CachedRanges(cache, groups),
+        &src,
         Some(masks),
         Solver::DistanceTransform,
-        ws,
         1,
+        None,
+        ws,
     )
     .map(|(path, _)| path)
 }
 
-/// Solve one datum's layered shortest path. `masks` (one map per layer)
-/// marks full processors; `move_weight` is the per-hop movement charge;
-/// returns `None` when no feasible path exists.
-fn solve_layered(
+/// A saved DP prefix of one datum's unconstrained cache-served solve:
+/// forward rows `0..layers` of `dp` and the memoized node rows, each
+/// `layers × m`. Because row `w` is a pure function of the node rows
+/// `0..=w`, a checkpoint whose prefix windows are unedited resumes
+/// bit-identically — the incremental engine truncates `layers` to the
+/// first dirty window on every edit and the DP recomputes only from there
+/// ("first dirty layer" resume).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct DpCheckpoint {
+    /// Number of valid leading DP layers (windows).
+    pub layers: usize,
+    /// Row-major `layers × m` forward DP values.
+    pub dp: Vec<u64>,
+    /// Row-major `layers × m` node-cost rows.
+    pub nodes: Vec<u64>,
+}
+
+impl DpCheckpoint {
+    /// Invalidate every layer from `first_dirty` on.
+    pub fn truncate(&mut self, first_dirty: usize, m: usize) {
+        if self.layers > first_dirty {
+            self.layers = first_dirty;
+            self.dp.truncate(first_dirty * m);
+            self.nodes.truncate(first_dirty * m);
+        }
+    }
+}
+
+/// The GOMCDS kernel: solve one datum's layered shortest path. `masks`
+/// (one map per layer) marks full processors; `move_weight` is the
+/// per-hop movement charge; `ckpt` (unconstrained cache-served solves
+/// only) supplies the valid prefix layers to resume from and receives
+/// every layer of this solve. Returns `None` when no feasible path exists.
+/// Ties go to the lowest-id sink and the lowest-id predecessor.
+pub(crate) fn solve_layered(
     grid: &Grid,
     src: &NodeSource<'_>,
     masks: Option<&[MemoryMap]>,
     solver: Solver,
-    ws: &mut Workspace,
     move_weight: u64,
+    ckpt: Option<&mut DpCheckpoint>,
+    ws: &mut Workspace,
 ) -> Option<(Vec<ProcId>, u64)> {
     let m = grid.num_procs();
     let nw = src.num_layers();
@@ -288,17 +325,23 @@ fn solve_layered(
     } = ws;
     dp.clear();
     dp.reserve(nw * m);
-    // Cache-served node rows are memoized during the forward pass so the
-    // backtrack reads them instead of re-deriving each window. The raw
-    // source skips this: it is the frozen pre-cache reference whose
-    // two-walk behaviour the cached-vs-uncached bench measures.
+    // Node rows are memoized during the forward pass so the backtrack
+    // reads them instead of re-deriving each layer. The raw source skips
+    // this: it is the frozen pre-cache reference whose two-walk behaviour
+    // the cached-vs-uncached bench measures.
     let memoize = !matches!(src, NodeSource::Raw(_));
+    debug_assert!(memoize || ckpt.is_none(), "checkpoints need memoized rows");
     nodes_all.clear();
     if memoize {
         nodes_all.reserve(nw * m);
     }
+    let start = ckpt.as_ref().map_or(0, |c| c.layers.min(nw));
+    if let Some(c) = &ckpt {
+        dp.extend_from_slice(&c.dp[..start * m]);
+        nodes_all.extend_from_slice(&c.nodes[..start * m]);
+    }
 
-    for w in 0..nw {
+    for w in start..nw {
         src.node_costs(grid, masks, w, axes, node);
         if memoize {
             nodes_all.extend_from_slice(node);
@@ -322,6 +365,11 @@ fn solve_layered(
                 dp.push(v);
             }
         }
+    }
+    if let Some(c) = ckpt {
+        c.layers = nw;
+        c.dp.clone_from(dp);
+        c.nodes.clone_from(nodes_all);
     }
 
     // Select the sink predecessor: lowest-id argmin of the last row.
@@ -362,117 +410,120 @@ fn solve_layered(
     Some((path, best))
 }
 
-/// A saved DP prefix of one datum's unconstrained layered solve: forward
-/// rows `0..layers` of `dp` and the memoized node rows, each `layers × m`.
-/// Because row `w` is a pure function of the node rows `0..=w`, a
-/// checkpoint whose prefix windows are unedited resumes bit-identically —
-/// the incremental engine truncates `layers` to the first dirty window on
-/// every edit and [`gomcds_path_resumable`] recomputes only from there
-/// ("first dirty layer" resume).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct DpCheckpoint {
-    /// Number of valid leading DP layers (windows).
-    pub layers: usize,
-    /// Row-major `layers × m` forward DP values.
-    pub dp: Vec<u64>,
-    /// Row-major `layers × m` node-cost rows.
-    pub nodes: Vec<u64>,
+/// GOMCDS's sequential capacity replay: data are placed one at a time
+/// (ascending id in every driver except the precedence layer's priority
+/// order), each claiming its path's processor in every window before the
+/// next datum solves against the updated per-window masks.
+pub(crate) struct GomcdsReplay {
+    grid: Grid,
+    solver: Solver,
+    /// One occupancy map per window; empty when memory is unbounded.
+    masks: Vec<MemoryMap>,
+    /// Whether some processor is full in some window. Until one is,
+    /// masking raises no node cost, so solves run unmasked.
+    saturated: bool,
+    /// Data whose offered unconstrained path hit a full slot, so the
+    /// replay solved the masked DP instead.
+    pub(crate) spilled: usize,
 }
 
-impl DpCheckpoint {
-    /// Invalidate every layer from `first_dirty` on.
-    pub fn truncate(&mut self, first_dirty: usize, m: usize) {
-        if self.layers > first_dirty {
-            self.layers = first_dirty;
-            self.dp.truncate(first_dirty * m);
-            self.nodes.truncate(first_dirty * m);
-        }
-    }
-}
-
-/// [`gomcds_path_cached`] for the unconstrained distance-transform case,
-/// resuming from (and optionally saving) a [`DpCheckpoint`]. Bit-identical
-/// to a from-scratch [`gomcds_path_cached`] call as long as the
-/// checkpoint's `layers` prefix predates every edited window — guaranteed
-/// by the engine's truncate-on-edit discipline (unit-tested below).
-pub(crate) fn gomcds_path_resumable(
-    grid: &Grid,
-    cache: &DatumCostCache,
-    ws: &mut Workspace,
-    resume: Option<&DpCheckpoint>,
-    save: Option<&mut DpCheckpoint>,
-) -> (Vec<ProcId>, u64) {
-    let m = grid.num_procs();
-    let nw = cache.num_windows();
-    let Workspace {
-        axes,
-        dp,
-        node,
-        relaxed,
-        nodes_all,
-        ..
-    } = ws;
-    dp.clear();
-    dp.reserve(nw * m);
-    nodes_all.clear();
-    nodes_all.reserve(nw * m);
-    let start = resume.map_or(0, |c| c.layers.min(nw));
-    if let Some(c) = resume {
-        dp.extend_from_slice(&c.dp[..start * m]);
-        nodes_all.extend_from_slice(&c.nodes[..start * m]);
-    }
-
-    for w in start..nw {
-        cache.window_table(w, axes, node);
-        nodes_all.extend_from_slice(node);
-        if w == 0 {
-            dp.extend_from_slice(node);
+impl GomcdsReplay {
+    pub(crate) fn new(grid: &Grid, num_windows: usize, spec: MemorySpec, solver: Solver) -> Self {
+        let masks = if spec.capacity_per_proc == u32::MAX {
+            Vec::new()
         } else {
-            {
-                let prev = &dp[(w - 1) * m..w * m];
-                crate::dt::l1_relax_weighted(grid, prev, 1, relaxed);
-            }
-            for k in 0..m {
-                dp.push(relaxed[k].saturating_add(node[k]));
-            }
+            (0..num_windows)
+                .map(|_| MemoryMap::new(grid, spec))
+                .collect()
+        };
+        GomcdsReplay {
+            grid: *grid,
+            solver,
+            masks,
+            saturated: false,
+            spilled: 0,
         }
     }
 
-    if let Some(out) = save {
-        out.layers = nw;
-        out.dp.clear();
-        out.dp.extend_from_slice(dp);
-        out.nodes.clear();
-        out.nodes.extend_from_slice(nodes_all);
+    /// Place datum `d`. `pure` is its unconstrained path when one was
+    /// already solved (a parallel phase, or the incremental engine's
+    /// carried state): a path still free in every window is what the
+    /// masked DP would return (masking raises no node cost along it, so
+    /// the DP values, the lowest-id sink and every lowest-id backtrack
+    /// step are unchanged) and is taken as is. Otherwise `solve` runs the
+    /// DP against the current masks — `None` while no processor is full
+    /// (always, under unbounded memory), when masking would change no
+    /// node cost.
+    pub(crate) fn place(
+        &mut self,
+        d: DataId,
+        pure: Option<Vec<ProcId>>,
+        solve: impl FnOnce(Option<&[MemoryMap]>) -> Option<Vec<ProcId>>,
+    ) -> Result<Vec<ProcId>, SchedError> {
+        let masks = self.saturated.then_some(self.masks.as_slice());
+        let path = match pure {
+            Some(p) if masks.is_none_or(|ms| p.iter().zip(ms).all(|(&c, m)| m.has_room(c))) => p,
+            pure => {
+                self.spilled += usize::from(pure.is_some());
+                solve(masks).ok_or_else(|| exhausted(d, None))?
+            }
+        };
+        for (w, (mem, &p)) in self.masks.iter_mut().zip(&path).enumerate() {
+            mem.allocate(p).map_err(|_| exhausted(d, Some(w)))?;
+            self.saturated |= !mem.has_room(p);
+        }
+        Ok(path)
     }
 
-    // Sink and backtrack exactly as `solve_layered` (lowest-id argmin,
-    // lowest-id predecessor) so resumed paths tie-break identically.
-    let last = &dp[(nw - 1) * m..nw * m];
-    let (mut k, &best) = last
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &c)| (c, i))
-        .expect("non-empty grid");
-    let mut path = vec![ProcId(0); nw];
-    path[nw - 1] = ProcId(k as u32);
-    for w in (1..nw).rev() {
-        let noderow = &nodes_all[w * m..(w + 1) * m];
-        let need = dp[w * m + k] - noderow[k];
-        let prev_row = &dp[(w - 1) * m..w * m];
-        let kp = grid.point_of(ProcId(k as u32));
-        let mut found = None;
-        for j in 0..m {
-            let hop = grid.point_of(ProcId(j as u32)).l1_dist(kp);
-            if prev_row[j].saturating_add(hop) == need {
-                found = Some(j);
-                break;
-            }
-        }
-        k = found.expect("dp backtrack must find a predecessor");
-        path[w - 1] = ProcId(k as u32);
+    /// [`place`](Self::place) with the masked DP served from the datum's
+    /// cost cache.
+    pub(crate) fn place_cached(
+        &mut self,
+        d: DataId,
+        pure: Option<Vec<ProcId>>,
+        cache: &DatumCostCache,
+        ws: &mut Workspace,
+    ) -> Result<Vec<ProcId>, SchedError> {
+        let (grid, solver) = (self.grid, self.solver);
+        self.place(d, pure, |masks| {
+            solve_layered(
+                &grid,
+                &NodeSource::Cached(cache),
+                masks,
+                solver,
+                1,
+                None,
+                ws,
+            )
+            .map(|(path, _)| path)
+        })
     }
-    (path, best)
+
+    /// Place data `ids` (ascending) whose cost caches `datum` serves. On a
+    /// multi-thread `pool` every unconstrained path is solved in parallel
+    /// first and only data whose path collides re-solve; on one thread
+    /// each datum is solved exactly once, against the masks (unmasked
+    /// while no processor is full).
+    pub(crate) fn place_all<'r, C: Borrow<DatumCostCache<'r>>>(
+        &mut self,
+        ids: &[DataId],
+        datum: impl Fn(DataId) -> C + Sync,
+        pool: Pool,
+        ws: &mut Workspace,
+    ) -> Result<Vec<Vec<ProcId>>, SchedError> {
+        let (grid, solver) = (self.grid, self.solver);
+        let pure = if pool.threads() > 1 {
+            crate::flat::fan_out(pool, ids, Workspace::new, |w, d| {
+                Some(gomcds_path_cached(&grid, datum(d).borrow(), solver, w).0)
+            })
+        } else {
+            vec![None; ids.len()]
+        };
+        ids.iter()
+            .zip(pure)
+            .map(|(&d, pure)| self.place_cached(d, pure, datum(d).borrow(), ws))
+            .collect()
+    }
 }
 
 /// Compute the GOMCDS schedule with the distance-transform solver.
@@ -480,19 +531,18 @@ pub fn gomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
     gomcds_schedule_with(trace, spec, Solver::DistanceTransform)
 }
 
-/// Compute the GOMCDS schedule with an explicit solver. Builds a per-datum
-/// [`DatumCostCache`] so each window's cost table is derived from prefix
-/// sums (and reused by the backtrack) instead of walking the reference
-/// string twice.
+/// Compute the GOMCDS schedule with an explicit solver through the
+/// registry's cached path (one [`crate::Run`] under a uniform capacity of
+/// `spec.capacity_per_proc`).
 ///
 /// # Panics
 /// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`gomcds_schedule_cached`]) for a typed
-/// [`SchedError`] instead.
+/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
 pub fn gomcds_schedule_with(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    gomcds_schedule_cached(trace, spec, solver, &cache, &mut ws).unwrap_or_else(|e| panic!("{e}"))
+    crate::Run::new(trace)
+        .policy(MemoryPolicy::Capacity(spec.capacity_per_proc))
+        .run(&crate::registry::GomcdsScheduler { solver })
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Pre-cache reference implementation: identical output, node costs walked
@@ -502,97 +552,6 @@ pub fn gomcds_schedule_with_uncached(
     trace: &WindowedTrace,
     spec: MemorySpec,
     solver: Solver,
-) -> Result<Schedule, SchedError> {
-    let mut ws = Workspace::new();
-    gomcds_schedule_driver(trace, spec, solver, &mut ws, None)
-}
-
-/// [`gomcds_schedule_with`] served from a shared per-trace cost cache and
-/// caller-owned workspace (no per-call allocation once warm).
-pub fn gomcds_schedule_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    gomcds_schedule_driver(trace, spec, solver, ws, Some(cache))
-}
-
-/// Two-phase parallel GOMCDS under a bounded memory policy, bit-identical
-/// to the sequential [`gomcds_schedule_cached`].
-///
-/// Phase 1 solves every datum's *unconstrained* shortest path in parallel
-/// (pure, order-independent). Phase 2 replays capacity assignment
-/// sequentially in datum-id order: when a datum's unconstrained path still
-/// has room in every window, the masked DP the sequential run would solve
-/// returns exactly that path (masking only raises node costs, and it
-/// raises none along a free path, so the DP values, the lowest-index sink
-/// argmin, and every lowest-index backtrack step are unchanged) — the path
-/// is allocated directly. Only data whose unconstrained path hits a full
-/// slot re-solve the masked DP, exactly as the sequential driver does.
-pub fn gomcds_schedule_parallel(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    cache: &CostCache<'_>,
-    pool: pim_par::Pool,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
-    let metrics = ws.metrics.clone();
-
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
-    let paths = {
-        let _t = metrics.phase("GOMCDS/phase1-paths");
-        pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            pim_par::auto_chunk(ids.len(), pool.threads()),
-            Workspace::new,
-            |w, _, &d| gomcds_path_cached(&grid, cache.datum(d), solver, w).0,
-        )
-    };
-
-    let _t = metrics.phase("GOMCDS/phase2-replay");
-    let mut masks: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-    let mut centers = Vec::with_capacity(nd);
-    for (d, unconstrained) in ids.into_iter().zip(paths) {
-        let free = unconstrained
-            .iter()
-            .enumerate()
-            .all(|(w, &p)| masks[w].has_room(p));
-        let path = if free {
-            unconstrained
-        } else {
-            solve_layered(
-                &grid,
-                &NodeSource::Cached(cache.datum(d)),
-                Some(&masks),
-                solver,
-                ws,
-                1,
-            )
-            .ok_or_else(|| exhausted(d, None))?
-            .0
-        };
-        for (w, &p) in path.iter().enumerate() {
-            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-        }
-        centers.push(path);
-    }
-    Ok(Schedule::new(grid, centers))
-}
-
-fn gomcds_schedule_driver(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-    ws: &mut Workspace,
-    cache: Option<&CostCache>,
 ) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
     let nd = trace.num_data();
@@ -606,21 +565,13 @@ fn gomcds_schedule_driver(
         Vec::new()
     };
 
+    let mut ws = Workspace::new();
     let mut centers = Vec::with_capacity(nd);
     for (d, rs) in trace.iter_data() {
         let mask_ref = bounded.then_some(masks.as_slice());
-        let (path, _) = match cache {
-            Some(c) => solve_layered(
-                &grid,
-                &NodeSource::Cached(c.datum(d)),
-                mask_ref,
-                solver,
-                ws,
-                1,
-            ),
-            None => solve_layered(&grid, &NodeSource::Raw(rs), mask_ref, solver, ws, 1),
-        }
-        .ok_or_else(|| exhausted(d, None))?;
+        let src = NodeSource::Raw(rs);
+        let (path, _) = solve_layered(&grid, &src, mask_ref, solver, 1, None, &mut ws)
+            .ok_or_else(|| exhausted(d, None))?;
         if bounded {
             for (w, &p) in path.iter().enumerate() {
                 masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
@@ -636,8 +587,7 @@ mod tests {
     use super::*;
     use crate::lomcds::lomcds_schedule;
     use crate::scds::scds_schedule;
-    use pim_trace::ids::DataId;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -820,20 +770,32 @@ mod tests {
         let cache = DatumCostCache::build(&grid, &rs);
         let mut ws = Workspace::new();
         let expect = gomcds_path_cached(&grid, &cache, Solver::DistanceTransform, &mut ws);
+        let src = NodeSource::Cached(&cache);
+        let mut solve = |ckpt: &mut DpCheckpoint| {
+            solve_layered(
+                &grid,
+                &src,
+                None,
+                Solver::DistanceTransform,
+                1,
+                Some(ckpt),
+                &mut ws,
+            )
+            .unwrap()
+        };
 
         // Save a full checkpoint, then resume from every truncation point
         // (0 = cold, nw = fully warm): all must be bit-identical.
         let mut ckpt = DpCheckpoint::default();
-        let saved = gomcds_path_resumable(&grid, &cache, &mut ws, None, Some(&mut ckpt));
-        assert_eq!(saved, expect);
+        assert_eq!(solve(&mut ckpt), expect);
         assert_eq!(ckpt.layers, rs.num_windows());
         let m = grid.num_procs();
         for cut in 0..=rs.num_windows() {
             let mut c = ckpt.clone();
             c.truncate(cut, m);
             assert_eq!(c.layers, cut);
-            let got = gomcds_path_resumable(&grid, &cache, &mut ws, Some(&c), None);
-            assert_eq!(got, expect, "resume from layer {cut}");
+            assert_eq!(solve(&mut c), expect, "resume from layer {cut}");
+            assert_eq!(c.dp, ckpt.dp, "resumed save from layer {cut}");
         }
     }
 

@@ -36,6 +36,7 @@ use crate::workspace::Workspace;
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_par::Pool;
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 use serde::{Deserialize, Serialize};
@@ -61,18 +62,14 @@ pub fn local_group_centers(
     rs: &DataRefString,
     groups: &[Range<usize>],
 ) -> Vec<ProcId> {
-    let mut centers: Vec<Option<ProcId>> = groups
+    let centers: Vec<Option<ProcId>> = groups
         .iter()
         .map(|g| {
             let merged = rs.merged_range(g.start, g.end);
             (!merged.is_empty()).then(|| optimal_center(grid, &merged).0)
         })
         .collect();
-    crate::lomcds::resolve_gaps_pub(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
+    crate::lomcds::resolve_gaps(centers)
 }
 
 /// [`local_group_centers`] served from the datum's cost cache: each group's
@@ -83,7 +80,7 @@ pub fn local_group_centers_cached(
     groups: &[Range<usize>],
     ws: &mut Workspace,
 ) -> Vec<ProcId> {
-    let mut centers: Vec<Option<ProcId>> = groups
+    let centers: Vec<Option<ProcId>> = groups
         .iter()
         .map(|g| {
             (!cache.range_is_empty(g.start, g.end)).then(|| {
@@ -93,11 +90,7 @@ pub fn local_group_centers_cached(
             })
         })
         .collect();
-    crate::lomcds::resolve_gaps_pub(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
+    crate::lomcds::resolve_gaps(centers)
 }
 
 /// Total cost (reference + movement) of a grouping under a method,
@@ -146,7 +139,7 @@ pub fn cost_of_grouping_cached(
             // argmin reports; empty groups carry a center forward and
             // contribute zero reference cost.
             let mut refcost = 0u64;
-            let mut centers: Vec<Option<ProcId>> = groups
+            let centers: Vec<Option<ProcId>> = groups
                 .iter()
                 .map(|g| {
                     (!cache.range_is_empty(g.start, g.end)).then(|| {
@@ -157,12 +150,10 @@ pub fn cost_of_grouping_cached(
                     })
                 })
                 .collect();
-            crate::lomcds::resolve_gaps_pub(&mut centers);
+            let centers = crate::lomcds::resolve_gaps(centers);
             let mut total = refcost;
             for pair in centers.windows(2) {
-                let a = pair[0].unwrap_or(ProcId(0));
-                let b = pair[1].unwrap_or(ProcId(0));
-                total += grid.dist(a, b);
+                total += grid.dist(pair[0], pair[1]);
             }
             total
         }
@@ -698,60 +689,35 @@ pub fn grouped_schedule_with(
 ) -> Schedule {
     let cache = CostCache::build(trace);
     let mut ws = Workspace::new();
-    grouped_schedule_with_cached(trace, spec, decide, place, &cache, &mut ws)
+    grouped_schedule_with_cached(trace, spec, decide, place, &cache, Pool::serial(), &mut ws)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`grouped_schedule_with`] served from a shared per-trace cost cache:
 /// grouping decisions, group tables, and masked GOMCDS placement all use
-/// prefix-sum range queries. Bit-identical to the uncached reference.
+/// prefix-sum range queries. The per-datum greedy decisions — pure
+/// functions of one datum's references and the dominant cost of the
+/// pipeline — fan out over `pool`; the placement replay is sequential in
+/// a fixed datum/window order, so the result is bit-identical to the
+/// uncached reference for any thread count.
 pub fn grouped_schedule_with_cached(
     trace: &WindowedTrace,
     spec: MemorySpec,
     decide: GroupMethod,
     place: GroupMethod,
     cache: &CostCache,
+    pool: Pool,
     ws: &mut Workspace,
 ) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
-    let nd = trace.num_data();
-    let groupings: Vec<Vec<Range<usize>>> = (0..nd)
-        .map(|d| greedy_grouping_cached(&grid, cache.datum(DataId(d as u32)), decide, ws))
-        .collect();
+    let ids: Vec<DataId> = trace.iter_data().map(|(d, _)| d).collect();
+    let groupings = crate::flat::fan_out(pool, &ids, Workspace::new, |w, d| {
+        greedy_grouping_cached(&grid, cache.datum(d), decide, w)
+    });
     grouped_place_cached(trace, spec, place, cache, ws, &groupings)
 }
 
-/// Two-phase parallel grouped scheduling, bit-identical to the sequential
-/// [`grouped_schedule_with_cached`]: phase 1 runs the per-datum greedy
-/// grouping decisions — pure functions of one datum's reference string,
-/// and the dominant cost of the pipeline — across the pool; phase 2 is the
-/// unchanged sequential placement replay (shared verbatim with the
-/// sequential path), so capacity resolution sees the same state in the
-/// same order regardless of thread count.
-pub fn grouped_schedule_parallel(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    decide: GroupMethod,
-    place: GroupMethod,
-    cache: &CostCache<'_>,
-    pool: pim_par::Pool,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let metrics = ws.metrics.clone();
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
-    let groupings = {
-        let _t = metrics.phase("Grouped/phase1-groupings");
-        pim_par::parallel_map_with(pool, &ids, Workspace::new, |w, _, &d| {
-            greedy_grouping_cached(&grid, cache.datum(d), decide, w)
-        })
-    };
-    let _t = metrics.phase("Grouped/phase2-replay");
-    grouped_place_cached(trace, spec, place, cache, ws, &groupings)
-}
-
-/// The placement phase shared by the sequential and two-phase parallel
-/// grouped schedulers: resolve capacity for precomputed per-datum
+/// Grouping's capacity replay: resolve capacity for precomputed per-datum
 /// groupings, sequentially in the fixed datum/window order.
 fn grouped_place_cached(
     trace: &WindowedTrace,

@@ -26,30 +26,32 @@
 //!    [`IncrementalRun::fallbacks`] and reported through
 //!    [`pim_metrics::IncrementalReport`].
 //!
-//! The result is bit-identical to running the matching flat scheduler
+//! The engine is a driver: every decision comes from the per-method
+//! kernels and capacity replays in [`crate::scds`], [`crate::lomcds`] and
+//! [`crate::gomcds`], which the flat schedulers
 //! ([`flat_scds`](crate::flat::flat_scds) /
 //! [`flat_lomcds`](crate::flat::flat_lomcds) /
-//! [`flat_gomcds`](crate::flat::flat_gomcds)) on the materialized trace
-//! after every delta.
+//! [`flat_gomcds`](crate::flat::flat_gomcds)) drive too — so the result is
+//! bit-identical to running them on the materialized trace after every
+//! delta.
 
 use crate::cache::CostCache;
-use crate::capacity::ProcessorList;
-use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::flat::span_full_table;
-use crate::gomcds::{
-    gomcds_path_cached, gomcds_path_resumable, solve_masked_path_cached, DpCheckpoint, Solver,
-};
-use crate::lomcds::lomcds_assign_observed;
+use crate::error::{ensure_feasible, SchedError};
+use crate::flat::{datum_ids, fan_out};
+use crate::gomcds::{gomcds_path_cached, solve_layered, DpCheckpoint, GomcdsReplay};
+use crate::gomcds::{NodeSource, Solver};
+use crate::lomcds::{span_first_anchor, span_window_medians};
 use crate::median::{MedianState, PackedMedians};
 use crate::pipeline::{MemoryPolicy, Method};
+use crate::scds::{span_median, ScdsReplay};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
-use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_array::memory::MemorySpec;
 use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::edit::{DirtyKind, EditOp, EditableTrace, TraceDelta};
-use pim_trace::flat::{FlatRef, FlatTrace, FlatTraceError};
+use pim_trace::flat::{FlatTrace, FlatTraceError};
 use pim_trace::ids::DataId;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -120,10 +122,6 @@ struct ResumeStore {
 }
 
 impl ResumeStore {
-    fn get(&self, d: DataId) -> Option<&DpCheckpoint> {
-        self.map.get(&d.0)
-    }
-
     /// Drop every checkpointed layer from `first_dirty` on for `d`.
     fn truncate(&mut self, d: DataId, first_dirty: usize, m: usize) {
         if let Some(c) = self.map.get_mut(&d.0) {
@@ -131,8 +129,10 @@ impl ResumeStore {
         }
     }
 
-    fn save(&mut self, d: DataId, ckpt: DpCheckpoint) {
-        if self.map.insert(d.0, ckpt).is_none() {
+    /// `d`'s checkpoint, created empty (evicting the oldest entry past
+    /// the cap) when absent.
+    fn slot(&mut self, d: DataId) -> &mut DpCheckpoint {
+        if !self.map.contains_key(&d.0) {
             self.fifo.push_back(d.0);
             if self.fifo.len() > GOMCDS_RESUME_CAP {
                 if let Some(old) = self.fifo.pop_front() {
@@ -140,6 +140,7 @@ impl ResumeStore {
                 }
             }
         }
+        self.map.entry(d.0).or_default()
     }
 }
 
@@ -187,8 +188,9 @@ impl MethodState {
 /// Capacity bookkeeping carried between resolves of a bounded run.
 struct BoundedState {
     spec: MemorySpec,
-    /// Number of data whose last full replay placed them off their
-    /// unconstrained desired processor in some window. Zero is the patch
+    /// Spills the last full replay reported: placements off their
+    /// unconstrained desired processor (SCDS, LOMCDS) or data whose
+    /// unconstrained path collided (GOMCDS). Zero is the patch
     /// precondition: with no spills, schedule rows *are* the unconstrained
     /// rows and the final-occupancy check below reproduces the replay.
     spilled: usize,
@@ -482,8 +484,8 @@ impl IncrementalRun {
         {
             let _t = metrics.phase("incremental/maintain");
             // SCDS never consults the cost cache — its dirty-solve runs on
-            // checkpoints (or raw spans) and its replay on span_full_table
-            // — so maintaining per-datum cache units would be pure
+            // checkpoints (or raw spans) and its replay's spill tables on
+            // spans — so maintaining per-datum cache units would be pure
             // overhead on the churn hot path.
             let cache_live = !matches!(self.method, Method::Scds);
             if cache_live {
@@ -598,129 +600,47 @@ impl IncrementalRun {
                 MethodState::Lomcds { anchors } => {
                     let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
                     let trace = &self.trace;
-                    let rows: Vec<Vec<ProcId>> = if dirty_count >= LOMCDS_PARALLEL_DIRTY_MIN {
-                        pim_par::parallel_map_with_chunked(
-                            self.pool,
-                            &dirty_ids,
-                            pim_par::auto_chunk(dirty_count, self.pool.threads()),
-                            MedianState::default,
-                            |med, _, &d| span_lomcds_row(&grid, trace.span(d), nw, med),
-                        )
+                    let pool = if dirty_count >= LOMCDS_PARALLEL_DIRTY_MIN {
+                        self.pool
                     } else {
-                        let mut med = MedianState::default();
-                        dirty_ids
-                            .iter()
-                            .map(|&d| span_lomcds_row(&grid, trace.span(d), nw, &mut med))
-                            .collect()
+                        Pool::serial()
                     };
+                    let rows = fan_out(pool, &dirty_ids, MedianState::default, |med, d| {
+                        span_window_medians(&grid, trace.span(d), nw, med)
+                    });
                     // Gap resolution backfills leading empties with the
                     // first referenced window's median, so row[0] *is*
                     // the window-0 anchor.
                     for (&d, row) in dirty_ids.iter().zip(&rows) {
                         anchors[d.index()] = row[0];
                     }
-                    match &mut self.bounded {
-                        None => {
-                            for (&d, row) in dirty_ids.iter().zip(rows) {
-                                self.schedule.set_row(d, row);
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
-                        Some(b) => {
-                            let cap = b.spec.capacity_per_proc;
-                            for &d in &dirty_ids {
-                                for (w, &p) in self.schedule.centers_of(d).iter().enumerate() {
-                                    b.occ[w * m + p.index()] -= 1;
-                                }
-                            }
-                            let mut ok = true;
-                            for row in &rows {
-                                for (w, &p) in row.iter().enumerate() {
-                                    let cell = &mut b.occ[w * m + p.index()];
-                                    *cell += 1;
-                                    ok &= *cell <= cap;
-                                }
-                            }
-                            if ok {
-                                for (&d, row) in dirty_ids.iter().zip(rows) {
-                                    self.schedule.set_row(d, row);
-                                }
-                            } else {
-                                fallback = true;
-                            }
-                        }
-                    }
+                    fallback = !patch_rows(&mut self.bounded, &mut self.schedule, &dirty_ids, rows);
                 }
                 MethodState::Gomcds { pure, resume } => {
                     let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
+                    let cache = &self.cache;
                     let rows: Vec<Vec<ProcId>> = if dirty_count > GOMCDS_RESUME_SEQUENTIAL_MAX {
-                        let cache = &self.cache;
-                        pim_par::parallel_map_with_chunked(
-                            self.pool,
-                            &dirty_ids,
-                            pim_par::auto_chunk(dirty_count, self.pool.threads()),
-                            Workspace::new,
-                            |ws, _, &d| {
-                                gomcds_path_cached(
-                                    &grid,
-                                    cache.datum(d),
-                                    Solver::DistanceTransform,
-                                    ws,
-                                )
+                        fan_out(self.pool, &dirty_ids, Workspace::new, |ws, d| {
+                            gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws)
                                 .0
-                            },
-                        )
+                        })
                     } else {
                         dirty_ids
                             .iter()
                             .map(|&d| {
-                                let mut save = DpCheckpoint::default();
-                                let (path, _) = gomcds_path_resumable(
-                                    &grid,
-                                    self.cache.datum(d),
-                                    &mut self.ws,
-                                    resume.get(d),
-                                    Some(&mut save),
-                                );
-                                resume.save(d, save);
-                                path
+                                let src = NodeSource::Cached(cache.datum(d));
+                                let ckpt = Some(resume.slot(d));
+                                let dt = Solver::DistanceTransform;
+                                solve_layered(&grid, &src, None, dt, 1, ckpt, &mut self.ws)
+                                    .expect("unconstrained path always feasible")
+                                    .0
                             })
                             .collect()
                     };
                     for (&d, row) in dirty_ids.iter().zip(&rows) {
                         pure[d.index()] = row.clone();
                     }
-                    match &mut self.bounded {
-                        None => {
-                            for (&d, row) in dirty_ids.iter().zip(rows) {
-                                self.schedule.set_row(d, row);
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
-                        Some(b) => {
-                            let cap = b.spec.capacity_per_proc;
-                            for &d in &dirty_ids {
-                                for (w, &p) in self.schedule.centers_of(d).iter().enumerate() {
-                                    b.occ[w * m + p.index()] -= 1;
-                                }
-                            }
-                            let mut ok = true;
-                            for row in &rows {
-                                for (w, &p) in row.iter().enumerate() {
-                                    let cell = &mut b.occ[w * m + p.index()];
-                                    *cell += 1;
-                                    ok &= *cell <= cap;
-                                }
-                            }
-                            if ok {
-                                for (&d, row) in dirty_ids.iter().zip(rows) {
-                                    self.schedule.set_row(d, row);
-                                }
-                            } else {
-                                fallback = true;
-                            }
-                        }
-                    }
+                    fallback = !patch_rows(&mut self.bounded, &mut self.schedule, &dirty_ids, rows);
                 }
             }
         }
@@ -742,18 +662,13 @@ impl IncrementalRun {
         let _t = metrics.phase("incremental/initial-solve");
         let grid = self.grid;
         let nd = self.trace.num_data();
-        let ids: Vec<DataId> = (0..nd as u32).map(DataId).collect();
-        let chunk = pim_par::auto_chunk(nd, self.pool.threads());
+        let ids = datum_ids(nd);
         let trace = &self.trace;
         match &mut self.state {
             MethodState::Scds { medians, ckpts } => {
-                *medians = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    MedianState::default,
-                    |med, _, &d| span_median(&grid, trace.span(d), med),
-                );
+                *medians = fan_out(self.pool, &ids, MedianState::default, |med, d| {
+                    span_median(&grid, trace.span(d), med)
+                });
                 *ckpts = scds_checkpoints_fit(&grid, nd, self.scds_ckpt_budget).then(|| {
                     let mut pool = PackedMedians::new(&grid, nd);
                     for &d in &ids {
@@ -765,201 +680,125 @@ impl IncrementalRun {
                 });
             }
             MethodState::Lomcds { anchors } => {
-                *anchors = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    MedianState::default,
-                    |med, _, &d| span_first_anchor(&grid, trace.span(d), med),
-                );
+                *anchors = fan_out(self.pool, &ids, MedianState::default, |med, d| {
+                    span_first_anchor(&grid, trace.span(d), med)
+                });
             }
             MethodState::Gomcds { pure, .. } => {
                 let cache = &self.cache;
-                *pure = pim_par::parallel_map_with_chunked(
-                    self.pool,
-                    &ids,
-                    chunk,
-                    Workspace::new,
-                    |ws, _, &d| {
-                        gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
-                    },
-                );
+                *pure = fan_out(self.pool, &ids, Workspace::new, |ws, d| {
+                    gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
+                });
             }
         }
         self.replay()
     }
 
     /// Full capacity replay from the carried phase-1 state: rebuilds the
-    /// schedule, spill count and occupancy. Exactly what the flat
-    /// schedulers' sequential phase does.
+    /// schedule, spill count and occupancy through each algorithm's shared
+    /// replay — exactly the flat schedulers' sequential phase.
     fn replay(&mut self) -> Result<(), SchedError> {
         let grid = self.grid;
         let nd = self.trace.num_data();
         let nw = self.trace.num_windows();
-        let m = grid.num_procs();
         let spec = self.policy.resolve_parts(&grid, nd);
         ensure_feasible(&grid, spec, nd)?;
-        let unbounded = spec.capacity_per_proc == u32::MAX;
-        match &mut self.state {
+        let (schedule, spilled) = match &self.state {
             MethodState::Scds { medians, .. } => {
-                let mut mem = MemoryMap::new(&grid, spec);
-                let mut spilled = 0usize;
+                let mut replay = ScdsReplay::new(&grid, spec, &self.metrics);
                 let mut placement = Vec::with_capacity(nd);
                 for (i, &c) in medians.iter().enumerate() {
                     let d = DataId(i as u32);
-                    let p = if mem.has_room(c) {
-                        mem.allocate(c).map_err(|_| exhausted(d, None))?;
-                        c
-                    } else {
-                        spilled += 1;
-                        span_full_table(
-                            &grid,
-                            self.trace.span(d),
-                            &mut self.ws.axes,
-                            &mut self.ws.table,
-                        );
-                        ProcessorList::from_cost_table(&self.ws.table)
-                            .assign(&mut mem)
-                            .ok_or_else(|| exhausted(d, None))?
-                    };
-                    placement.push(p);
+                    placement.push(replay.place(&grid, d, self.trace.span(d), c)?);
                 }
-                let mut occ = vec![0u32; m];
-                for &p in &placement {
-                    occ[p.index()] += 1;
-                }
-                self.schedule = Schedule::static_placement(grid, placement, nw);
-                self.bounded = (!unbounded).then_some(BoundedState { spec, spilled, occ });
+                let schedule = Schedule::static_placement(grid, placement, nw);
+                (schedule, replay.spilled)
+            }
+            MethodState::Lomcds { .. } if spec.capacity_per_proc == u32::MAX => {
+                let pool = self.pool;
+                let s = crate::flat::lomcds_on(&self.trace, spec, pool, None, &mut self.ws)?;
+                (s, 0)
             }
             MethodState::Lomcds { anchors } => {
-                if unbounded {
-                    let trace = &self.trace;
-                    let ids: Vec<DataId> = (0..nd as u32).map(DataId).collect();
-                    let rows = pim_par::parallel_map_with_chunked(
-                        self.pool,
-                        &ids,
-                        pim_par::auto_chunk(nd, self.pool.threads()),
-                        MedianState::default,
-                        |med, _, &d| span_lomcds_row(&grid, trace.span(d), nw, med),
-                    );
-                    self.schedule = Schedule::new(grid, rows);
-                    self.bounded = None;
-                } else {
-                    let mut spill_flag = vec![false; nd];
-                    let sched = lomcds_assign_observed(
-                        grid,
-                        nw,
-                        spec,
-                        &self.cache,
-                        &mut self.ws,
-                        anchors,
-                        &mut |d, _, rank0| {
-                            if !rank0 {
-                                spill_flag[d.index()] = true;
-                            }
-                        },
-                    )?;
-                    let spilled = spill_flag.iter().filter(|&&s| s).count();
-                    let occ = occ_rows(&grid, &sched);
-                    self.schedule = sched;
-                    self.bounded = Some(BoundedState { spec, spilled, occ });
-                }
+                crate::lomcds::replay(grid, nw, spec, &self.cache, anchors, &mut self.ws)?
             }
             MethodState::Gomcds { pure, .. } => {
-                if unbounded {
-                    self.schedule = Schedule::new(grid, pure.clone());
-                    self.bounded = None;
-                } else {
-                    let mut masks: Vec<MemoryMap> =
-                        (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-                    let mut spilled = 0usize;
-                    let mut centers = Vec::with_capacity(nd);
-                    for (i, unconstrained) in pure.iter().enumerate() {
+                let mut replay = GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform);
+                let centers = pure
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| {
                         let d = DataId(i as u32);
-                        let free = unconstrained
-                            .iter()
-                            .enumerate()
-                            .all(|(w, &p)| masks[w].has_room(p));
-                        let path = if free {
-                            unconstrained.clone()
-                        } else {
-                            spilled += 1;
-                            solve_masked_path_cached(
-                                &grid,
-                                self.cache.datum(d),
-                                &masks,
-                                &mut self.ws,
-                            )
-                            .ok_or_else(|| exhausted(d, None))?
-                        };
-                        for (w, &p) in path.iter().enumerate() {
-                            masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-                        }
-                        centers.push(path);
-                    }
-                    let sched = Schedule::new(grid, centers);
-                    let occ = occ_rows(&grid, &sched);
-                    self.schedule = sched;
-                    self.bounded = Some(BoundedState { spec, spilled, occ });
-                }
+                        replay.place_cached(d, Some(row.clone()), self.cache.datum(d), &mut self.ws)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                (Schedule::new(grid, centers), replay.spilled)
             }
-        }
+        };
+        // SCDS placements are static, so one occupancy row covers them.
+        let occ_windows = match self.state {
+            MethodState::Scds { .. } => 1,
+            _ => nw,
+        };
+        self.bounded = (spec.capacity_per_proc != u32::MAX).then(|| BoundedState {
+            spec,
+            spilled,
+            occ: occ_rows(&grid, &schedule, occ_windows),
+        });
+        self.schedule = schedule;
         Ok(())
     }
 }
 
-/// Merged-window weighted median of one flat span (the SCDS center).
-fn span_median(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
-    med.reset(grid);
-    for r in span {
-        med.add(r.x, r.y, r.count as u64);
-    }
-    med.center(grid)
-}
-
-/// The LOMCDS window-0 anchor of one flat span: the median of its first
-/// referenced window, `P0` when never referenced.
-fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
-    match span.chunk_by(|a, b| a.window == b.window).next() {
-        Some(run) => {
-            med.reset(grid);
-            for r in run {
-                med.add(r.x, r.y, r.count as u64);
+/// The occupancy patch rule for per-window rows (LOMCDS, GOMCDS): with no
+/// spill in the last full replay, swap the dirty data's old rows for their
+/// new unconstrained `rows` and check every incremented cell against the
+/// capacity. Returns `false` when the patch cannot apply and a full replay
+/// must run instead; with unbounded memory the rows are installed as is.
+fn patch_rows(
+    bounded: &mut Option<BoundedState>,
+    schedule: &mut Schedule,
+    ids: &[DataId],
+    rows: Vec<Vec<ProcId>>,
+) -> bool {
+    if let Some(b) = bounded {
+        if b.spilled > 0 {
+            return false;
+        }
+        let m = schedule.grid().num_procs();
+        let cap = b.spec.capacity_per_proc;
+        for &d in ids {
+            for (w, &p) in schedule.centers_of(d).iter().enumerate() {
+                b.occ[w * m + p.index()] -= 1;
             }
-            med.center(grid)
         }
-        None => ProcId(0),
-    }
-}
-
-/// The unconstrained LOMCDS center row of one flat span: per-window
-/// incremental medians with carry-forward / backfill gap resolution —
-/// the same sequence `flat_lomcds` computes per datum.
-fn span_lomcds_row(grid: &Grid, span: &[FlatRef], nw: usize, med: &mut MedianState) -> Vec<ProcId> {
-    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
-    med.reset(grid);
-    for run in span.chunk_by(|a, b| a.window == b.window) {
-        for r in run {
-            med.add(r.x, r.y, r.count as u64);
+        let mut ok = true;
+        for row in &rows {
+            for (w, &p) in row.iter().enumerate() {
+                let cell = &mut b.occ[w * m + p.index()];
+                *cell += 1;
+                ok &= *cell <= cap;
+            }
         }
-        centers[run[0].window as usize] = Some(med.center(grid));
-        for r in run {
-            med.remove(r.x, r.y, r.count as u64);
+        if !ok {
+            return false;
         }
     }
-    crate::lomcds::resolve_gaps_pub(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
+    for (&d, row) in ids.iter().zip(rows) {
+        schedule.set_row(d, row);
+    }
+    true
 }
 
-/// Window-major final occupancy of a schedule.
-fn occ_rows(grid: &Grid, sched: &Schedule) -> Vec<u32> {
+/// Window-major final occupancy of a schedule's first `windows` windows.
+fn occ_rows(grid: &Grid, sched: &Schedule, windows: usize) -> Vec<u32> {
     let m = grid.num_procs();
-    let mut occ = vec![0u32; sched.num_windows() * m];
+    let mut occ = vec![0u32; windows * m];
     for i in 0..sched.num_data() {
-        for (w, &p) in sched.centers_of(DataId(i as u32)).iter().enumerate() {
+        for (w, &p) in sched.centers_of(DataId(i as u32))[..windows]
+            .iter()
+            .enumerate()
+        {
             occ[w * m + p.index()] += 1;
         }
     }
@@ -975,7 +814,6 @@ fn scds_checkpoints_fit(grid: &Grid, nd: usize, budget: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::{flat_gomcds, flat_lomcds, flat_scds};
     use pim_trace::flat::FlatRecord;
 
     fn grid() -> Grid {
@@ -1022,15 +860,12 @@ mod tests {
         MemoryPolicy::Capacity(1),
     ];
 
-    /// From-scratch schedule of the engine's current trace.
+    /// From-scratch schedule of the engine's current trace, by the
+    /// pre-cache reference scheduler (an implementation independent of
+    /// the shared kernels and replays the engine drives).
     fn scratch(run: &IncrementalRun) -> Schedule {
-        let flat = run.trace().materialize();
-        match run.method() {
-            Method::Scds => flat_scds(&flat, run.policy(), Pool::serial()),
-            Method::Lomcds => flat_lomcds(&flat, run.policy(), Pool::serial()),
-            _ => flat_gomcds(&flat, run.policy(), Pool::serial()),
-        }
-        .unwrap()
+        let trace = run.trace().materialize().to_windowed();
+        crate::pipeline::schedule_uncached(run.method(), &trace, run.policy())
     }
 
     fn assert_parity(run: &IncrementalRun, what: &str) {

@@ -43,11 +43,11 @@
 //! * [`mod@registry`] — the [`Scheduler`] trait and the [`SchedulerRegistry`]:
 //!   every strategy (the three schedulers, grouping, the baseline, and the
 //!   `online`/`kcopy`/`replicate` extensions) as a pluggable named value.
-//! * [`flat`] — big-instance fast paths driving SCDS/LOMCDS/GOMCDS
+//! * [`flat`] — the drivers every execution mode shares: SCDS/LOMCDS/GOMCDS
 //!   straight off any flat CSR view (`pim_trace::flat::FlatView`: owned
 //!   [`pim_trace::flat::FlatTrace`] or memory-mapped
-//!   `pim_trace::binfmt::BinTrace`) with incremental medians and
-//!   chunk-sharded parallelism.
+//!   `pim_trace::binfmt::BinTrace`), fanning each algorithm's per-datum
+//!   kernel out over the pool in chunks and running its capacity replay.
 //! * [`stream`] — out-of-core scheduling: walk a `.pimb` binary trace in
 //!   bounded datum chunks with double-buffered prefetch, folding costs
 //!   instead of materializing schedules, bit-identical to [`flat`].
@@ -120,10 +120,7 @@ pub use error::SchedError;
 pub use flat::{flat_gomcds, flat_lomcds, flat_scds, flat_total_cost};
 pub use incremental::{IncrementalError, IncrementalRun};
 pub use pim_metrics::{Metrics, MetricsReport};
-pub use pipeline::{
-    compare_methods, schedule, schedule_cached, schedule_parallel, schedule_uncached, MemoryPolicy,
-    Method, Run,
-};
+pub use pipeline::{compare_methods, schedule, schedule_uncached, MemoryPolicy, Method, Run};
 pub use precedence::{
     estimate_completion, task_priorities, EdfScdsScheduler, ListScdsScheduler, PriorityMode,
 };

@@ -10,15 +10,29 @@
 //! movement, zero reference cost — no other choice does better), and for
 //! empty *leading* windows places it at the first referenced window's
 //! center so no pre-use move is needed.
+//!
+//! The module owns LOMCDS's decisions: two per-datum kernels over a flat
+//! span (`span_window_medians`, the unconstrained center row, and
+//! `span_first_anchor`, the window-0 anchor a bounded run starts from)
+//! and the window-major capacity `replay`. With unbounded memory the
+//! replay's `nearest_free(anchor)` returns the anchor and its
+//! processor-list head is the window median, so the whole replay
+//! degenerates to exactly the kernel's row; drivers (the registry
+//! strategy, [`crate::flat::flat_lomcds`], the stream walk and the
+//! incremental engine) therefore run the replay only under a bounded
+//! policy.
 
-use crate::cache::{CostCache, DatumCostCache};
+use crate::cache::CostCache;
 use crate::capacity::ProcessorList;
 use crate::cost::{cost_table, optimal_center};
 use crate::error::{ensure_feasible, exhausted, SchedError};
+use crate::median::MedianState;
+use crate::pipeline::{MemoryPolicy, Method};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_trace::flat::{span_window_runs, FlatRef};
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowedTrace};
 
@@ -33,45 +47,12 @@ pub fn lomcds_centers_unconstrained(grid: &Grid, rs: &DataRefString) -> Vec<Proc
             centers[w] = Some(optimal_center(grid, refs).0);
         }
     }
-    resolve_gaps(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
-}
-
-/// [`lomcds_centers_unconstrained`] served from a per-datum cost cache and
-/// reusable workspace — no reference-string walks, no allocation once warm
-/// (beyond the returned vector).
-pub fn lomcds_centers_unconstrained_cached(
-    cache: &DatumCostCache,
-    ws: &mut Workspace,
-) -> Vec<ProcId> {
-    let nw = cache.num_windows();
-    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
-    for (w, slot) in centers.iter_mut().enumerate() {
-        if !cache.range_is_empty(w, w + 1) {
-            *slot = Some(
-                cache
-                    .optimal_center_range(w, w + 1, &mut ws.axes, &mut ws.table)
-                    .0,
-            );
-        }
-    }
-    resolve_gaps(&mut centers);
-    centers
-        .into_iter()
-        .map(|c| c.unwrap_or(ProcId(0)))
-        .collect()
-}
-
-/// Fill `None` slots: carry the previous center forward; leading `None`s
-/// take the first known center. All-`None` stays `None` (caller defaults).
-pub(crate) fn resolve_gaps_pub(centers: &mut [Option<ProcId>]) {
     resolve_gaps(centers)
 }
 
-fn resolve_gaps(centers: &mut [Option<ProcId>]) {
+/// Fill `None` slots: carry the previous center forward; leading `None`s
+/// take the first known center; an all-`None` sequence defaults to `P0`.
+pub(crate) fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
     let first_known = centers.iter().flatten().next().copied();
     let mut prev = first_known;
     for slot in centers.iter_mut() {
@@ -80,9 +61,56 @@ fn resolve_gaps(centers: &mut [Option<ProcId>]) {
             None => *slot = prev,
         }
     }
+    centers
+        .into_iter()
+        .map(|c| c.unwrap_or(ProcId(0)))
+        .collect()
 }
 
-/// Compute the LOMCDS schedule under a memory capacity.
+/// The LOMCDS row kernel: per-window incremental medians of one flat span
+/// with gap resolution — [`lomcds_centers_unconstrained`] without a cost
+/// table (the weighted median with smallest-coordinate tie-break is the
+/// table's lowest-id argmin, see [`crate::median`]).
+pub(crate) fn span_window_medians(
+    grid: &Grid,
+    span: &[FlatRef],
+    nw: usize,
+    med: &mut MedianState,
+) -> Vec<ProcId> {
+    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
+    med.reset(grid);
+    for (w, run) in span_window_runs(span) {
+        for r in run {
+            med.add(r.x, r.y, r.count as u64);
+        }
+        centers[w as usize] = Some(med.center(grid));
+        for r in run {
+            med.remove(r.x, r.y, r.count as u64);
+        }
+    }
+    resolve_gaps(centers)
+}
+
+/// The LOMCDS anchor kernel: the anchor a datum uses at window 0 — the
+/// median of its first referenced window (`P0` when it is never
+/// referenced), exactly `span_window_medians(..)[0]`, since gap
+/// resolution backfills leading empties with the first known center.
+pub(crate) fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
+    match span_window_runs(span).next() {
+        Some((_, run)) => {
+            med.reset(grid);
+            for r in run {
+                med.add(r.x, r.y, r.count as u64);
+            }
+            med.center(grid)
+        }
+        None => ProcId(0),
+    }
+}
+
+/// Compute the LOMCDS schedule under a memory capacity through the
+/// registry's cached path (one [`crate::Run`] under a uniform capacity of
+/// `spec.capacity_per_proc`).
 ///
 /// Capacity conflicts are resolved per window in ascending datum order with
 /// the processor list: a referenced window falls back through ascending
@@ -92,112 +120,39 @@ fn resolve_gaps(centers: &mut [Option<ProcId>]) {
 ///
 /// # Panics
 /// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`lomcds_schedule_cached`]) for a typed
-/// [`SchedError`] instead.
+/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
 pub fn lomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    lomcds_schedule_cached(trace, spec, &cache, &mut ws).unwrap_or_else(|e| panic!("{e}"))
+    crate::pipeline::schedule(
+        Method::Lomcds,
+        trace,
+        MemoryPolicy::Capacity(spec.capacity_per_proc),
+    )
 }
 
-/// [`lomcds_schedule`] served from a shared per-trace cost cache. Each
-/// window is queried once here; the cache serves the first single-window
-/// table per datum raw and builds the datum's prefix tables on the second
-/// (see `cache.rs`' repeat-customer threshold), so window sweeps over
-/// dense strings run in `O(width + height)` per window.
+/// LOMCDS's window-major capacity replay over any trace representation
+/// backing `cache`: window by window, data in ascending id order, a
+/// referenced window offers its median first and falls back through its
+/// processor list; an empty window stays nearest its anchor (`anchors[d]`
+/// at window 0, the previous actual center after). Each referenced
+/// placement's list rank is recorded as its capacity displacement.
 ///
-/// The capacity loop only ever consults the unconstrained center sequence
-/// at window 0 (later windows anchor on the *actual* previous center), and
-/// `desired[0]` is by the gap-resolution rule the first referenced
-/// window's local center — so only that first anchor is computed per
-/// datum, not the full sequence the pre-cache path derives.
-pub fn lomcds_schedule_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let anchors: Vec<ProcId> = (0..trace.num_data())
-        .map(|d| first_anchor(cache.datum(DataId(d as u32)), ws))
-        .collect();
-    lomcds_assign(trace.grid(), trace.num_windows(), spec, cache, ws, &anchors)
-}
-
-/// Two-phase parallel LOMCDS, bit-identical to the sequential
-/// [`lomcds_schedule_cached`]: phase 1 computes every datum's
-/// first anchor in parallel (pure); phase 2 is the unchanged
-/// window-major sequential capacity replay.
-pub fn lomcds_schedule_parallel(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    cache: &CostCache<'_>,
-    pool: pim_par::Pool,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let metrics = ws.metrics.clone();
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
-    let anchors = {
-        let _t = metrics.phase("LOMCDS/phase1-anchors");
-        pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            pim_par::auto_chunk(ids.len(), pool.threads()),
-            Workspace::new,
-            |w, _, &d| first_anchor(cache.datum(d), w),
-        )
-    };
-    let _t = metrics.phase("LOMCDS/phase2-replay");
-    lomcds_assign(trace.grid(), trace.num_windows(), spec, cache, ws, &anchors)
-}
-
-/// The anchor a datum uses at window 0: the local optimal center of its
-/// first referenced window (`P0` when it is never referenced) — exactly
-/// `lomcds_centers_unconstrained[0]`, since gap resolution backfills
-/// leading empties with the first known center.
-pub(crate) fn first_anchor(cache: &DatumCostCache, ws: &mut Workspace) -> ProcId {
-    for w in 0..cache.num_windows() {
-        if !cache.range_is_empty(w, w + 1) {
-            return cache
-                .optimal_center_range(w, w + 1, &mut ws.axes, &mut ws.table)
-                .0;
-        }
-    }
-    ProcId(0)
-}
-
-/// Window-major capacity assignment shared by the sequential, two-phase
-/// parallel, and flat-trace cached paths. Takes the grid and window count
-/// directly so any trace representation backing `cache` can drive it.
-pub(crate) fn lomcds_assign(
+/// Returns the schedule and the number of placements that landed off
+/// their unconstrained desired processor (window median when referenced,
+/// anchor when not) — zero is the incremental engine's patch
+/// precondition.
+pub(crate) fn replay(
     grid: Grid,
     nw: usize,
     spec: MemorySpec,
     cache: &CostCache,
-    ws: &mut Workspace,
     anchors: &[ProcId],
-) -> Result<Schedule, SchedError> {
-    lomcds_assign_observed(grid, nw, spec, cache, ws, anchors, &mut |_, _, _| {})
-}
-
-/// [`lomcds_assign`] with an observer: `observe(d, w, rank0)` fires once
-/// per placement, `rank0` meaning the datum landed on its *unconstrained*
-/// desired processor (window median when referenced, anchor when not).
-/// The incremental engine's fallback replay records these flags to decide
-/// whether future edits may be patched in place; `lomcds_assign` delegates
-/// here with a no-op observer so both paths are the same code.
-pub(crate) fn lomcds_assign_observed(
-    grid: Grid,
-    nw: usize,
-    spec: MemorySpec,
-    cache: &CostCache,
     ws: &mut Workspace,
-    anchors: &[ProcId],
-    observe: &mut dyn FnMut(DataId, usize, bool),
-) -> Result<Schedule, SchedError> {
+) -> Result<(Schedule, usize), SchedError> {
     let nd = cache.num_data();
     ensure_feasible(&grid, spec, nd)?;
     let metrics = ws.metrics.clone();
 
+    let mut spilled = 0usize;
     let mut centers = vec![vec![ProcId(0); nw]; nd];
     for w in 0..nw {
         let mut mem = MemoryMap::new(&grid, spec);
@@ -211,7 +166,7 @@ pub(crate) fn lomcds_assign_observed(
             let p = if dc.range_is_empty(w, w + 1) {
                 let p = nearest_free(&grid, anchor, &mut mem)
                     .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?;
-                observe(DataId(d as u32), w, p == anchor);
+                spilled += usize::from(p != anchor);
                 p
             } else {
                 // Median-first: the window's weighted-median center is the
@@ -220,26 +175,24 @@ pub(crate) fn lomcds_assign_observed(
                 // — skip building and sorting the full table. Only a full
                 // median (capacity conflict) pays for the list.
                 let m = dc.range_median(w, w + 1, &mut ws.axes);
-                if mem.has_room(m) {
+                let (p, rank) = if mem.has_room(m) {
                     mem.allocate(m)
                         .map_err(|_| exhausted(DataId(d as u32), Some(w)))?;
-                    metrics.record_placement(0);
-                    observe(DataId(d as u32), w, true);
-                    m
+                    (m, 0)
                 } else {
                     dc.window_table(w, &mut ws.axes, &mut ws.table);
-                    let (p, rank) = ProcessorList::from_cost_table(&ws.table)
+                    ProcessorList::from_cost_table(&ws.table)
                         .assign_ranked(&mut mem)
-                        .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?;
-                    metrics.record_placement(rank);
-                    observe(DataId(d as u32), w, rank == 0);
-                    p
-                }
+                        .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?
+                };
+                metrics.record_placement(rank);
+                spilled += usize::from(rank > 0);
+                p
             };
             centers[d][w] = p;
         }
     }
-    Ok(Schedule::new(grid, centers))
+    Ok((Schedule::new(grid, centers), spilled))
 }
 
 /// Pre-cache reference implementation of [`lomcds_schedule`] — walks every
@@ -373,21 +326,12 @@ mod tests {
 
     #[test]
     fn resolve_gaps_behaviour() {
-        let mut v = vec![None, Some(ProcId(3)), None, Some(ProcId(5)), None];
-        resolve_gaps(&mut v);
+        let v = vec![None, Some(ProcId(3)), None, Some(ProcId(5)), None];
         assert_eq!(
-            v,
-            vec![
-                Some(ProcId(3)),
-                Some(ProcId(3)),
-                Some(ProcId(3)),
-                Some(ProcId(5)),
-                Some(ProcId(5))
-            ]
+            resolve_gaps(v),
+            vec![ProcId(3), ProcId(3), ProcId(3), ProcId(5), ProcId(5)]
         );
-        let mut all_none: Vec<Option<ProcId>> = vec![None, None];
-        resolve_gaps(&mut all_none);
-        assert_eq!(all_none, vec![None, None]);
+        assert_eq!(resolve_gaps(vec![None, None]), vec![ProcId(0), ProcId(0)]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! One-call scheduling front end: the [`Run`] builder and compatibility
-//! shims over the [`mod@crate::registry`] engine.
+//! One-call scheduling front end: the [`Run`] builder over the
+//! [`mod@crate::registry`] engine, plus two panicking one-liners
+//! ([`schedule`], [`schedule_uncached`]) for tests and table code.
 //!
-//! Historically this module held four parallel entry points (`schedule`,
-//! `schedule_cached`, `schedule_uncached`, `schedule_parallel`) that each
-//! re-dispatched on [`Method`]. All dispatch now lives in the
-//! [`SchedulerRegistry`](crate::registry::SchedulerRegistry); the four
-//! functions survive as thin shims and the one canonical path is:
+//! All dispatch lives in the
+//! [`SchedulerRegistry`](crate::registry::SchedulerRegistry); the one
+//! canonical path is:
 //!
 //! ```
 //! use pim_array::grid::Grid;
@@ -24,17 +23,15 @@
 //! assert_eq!(sched.evaluate(&trace).total(), 6);
 //! ```
 //!
-//! One [`Run`] amortizes its [`CostCache`] and workspace across every
+//! One [`Run`] amortizes its [`crate::CostCache`] and workspace across every
 //! scheduler it drives — `compare_methods` is just a `Run` looped over the
 //! registry's comparison set.
 
 use crate::baseline;
-use crate::cache::CostCache;
 use crate::context::{PrecedencePolicy, SchedContext};
 use crate::error::SchedError;
 use crate::registry::{registry, Scheduler};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
 use pim_array::layout::Layout;
 use pim_array::memory::MemorySpec;
 use pim_metrics::{Metrics, PoolUsage};
@@ -184,7 +181,7 @@ impl<'t> Run<'t> {
         self
     }
 
-    /// Serve cost tables from a prebuilt [`CostCache`] (default `true`).
+    /// Serve cost tables from a prebuilt [`crate::CostCache`] (default `true`).
     /// `cached(false)` drives the pre-cache reference implementations —
     /// the bit-identity oracles the conformance suite compares against.
     pub fn cached(mut self, cached: bool) -> Self {
@@ -304,31 +301,6 @@ pub fn schedule(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> 
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run one scheduling method from a prebuilt per-trace cost cache and a
-/// reusable workspace. Building the cache once and calling this for several
-/// methods (or memory policies) amortizes the reference-string scans; output
-/// is bit-identical to [`schedule`].
-///
-/// Compatibility shim — a [`Run`] owns and amortizes the cache/workspace
-/// itself, so new code passes neither. This wrapper clones the caller's
-/// cache view (cheap relative to a build) and borrows their warm buffers.
-pub fn schedule_cached<'t>(
-    method: Method,
-    trace: &'t WindowedTrace,
-    policy: MemoryPolicy,
-    cache: &CostCache<'t>,
-    ws: &mut Workspace,
-) -> Schedule {
-    let mut ctx = SchedContext::with_cache(trace, policy, cache.clone());
-    ctx.swap_workspace(ws);
-    let sched = method
-        .scheduler()
-        .schedule(&mut ctx, trace)
-        .unwrap_or_else(|e| panic!("{e}"));
-    ctx.swap_workspace(ws);
-    sched
-}
-
 /// Pre-cache reference dispatch: every method re-walks reference strings as
 /// the seed implementation did. Bit-identical to [`schedule`]; kept for the
 /// equivalence property tests and the `cached_vs_uncached` bench.
@@ -338,25 +310,6 @@ pub fn schedule_uncached(method: Method, trace: &WindowedTrace, policy: MemoryPo
     Run::new(trace)
         .policy(policy)
         .cached(false)
-        .run_method(method)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run one scheduling method with per-datum parallelism; results are
-/// identical to `schedule(method, trace, MemoryPolicy::Unbounded)`. For a
-/// bounded policy, use `Run::new(trace).policy(policy).parallel(pool)` —
-/// the two-phase scheme keeps that bit-identical to sequential too.
-///
-/// The trace-level [`CostCache`] is shared read-only by every worker (each
-/// datum's prefix tables build lazily on whichever worker first needs
-/// them); each persistent pool worker reuses one [`Workspace`] across all
-/// the data it claims, so the parallel region allocates nothing but the
-/// output rows.
-///
-/// Compatibility shim — prefer `Run::new(trace).parallel(pool)`.
-pub fn schedule_parallel(method: Method, trace: &WindowedTrace, pool: Pool) -> Schedule {
-    Run::new(trace)
-        .parallel(pool)
         .run_method(method)
         .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -446,7 +399,10 @@ mod tests {
         let trace = sample_trace();
         for method in Method::ALL {
             let seq = schedule(method, &trace, MemoryPolicy::Unbounded);
-            let par = schedule_parallel(method, &trace, Pool::with_threads(4));
+            let par = Run::new(&trace)
+                .parallel(Pool::with_threads(4))
+                .run_method(method)
+                .unwrap();
             assert_eq!(
                 seq.evaluate(&trace),
                 par.evaluate(&trace),

@@ -36,16 +36,14 @@
 //! the same conformance proptests as every other scheduler.
 
 use crate::context::SchedContext;
-use crate::cost::{cost_table_with, INF};
-use crate::error::{ensure_feasible, exhausted, SchedError};
+use crate::error::{ensure_feasible, SchedError};
+use crate::gomcds::{solve_layered, GomcdsReplay, NodeSource, Solver};
 use crate::registry::{GomcdsScheduler, Scheduler};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
-use pim_array::grid::{Grid, ProcId};
-use pim_array::memory::MemoryMap;
+use pim_array::grid::ProcId;
 use pim_trace::dag::TaskDag;
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowedTrace};
+use pim_trace::window::WindowedTrace;
 
 /// How task priorities are derived from the DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,91 +89,6 @@ pub fn task_priorities(dag: &TaskDag, mode: PriorityMode) -> Vec<u64> {
 /// critical degenerates to uniform weights.
 fn weight(pri: u64, pri_max: u64) -> u64 {
     1 + (3u64.saturating_mul(pri)) / pri_max.max(1)
-}
-
-/// One datum's layered shortest path with per-window node costs scaled by
-/// `weights[w]` (movement stays weight 1). Same recurrence and — crucially
-/// — the same tie-breaks as the GOMCDS solver: lowest-id sink argmin,
-/// lowest-id backtrack predecessor. `masks` marks full processors;
-/// returns `None` when no feasible path exists.
-fn solve_weighted(
-    grid: &Grid,
-    rs: &DataRefString,
-    weights: &[u64],
-    masks: Option<&[MemoryMap]>,
-    ws: &mut Workspace,
-) -> Option<(Vec<ProcId>, u64)> {
-    let m = grid.num_procs();
-    let nw = rs.num_windows();
-    let Workspace {
-        axes,
-        dp,
-        node,
-        relaxed,
-        nodes_all,
-        ..
-    } = ws;
-    dp.clear();
-    dp.reserve(nw * m);
-    nodes_all.clear();
-    nodes_all.reserve(nw * m);
-
-    for w in 0..nw {
-        cost_table_with(grid, rs.window(w), axes, node);
-        let scale = weights[w];
-        for slot in node.iter_mut() {
-            *slot = slot.saturating_mul(scale);
-        }
-        if let Some(maps) = masks {
-            for (k, slot) in node.iter_mut().enumerate() {
-                if !maps[w].has_room(ProcId(k as u32)) {
-                    *slot = INF;
-                }
-            }
-        }
-        nodes_all.extend_from_slice(node);
-        if w == 0 {
-            dp.extend_from_slice(node);
-        } else {
-            {
-                let prev = &dp[(w - 1) * m..w * m];
-                crate::dt::l1_relax_weighted(grid, prev, 1, relaxed);
-            }
-            for k in 0..m {
-                dp.push(relaxed[k].saturating_add(node[k]));
-            }
-        }
-    }
-
-    let last = &dp[(nw - 1) * m..nw * m];
-    let (mut k, &best) = last
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &c)| (c, i))
-        .expect("non-empty grid");
-    if best >= INF {
-        return None;
-    }
-
-    let mut path = vec![ProcId(0); nw];
-    path[nw - 1] = ProcId(k as u32);
-    for w in (1..nw).rev() {
-        let noderow = &nodes_all[w * m..(w + 1) * m];
-        let need = dp[w * m + k] - noderow[k];
-        let prev_row = &dp[(w - 1) * m..w * m];
-        let kp = grid.point_of(ProcId(k as u32));
-        let mut found = None;
-        for j in 0..m {
-            let hop = grid.point_of(ProcId(j as u32)).l1_dist(kp);
-            if prev_row[j].saturating_add(hop) == need {
-                found = Some(j);
-                break;
-            }
-        }
-        k = found.expect("dp backtrack must find a predecessor");
-        path[w - 1] = ProcId(k as u32);
-    }
-    Some((path, best))
 }
 
 /// Analytic estimate of the completion cycles `schedule` achieves under
@@ -230,8 +143,9 @@ pub fn estimate_completion(trace: &WindowedTrace, schedule: &Schedule, dag: &Tas
     total
 }
 
-/// The precedence-aware placement itself: weighted per-datum paths,
-/// capacity replayed in task-priority order. Deliberately one sequential,
+/// The precedence-aware placement itself: weighted per-datum paths (the
+/// GOMCDS kernel over priority-weighted node costs), capacity replayed by
+/// the GOMCDS replay in task-priority order. Deliberately one sequential,
 /// raw-reference-string code path — cached/uncached/parallel contexts all
 /// land here, so the with-DAG output is bit-identical across execution
 /// modes by construction.
@@ -264,13 +178,7 @@ fn precedence_schedule(
         .collect();
     order.sort_unstable();
 
-    let bounded = spec.capacity_per_proc != u32::MAX;
-    let mut masks: Vec<MemoryMap> = if bounded {
-        (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect()
-    } else {
-        Vec::new()
-    };
-
+    let mut replay = GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform);
     let ws = ctx.workspace();
     let mut weights = vec![1u64; nw];
     let mut centers: Vec<Vec<ProcId>> = vec![Vec::new(); nd];
@@ -281,15 +189,11 @@ fn precedence_schedule(
                 None => 1,
             };
         }
-        let mask_ref = bounded.then_some(masks.as_slice());
-        let (path, _) = solve_weighted(&grid, trace.refs(d), &weights, mask_ref, ws)
-            .ok_or_else(|| exhausted(d, None))?;
-        if bounded {
-            for (w, &p) in path.iter().enumerate() {
-                masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-            }
-        }
-        centers[d.index()] = path;
+        let src = NodeSource::Weighted(trace.refs(d), &weights);
+        centers[d.index()] = replay.place(d, None, |masks| {
+            solve_layered(&grid, &src, masks, Solver::DistanceTransform, 1, None, ws)
+                .map(|(path, _)| path)
+        })?;
     }
     Ok(Schedule::new(grid, centers))
 }
@@ -393,8 +297,9 @@ impl Scheduler for EdfScdsScheduler {
 mod tests {
     use super::*;
     use crate::pipeline::{MemoryPolicy, Run};
+    use pim_array::grid::Grid;
     use pim_trace::dag::Task;
-    use pim_trace::window::WindowRefs;
+    use pim_trace::window::{DataRefString, WindowRefs};
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -463,10 +368,21 @@ mod tests {
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
             WindowRefs::new(),
         ]);
-        let mut ws = Workspace::new();
-        let weighted = solve_weighted(&grid, &rs, &[1, 1, 1], None, &mut ws).unwrap();
-        let plain =
-            crate::gomcds::gomcds_path(&grid, &rs, crate::gomcds::Solver::DistanceTransform);
+        let mut ws = crate::workspace::Workspace::new();
+        let src = NodeSource::Weighted(&rs, &[1, 1, 1]);
+        let weighted = solve_layered(
+            &grid,
+            &src,
+            None,
+            Solver::DistanceTransform,
+            1,
+            None,
+            &mut ws,
+        )
+        .unwrap();
+        // Independent oracle: brute-force enumeration of every sequence
+        // (lexicographically smallest minimizer = the DP's lowest-id ties).
+        let plain = crate::exhaustive::optimal_path_exhaustive(&grid, &rs);
         assert_eq!(weighted, plain);
     }
 

@@ -36,10 +36,8 @@ use crate::error::{ensure_feasible, SchedError};
 use crate::gomcds::Solver;
 use crate::grouping::GroupMethod;
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
-use pim_array::grid::ProcId;
 use pim_array::layout::Layout;
-use pim_trace::ids::DataId;
+use pim_par::Pool;
 use pim_trace::window::WindowedTrace;
 use std::sync::OnceLock;
 
@@ -91,11 +89,10 @@ pub trait Scheduler: Send + Sync {
         true
     }
 
-    /// Whether the big-instance flat fast path (`pim-cli run --flat`,
-    /// driving [`crate::flat`] straight off a
-    /// [`pim_trace::flat::FlatTrace`]) implements this strategy.
-    /// `pim-cli list-methods` reports the flag so `--flat` users can see
-    /// which methods have fast paths.
+    /// Whether the big-instance flat fast path ([`crate::flat`], driven
+    /// straight off a [`pim_trace::flat::FlatView`] by `pim-cli run --bin`
+    /// and `pim-cli scale`) implements this strategy. `pim-cli
+    /// list-methods` reports the flag.
     fn flat_capable(&self) -> bool {
         false
     }
@@ -118,6 +115,12 @@ pub trait Scheduler: Send + Sync {
 // ---------------------------------------------------------------------------
 // Built-in strategies
 // ---------------------------------------------------------------------------
+
+/// The pool the drivers fan per-datum kernels out over: the context's
+/// parallel pool, else an inline one-thread pool (no phase-1 fan-out).
+fn driver_pool(ctx: &SchedContext) -> Pool {
+    ctx.parallel_pool().unwrap_or_else(Pool::serial)
+}
 
 /// Algorithm 1: one center per datum for the whole execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -146,38 +149,12 @@ impl Scheduler for ScdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                // Unbounded: every datum is independent — pure fan-out.
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let nw = trace.num_windows();
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        let c = cache
-                            .datum(d)
-                            .optimal_center_range(0, nw, &mut ws.axes, &mut ws.table)
-                            .0;
-                        vec![c; nw]
-                    },
-                );
-                return Ok(Schedule::new(ctx.grid(), centers));
-            }
-            // Bounded: two-phase — parallel per-datum tables, sequential
-            // capacity replay in datum order.
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::scds::scds_schedule_parallel(trace, spec, cache, pool, ws);
+        if ctx.cache().is_none() {
+            return crate::scds::scds_schedule_uncached(trace, spec);
         }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::scds::scds_schedule_cached(trace, spec, cache, ws),
-            (None, _) => crate::scds::scds_schedule_uncached(trace, spec),
-        }
+        let pool = driver_pool(ctx);
+        let (flat, _, ws) = ctx.flat_cache_ws(trace);
+        crate::flat::scds_on(flat, spec, pool, &ws.metrics)
     }
 }
 
@@ -208,30 +185,12 @@ impl Scheduler for LomcdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        crate::lomcds::lomcds_centers_unconstrained_cached(cache.datum(d), ws)
-                    },
-                );
-                return Ok(Schedule::new(ctx.grid(), centers));
-            }
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::lomcds::lomcds_schedule_parallel(trace, spec, cache, pool, ws);
+        if ctx.cache().is_none() {
+            return crate::lomcds::lomcds_schedule_uncached(trace, spec);
         }
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::lomcds::lomcds_schedule_cached(trace, spec, cache, ws),
-            (None, _) => crate::lomcds::lomcds_schedule_uncached(trace, spec),
-        }
+        let pool = driver_pool(ctx);
+        let (flat, cache, ws) = ctx.flat_cache_ws(trace);
+        crate::flat::lomcds_on(flat, spec, pool, cache, ws)
     }
 }
 
@@ -296,32 +255,11 @@ impl Scheduler for GomcdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let grid = ctx.grid();
-                let solver = self.solver;
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        crate::gomcds::gomcds_path_cached(&grid, cache.datum(d), solver, ws).0
-                    },
-                );
-                return Ok(Schedule::new(grid, centers));
-            }
-            let solver = self.solver;
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::gomcds::gomcds_schedule_parallel(trace, spec, solver, cache, pool, ws);
-        }
+        let pool = driver_pool(ctx);
+        let (grid, nw) = (trace.grid(), trace.num_windows());
         match ctx.cache_and_ws() {
             (Some(cache), ws) => {
-                crate::gomcds::gomcds_schedule_cached(trace, spec, self.solver, cache, ws)
+                crate::flat::gomcds_on(cache, grid, nw, spec, self.solver, pool, ws)
             }
             (None, _) => crate::gomcds::gomcds_schedule_with_uncached(trace, spec, self.solver),
         }
@@ -358,73 +296,15 @@ impl Scheduler for GroupedScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        ensure_feasible(&ctx.grid(), spec, trace.num_data())?;
-        if let Some(pool) = ctx.parallel_pool() {
-            if spec.capacity_per_proc == u32::MAX {
-                let cache = ctx.cache().expect("parallel_pool implies cache");
-                let grid = ctx.grid();
-                let place = self.place;
-                let ids: Vec<DataId> = (0..trace.num_data() as u32).map(DataId).collect();
-                let centers = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    pim_par::auto_chunk(ids.len(), pool.threads()),
-                    Workspace::new,
-                    |ws, _, &d| {
-                        let dc = cache.datum(d);
-                        let groups = crate::grouping::greedy_grouping_cached(
-                            &grid,
-                            dc,
-                            GroupMethod::LocalCenters,
-                            ws,
-                        );
-                        let group_centers = match place {
-                            GroupMethod::LocalCenters => {
-                                crate::grouping::local_group_centers_cached(dc, &groups, ws)
-                            }
-                            GroupMethod::GomcdsCenters => {
-                                crate::gomcds::gomcds_path_ranges(&grid, dc, &groups, ws).0
-                            }
-                        };
-                        let mut per_window = vec![ProcId(0); dc.num_windows()];
-                        for (g, &c) in groups.iter().zip(&group_centers) {
-                            for w in g.clone() {
-                                per_window[w] = c;
-                            }
-                        }
-                        per_window
-                    },
-                );
-                return Ok(Schedule::new(grid, centers));
-            }
-            let place = self.place;
-            let (cache, ws) = ctx.cache_and_ws();
-            let cache = cache.expect("parallel_pool implies cache");
-            return crate::grouping::grouped_schedule_parallel(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                place,
-                cache,
-                pool,
-                ws,
-            );
-        }
+        let pool = driver_pool(ctx);
+        let decide = GroupMethod::LocalCenters;
         match ctx.cache_and_ws() {
             (Some(cache), ws) => crate::grouping::grouped_schedule_with_cached(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                self.place,
-                cache,
-                ws,
+                trace, spec, decide, self.place, cache, pool, ws,
             ),
-            (None, _) => crate::grouping::grouped_schedule_with_uncached(
-                trace,
-                spec,
-                GroupMethod::LocalCenters,
-                self.place,
-            ),
+            (None, _) => {
+                crate::grouping::grouped_schedule_with_uncached(trace, spec, decide, self.place)
+            }
         }
     }
 }
@@ -737,7 +617,8 @@ pub fn schedulers(names: &[&str]) -> Vec<&'static dyn Scheduler> {
 mod tests {
     use super::*;
     use crate::pipeline::{MemoryPolicy, Method};
-    use pim_array::grid::Grid;
+    use pim_array::grid::{Grid, ProcId};
+    use pim_trace::ids::DataId;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
     #[test]

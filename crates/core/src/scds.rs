@@ -5,111 +5,107 @@
 //! conflicts are resolved with the processor list (first available
 //! processor in ascending cost order), processing data in ascending id
 //! order — the paper's "foreach data i do".
+//!
+//! The module owns SCDS's two decisions: the per-datum kernel
+//! (`span_median`, the merged-window weighted median of one datum's flat
+//! span — the head of its processor list, see [`crate::median`]) and the
+//! sequential capacity replay (`ScdsReplay`). The registry strategy,
+//! [`crate::flat::flat_scds`], the chunked [`crate::stream`] walk and
+//! [`crate::incremental::IncrementalRun`] are drivers around these two.
 
-use crate::cache::CostCache;
 use crate::capacity::ProcessorList;
-use crate::cost::cost_table;
+use crate::cost::{cost_table, AxisScratch};
 use crate::error::{ensure_feasible, exhausted, SchedError};
+use crate::median::MedianState;
+use crate::pipeline::{MemoryPolicy, Method};
 use crate::schedule::Schedule;
-use crate::workspace::Workspace;
+use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_metrics::Metrics;
+use pim_trace::flat::FlatRef;
 use pim_trace::ids::DataId;
 use pim_trace::window::WindowedTrace;
 
-/// Compute the SCDS schedule.
+/// Compute the SCDS schedule through the registry's cached path (one
+/// [`crate::Run`] under a uniform capacity of `spec.capacity_per_proc`).
 ///
 /// # Panics
 /// Panics if the total memory of the array cannot hold one copy of every
 /// datum (`spec.capacity_per_proc × num_procs < num_data`). Use the
-/// [`crate::Run`] pipeline (or [`scds_schedule_cached`]) for a typed
-/// [`SchedError`] instead.
+/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
 pub fn scds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    scds_schedule_cached(trace, spec, &cache, &mut ws).unwrap_or_else(|e| panic!("{e}"))
+    crate::pipeline::schedule(
+        Method::Scds,
+        trace,
+        MemoryPolicy::Capacity(spec.capacity_per_proc),
+    )
 }
 
-/// [`scds_schedule`] served from a shared per-trace cost cache: each
-/// datum's merged-window cost table is a single whole-execution range
-/// query — one pass over the raw references straight into the axis
-/// projections, with no merged list materialized and no prefix-table
-/// build (the cache stays lazy for this single-query-per-datum shape).
-///
-/// Returns [`SchedError::CapacityExhausted`] when the memory spec cannot
-/// hold every datum.
-pub fn scds_schedule_cached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    cache: &CostCache,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    ensure_feasible(&grid, spec, trace.num_data())?;
-    let metrics = ws.metrics.clone();
-    let mut mem = MemoryMap::new(&grid, spec);
-    let mut placement = Vec::with_capacity(trace.num_data());
-    for d in 0..trace.num_data() {
-        cache
-            .datum(DataId(d as u32))
-            .full_table(&mut ws.axes, &mut ws.table);
-        let list = ProcessorList::from_cost_table(&ws.table);
-        let (p, rank) = list
-            .assign_ranked(&mut mem)
-            .ok_or_else(|| exhausted(DataId(d as u32), None))?;
-        metrics.record_placement(rank);
-        placement.push(p);
+/// The SCDS kernel: the merged-window weighted median of one datum's
+/// span — the lowest-id argmin of its merged cost table, so the head of
+/// its processor list.
+pub(crate) fn span_median(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
+    med.reset(grid);
+    for r in span {
+        med.add(r.x, r.y, r.count as u64);
     }
-    Ok(Schedule::static_placement(
-        grid,
-        placement,
-        trace.num_windows(),
-    ))
+    med.center(grid)
 }
 
-/// Two-phase parallel SCDS, bit-identical to the sequential
-/// [`scds_schedule_cached`]: phase 1 derives every datum's merged-window
-/// processor list in parallel (pure); phase 2 replays the ascending-id
-/// capacity assignment sequentially over those lists — the same lists in
-/// the same order give the same placement as the sequential run.
-pub fn scds_schedule_parallel(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    cache: &CostCache<'_>,
-    pool: pim_par::Pool,
-    ws: &mut Workspace,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    ensure_feasible(&grid, spec, trace.num_data())?;
-    let metrics = ws.metrics.clone();
-    let ids: Vec<_> = trace.iter_data().map(|(d, _)| d).collect();
-    let lists = {
-        let _t = metrics.phase("SCDS/phase1-lists");
-        pim_par::parallel_map_with_chunked(
-            pool,
-            &ids,
-            pim_par::auto_chunk(ids.len(), pool.threads()),
-            Workspace::new,
-            |ws, _, &d| {
-                cache.datum(d).full_table(&mut ws.axes, &mut ws.table);
-                ProcessorList::from_cost_table(&ws.table)
-            },
-        )
-    };
-    let _t = metrics.phase("SCDS/phase2-replay");
-    let mut mem = MemoryMap::new(&grid, spec);
-    let mut placement = Vec::with_capacity(lists.len());
-    for (i, list) in lists.iter().enumerate() {
-        let (p, rank) = list
-            .assign_ranked(&mut mem)
-            .ok_or_else(|| exhausted(DataId(i as u32), None))?;
-        metrics.record_placement(rank);
-        placement.push(p);
+/// SCDS's sequential capacity replay: medians are offered in ascending
+/// datum order, and a datum whose median is full falls back to its full
+/// (cost, id)-ordered processor list — exactly the paper's first
+/// available processor. Each placement's list rank is recorded as its
+/// capacity displacement.
+pub(crate) struct ScdsReplay {
+    mem: MemoryMap,
+    axes: AxisScratch,
+    table: Vec<u64>,
+    metrics: Metrics,
+    /// Data whose median was full, so they took a later list entry.
+    pub(crate) spilled: usize,
+}
+
+impl ScdsReplay {
+    pub(crate) fn new(grid: &Grid, spec: MemorySpec, metrics: &Metrics) -> ScdsReplay {
+        ScdsReplay {
+            mem: MemoryMap::new(grid, spec),
+            axes: AxisScratch::default(),
+            table: Vec::new(),
+            metrics: metrics.clone(),
+            spilled: 0,
+        }
     }
-    Ok(Schedule::static_placement(
-        grid,
-        placement,
-        trace.num_windows(),
-    ))
+
+    /// Place datum `d` (span `span`, merged median `median`), mutating the
+    /// shared capacity state. Must be called in ascending datum order.
+    pub(crate) fn place(
+        &mut self,
+        grid: &Grid,
+        d: DataId,
+        span: &[FlatRef],
+        median: ProcId,
+    ) -> Result<ProcId, SchedError> {
+        let (p, rank) = if self.mem.has_room(median) {
+            self.mem.allocate(median).map_err(|_| exhausted(d, None))?;
+            (median, 0)
+        } else {
+            // The median (= list head) is full: build the merged cost
+            // table from the span and take the first available entry.
+            self.axes.reset_weights(grid);
+            for r in span {
+                self.axes.wx[r.x as usize] += r.count as u64;
+                self.axes.wy[r.y as usize] += r.count as u64;
+            }
+            self.axes.sweep_into(grid, &mut self.table);
+            ProcessorList::from_cost_table(&self.table)
+                .assign_ranked(&mut self.mem)
+                .ok_or_else(|| exhausted(d, None))?
+        };
+        self.spilled += usize::from(rank > 0);
+        self.metrics.record_placement(rank);
+        Ok(p)
+    }
 }
 
 /// Pre-cache reference implementation (merges each reference string and
@@ -205,9 +201,9 @@ mod tests {
     fn infeasible_capacity_errors_through_cached_entry() {
         let grid = Grid::new(2, 1);
         let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 3]);
-        let cache = CostCache::build(&trace);
-        let mut ws = Workspace::new();
-        let err = scds_schedule_cached(&trace, MemorySpec::uniform(1), &cache, &mut ws)
+        let err = crate::Run::new(&trace)
+            .policy(MemoryPolicy::Capacity(1))
+            .run_method(Method::Scds)
             .expect_err("3 data cannot fit 2 slots");
         assert!(matches!(err, SchedError::CapacityExhausted { .. }));
     }

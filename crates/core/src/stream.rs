@@ -14,19 +14,22 @@
 //!   GOMCDS) is sharded over the [`pim_par`] pool exactly as the
 //!   in-memory path shards the whole trace;
 //! * the sequential capacity replay runs between chunks in ascending datum
-//!   order against persistent [`pim_array::memory::MemoryMap`] state —
-//!   the same `ScdsReplay` object (private to [`crate::flat`]) the
-//!   in-memory path uses —
-//!   so bounded SCDS stays **bit-identical** to [`crate::flat::flat_scds`].
+//!   order against persistent capacity state — the same
+//!   [`crate::scds`] and [`crate::gomcds`] replay objects the in-memory
+//!   drivers use — so bounded runs stay **bit-identical** to
+//!   [`crate::flat`].
 //!
 //! Chunking is possible exactly when every scheduling decision depends
 //! only on (a) the datum's own span and (b) state accumulated over lower
-//! datum ids. That covers SCDS under every policy and LOMCDS/GOMCDS with
-//! unbounded memory (pure per-datum). Bounded LOMCDS/GOMCDS replay
-//! *window-major across all data* — window 0 of the last datum is decided
-//! before window 1 of the first — so no datum-ordered pass can reproduce
-//! them; those combinations return [`StreamError::Unsupported`] and
-//! callers fall back to the in-memory/mapped [`crate::flat`] path.
+//! datum ids. That covers SCDS and GOMCDS under every policy — both
+//! replays are datum-ordered (SCDS against one occupancy map, GOMCDS
+//! against one map per window) — and LOMCDS with unbounded memory (pure
+//! per-datum). Bounded LOMCDS replays *window-major across all data* —
+//! window 0 of the last datum is decided before window 1 of the first —
+//! so no datum-ordered pass can reproduce it; it returns
+//! [`StreamError::Unsupported`], as does every method without a streaming
+//! driver (grouping, the naive-solver ablation), and callers fall back to
+//! the in-memory/mapped [`crate::flat`] path.
 //!
 //! Schedules at this scale are also too big to keep: 10M data × 32
 //! windows of centers is more memory than the chunks saved. The pipeline
@@ -43,12 +46,15 @@
 
 use crate::cache::DatumCostCache;
 use crate::error::{ensure_feasible, SchedError};
-use crate::flat::{span_lomcds_centers, span_merged_median, FlatScratch, ScdsReplay};
-use crate::gomcds::{gomcds_path_cached, Solver};
+use crate::flat::{fan_out, fold_datum};
+use crate::gomcds::{GomcdsReplay, Solver};
+use crate::median::MedianState;
 use crate::pipeline::{MemoryPolicy, Method};
+use crate::scds::ScdsReplay;
 use crate::schedule::CostBreakdown;
 use crate::workspace::Workspace;
-use pim_array::grid::{Grid, ProcId};
+use pim_array::grid::ProcId;
+use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::binfmt::{
     decode_offsets, decode_refs, validate_offsets, validate_span, BinError, Checksum, Header,
@@ -89,9 +95,10 @@ pub enum StreamError {
     Bin(BinError),
     /// Scheduling itself failed (infeasible policy, capacity exhausted).
     Sched(SchedError),
-    /// The method × policy combination needs window-major replay across
-    /// all data and cannot be chunk-streamed; use the in-memory or
-    /// memory-mapped [`crate::flat`] path instead.
+    /// The method × policy combination cannot be chunk-streamed (bounded
+    /// LOMCDS replays window-major across all data; other methods have no
+    /// streaming driver); use the in-memory or memory-mapped
+    /// [`crate::flat`] path instead.
     Unsupported {
         /// The requested method.
         method: Method,
@@ -105,8 +112,9 @@ impl core::fmt::Display for StreamError {
             StreamError::Sched(e) => write!(f, "{e}"),
             StreamError::Unsupported { method } => write!(
                 f,
-                "{method} with bounded memory replays window-major and cannot be \
-                 chunk-streamed; schedule it via the in-memory flat path"
+                "{method} cannot be chunk-streamed under this memory policy (streaming \
+                 covers SCDS and GOMCDS under any policy, LOMCDS unbounded); schedule \
+                 it via the in-memory flat path"
             ),
         }
     }
@@ -324,21 +332,6 @@ impl ChunkSpans<'_> {
     }
 }
 
-/// Fold one datum's center row into the running cost, with exactly the
-/// arithmetic (and datum-ascending order) of
-/// [`crate::flat::flat_total_cost`].
-fn accumulate_cost(grid: &Grid, span: &[FlatRef], centers: &[ProcId], cost: &mut CostBreakdown) {
-    for r in span {
-        let c = grid.point_of(centers[r.window as usize]);
-        let dist =
-            (r.x as i64 - c.x as i64).unsigned_abs() + (r.y as i64 - c.y as i64).unsigned_abs();
-        cost.reference += r.count as u64 * dist;
-    }
-    for pair in centers.windows(2) {
-        cost.movement += grid.dist(pair[0], pair[1]);
-    }
-}
-
 /// Schedule the binary trace at `path` out-of-core, discarding placements
 /// after costing them. See [`stream_schedule_with`] for the sink variant
 /// and the module docs for the supported method × policy matrix.
@@ -366,15 +359,8 @@ pub fn stream_schedule_with(
     config: StreamConfig,
     mut sink: impl FnMut(DataId, &[ProcId]),
 ) -> Result<StreamOutcome, StreamError> {
-    match method {
-        Method::Scds => {}
-        Method::Lomcds | Method::Gomcds => {
-            // Bounded multi-center replay is window-major across all data
-            // (see module docs) — not expressible as a datum-ordered walk.
-            if !matches!(policy, MemoryPolicy::Unbounded) {
-                return Err(StreamError::Unsupported { method });
-            }
-        }
+    match (method, policy) {
+        (Method::Scds | Method::Gomcds, _) | (Method::Lomcds, MemoryPolicy::Unbounded) => {}
         _ => return Err(StreamError::Unsupported { method }),
     }
 
@@ -386,7 +372,10 @@ pub fn stream_schedule_with(
     let spec = policy.resolve_parts(&grid, nd);
     ensure_feasible(&grid, spec, nd).map_err(StreamError::Sched)?;
 
-    let mut replay = ScdsReplay::new(&grid, spec);
+    let mut scds = ScdsReplay::new(&grid, spec, &Metrics::disabled());
+    let mut gomcds = (method == Method::Gomcds)
+        .then(|| GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform));
+    let mut ws = Workspace::new();
     let mut cost = CostBreakdown::default();
     let mut row = vec![ProcId(0); nw];
     let mut ids: Vec<DataId> = Vec::new();
@@ -405,54 +394,36 @@ pub fn stream_schedule_with(
         for &d in &ids {
             validate_span(&grid, nw, spans.span(d))?;
         }
-        let chunk = pim_par::auto_chunk(ids.len(), pool.threads());
+        let mut emit = |d: DataId, centers: &[ProcId]| {
+            fold_datum(&grid, spans.span(d), centers, &mut cost);
+            sink(d, centers);
+        };
         match method {
             Method::Scds => {
-                let medians = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    chunk,
-                    FlatScratch::default,
-                    |s, _, &d| span_merged_median(&grid, spans.span(d), &mut s.med),
-                );
-                for (&d, &c) in ids.iter().zip(&medians) {
-                    let span = spans.span(d);
-                    let p = replay.place(&grid, d, span, c)?;
-                    row.fill(p);
-                    accumulate_cost(&grid, span, &row, &mut cost);
-                    sink(d, &row);
+                let medians = fan_out(pool, &ids, MedianState::default, |med, d| {
+                    crate::scds::span_median(&grid, spans.span(d), med)
+                });
+                for (&d, c) in ids.iter().zip(medians) {
+                    row.fill(scds.place(&grid, d, spans.span(d), c)?);
+                    emit(d, &row);
                 }
             }
             Method::Lomcds => {
-                let rows = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    chunk,
-                    FlatScratch::default,
-                    |s, _, &d| span_lomcds_centers(&grid, spans.span(d), nw, &mut s.med),
-                );
+                let rows = fan_out(pool, &ids, MedianState::default, |med, d| {
+                    crate::lomcds::span_window_medians(&grid, spans.span(d), nw, med)
+                });
                 for (&d, r) in ids.iter().zip(&rows) {
-                    accumulate_cost(&grid, spans.span(d), r, &mut cost);
-                    sink(d, r);
+                    emit(d, r);
                 }
             }
-            Method::Gomcds => {
-                let rows = pim_par::parallel_map_with_chunked(
-                    pool,
-                    &ids,
-                    chunk,
-                    Workspace::new,
-                    |ws, _, &d| {
-                        let cache = DatumCostCache::build_flat(&grid, spans.span(d), nw);
-                        gomcds_path_cached(&grid, &cache, Solver::DistanceTransform, ws).0
-                    },
-                );
+            _ => {
+                let replay = gomcds.as_mut().expect("built for GOMCDS above");
+                let datum = |d| DatumCostCache::build_flat(&grid, spans.span(d), nw);
+                let rows = replay.place_all(&ids, datum, pool, &mut ws)?;
                 for (&d, r) in ids.iter().zip(&rows) {
-                    accumulate_cost(&grid, spans.span(d), r, &mut cost);
-                    sink(d, r);
+                    emit(d, r);
                 }
             }
-            _ => unreachable!("rejected above"),
         }
         reader.recycle(refs);
     }
@@ -482,7 +453,7 @@ mod tests {
     use super::*;
     use crate::flat::{flat_gomcds, flat_lomcds, flat_scds, flat_total_cost};
     use crate::schedule::Schedule;
-    use pim_array::grid::ProcId as P;
+    use pim_array::grid::{Grid, ProcId as P};
     use pim_trace::flat::{FlatRecord, FlatTrace};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -567,6 +538,9 @@ mod tests {
                 (Method::Scds, MemoryPolicy::ScaledMinimum { factor: 2 }),
                 (Method::Lomcds, MemoryPolicy::Unbounded),
                 (Method::Gomcds, MemoryPolicy::Unbounded),
+                (Method::Gomcds, MemoryPolicy::ScaledMinimum { factor: 2 }),
+                // ⌈257 / 20⌉: every window's slots are nearly all taken.
+                (Method::Gomcds, MemoryPolicy::Capacity(13)),
             ] {
                 let expect = match method {
                     Method::Scds => flat_scds(&flat, policy, pool).unwrap(),
@@ -614,15 +588,15 @@ mod tests {
         let path = temp_path("unsup");
         pim_trace::binfmt::pack_file(&flat, &path).unwrap();
         let pool = Pool::serial();
-        for method in [Method::Lomcds, Method::Gomcds, Method::GroupedLocal] {
-            let err = stream_schedule(
-                &path,
-                method,
-                MemoryPolicy::Capacity(3),
-                pool,
-                StreamConfig::default(),
-            )
-            .unwrap_err();
+        for (method, policy) in [
+            (Method::Lomcds, MemoryPolicy::Capacity(3)),
+            (Method::Lomcds, MemoryPolicy::ScaledMinimum { factor: 2 }),
+            (Method::GroupedLocal, MemoryPolicy::Capacity(3)),
+            (Method::GroupedLocal, MemoryPolicy::Unbounded),
+            (Method::GomcdsNaive, MemoryPolicy::Unbounded),
+        ] {
+            let err =
+                stream_schedule(&path, method, policy, pool, StreamConfig::default()).unwrap_err();
             assert!(matches!(err, StreamError::Unsupported { .. }), "{method}");
         }
         std::fs::remove_file(&path).ok();

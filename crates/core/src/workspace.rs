@@ -17,10 +17,10 @@ use pim_array::grid::ProcId;
 use pim_metrics::Metrics;
 
 /// Bundled scratch buffers for the hot scheduling path. Construct once per
-/// thread and pass to the `*_cached` scheduler entry points.
+/// thread and pass to the scheduling drivers.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Metrics sink the `*_cached` capacity loops record placements into.
+    /// Metrics sink the capacity replays record placements into.
     /// Disabled (a no-op) by default; [`crate::SchedContext::with_metrics`]
     /// installs an enabled handle.
     pub(crate) metrics: Metrics,

@@ -328,8 +328,8 @@ pub struct PlacementReport {
 /// Frozen wall time of one named phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseReport {
-    /// Phase name (scheduler name, or `<name>/phase1-…` inside two-phase
-    /// bounded runs).
+    /// Phase name (a scheduler name, or a sub-phase such as
+    /// `incremental/dirty-solve` or `cycle-sim/window`).
     pub name: String,
     /// Times the phase ran.
     pub calls: u64,

@@ -742,6 +742,28 @@ fn aggregate_run_into(grid: &Grid, w: u32, refs: &[(ProcId, u32)], run: &mut Vec
     });
 }
 
+// The live trace is a CSR view like any other (the base span or its
+// overlay per datum), so the flat schedulers drive it directly.
+impl crate::flat::FlatView for EditableTrace {
+    fn grid(&self) -> Grid {
+        EditableTrace::grid(self)
+    }
+    fn num_windows(&self) -> usize {
+        EditableTrace::num_windows(self)
+    }
+    fn num_data(&self) -> usize {
+        EditableTrace::num_data(self)
+    }
+    fn num_refs(&self) -> usize {
+        (0..self.num_data())
+            .map(|d| self.span(DataId(d as u32)).len())
+            .sum()
+    }
+    fn span(&self, d: DataId) -> &[FlatRef] {
+        EditableTrace::span(self, d)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,13 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo bench --no-run =="
 cargo bench --no-run -q
 
+# The repo benchmark (perfbench/, its own cargo workspace) calls the
+# scheduling API by path: build it so an API change fails here rather
+# than in a benchmark run. Build only — its timing-based tests are not a
+# CI gate.
+echo "== perfbench build =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Deny broken intra-doc links in first-party crates. Scoped with -p: the
 # vendored shims (vendor/proptest) carry upstream doc warnings we do not
 # own and must not gate on.
@@ -103,9 +110,9 @@ fi
 
 # Scale-pipeline smoke: regenerate one small big-instance row (16×16,
 # 50k data) and validate the BENCH_scale.json shape. Cost parity with the
-# classic path is asserted inside scale_row itself — the binary exits
-# non-zero on divergence; here we additionally check the speedup column
-# made it into the JSON.
+# reference oracle (the uncached schedulers) is asserted inside scale_row
+# itself — the binary exits non-zero on divergence; here we additionally
+# check the speedup column made it into the JSON.
 echo "== scale pipeline smoke (16x16 x 50k) =="
 ./target/release/report_scale --smoke --out "$metrics_tmp/scale_smoke.json"
 if command -v python3 >/dev/null 2>&1; then
@@ -121,8 +128,8 @@ for row in rows:
         for key in ("method", "flat_ns", "total_cost"):
             assert key in m, f"method entry missing {key!r}: {m}"
         assert m["exact_cost"] == m["total_cost"], \
-            f"{m['method']}: flat cost diverged from the exact path"
-print(f"scale smoke: parses, {len(rows)} row(s), flat/exact cost parity holds")
+            f"{m['method']}: flat cost diverged from the reference oracle"
+print(f"scale smoke: parses, {len(rows)} row(s), flat/oracle cost parity holds")
 PY
 else
   for key in '"rows"' '"grid"' '"num_refs"' '"build_ns"' '"flat_ns"' \
@@ -311,7 +318,7 @@ fi
 # the BENCH_stream.json shape. RSS ratios and load speedups are
 # reported, not gated, at smoke scale — fixed overheads dominate 50k
 # data; the committed full-scale BENCH_stream.json carries the bounds.
-echo "== streaming smoke (pack / run --bin / scale --bin, 16x16 x 50k) =="
+echo "== streaming smoke (pack / run --bin / scale --bin, 16x16 x 50k; bounded GOMCDS x 3k) =="
 ./target/release/pim-cli pack --grid 16x16 --data 50000 \
   --out "$metrics_tmp/stream_smoke.pimb"
 ./target/release/pim-cli run --bin --trace "$metrics_tmp/stream_smoke.pimb" \
@@ -328,6 +335,21 @@ stream_cost="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
   || { echo "streaming smoke: could not extract total costs"; exit 1; }
 [ "$mmap_cost" = "$stream_cost" ] \
   || { echo "streaming smoke: mmap cost $mmap_cost != streamed cost $stream_cost"; exit 1; }
+# Bounded GOMCDS streams too (its capacity replay is datum-ordered): a
+# small pack scheduled memory-mapped and streamed under 2x memory must
+# cost the same.
+./target/release/pim-cli pack --grid 16x16 --data 3000 \
+  --out "$metrics_tmp/stream_gomcds.pimb"
+./target/release/pim-cli run --bin --trace "$metrics_tmp/stream_gomcds.pimb" \
+  --method gomcds --memory 2x > "$metrics_tmp/gomcds_mmap.txt"
+./target/release/pim-cli scale --grid 16x16 --data 3000 --method gomcds \
+  --memory 2x --bin > "$metrics_tmp/gomcds_stream.txt"
+gomcds_mmap="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
+  "$metrics_tmp/gomcds_mmap.txt" | head -n 1)"
+gomcds_stream="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
+  "$metrics_tmp/gomcds_stream.txt" | head -n 1)"
+[ -n "$gomcds_mmap" ] && [ "$gomcds_mmap" = "$gomcds_stream" ] \
+  || { echo "bounded GOMCDS: mmap cost '$gomcds_mmap' != streamed cost '$gomcds_stream'"; exit 1; }
 ./target/release/pim-cli unpack --trace "$metrics_tmp/stream_smoke.pimb" \
   --out "$metrics_tmp/stream_smoke.txt"
 grep -q "^flat v1 16 16 " "$metrics_tmp/stream_smoke.txt" \

@@ -19,10 +19,10 @@
 
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
-use pim_sched::pipeline::{schedule_cached, schedule_uncached};
+use pim_sched::pipeline::schedule_uncached;
 use pim_sched::{
-    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, schedule_parallel, CostCache,
-    MemoryPolicy, Method, Run, SchedContext, Workspace,
+    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, CostCache, MemoryPolicy,
+    Method, Run, SchedContext,
 };
 use pim_trace::flat::FlatTrace;
 use pim_trace::window::{WindowRefs, WindowedTrace};
@@ -90,31 +90,14 @@ proptest! {
         }
     }
 
-    /// A dirty workspace must not leak state between runs: scheduling a
-    /// second unrelated trace through the same cache+workspace pair gives
-    /// the same result as a fresh workspace.
-    #[test]
-    fn workspace_reuse_does_not_leak_state(a in arb_trace(), b in arb_trace()) {
-        let mut ws = Workspace::new();
-        let cache_a = CostCache::build(&a);
-        let cache_b = CostCache::build(&b);
-        for method in Method::ALL {
-            // warm (and dirty) the workspace on trace `a`...
-            let _ = schedule_cached(method, &a, MemoryPolicy::Unbounded, &cache_a, &mut ws);
-            // ...then `b` through the dirty workspace must match a cold run
-            let warm = schedule_cached(method, &b, MemoryPolicy::Unbounded, &cache_b, &mut ws);
-            let cold = schedule(method, &b, MemoryPolicy::Unbounded);
-            prop_assert_eq!(&warm, &cold, "{} leaked workspace state", method);
-        }
-    }
-
     /// Persistent-pool determinism: any pool width produces the serial
     /// schedule, for every method (index-ordered output contract).
     #[test]
     fn persistent_pool_matches_serial(trace in arb_trace(), threads in 2usize..=8) {
         for method in Method::ALL {
-            let serial = schedule_parallel(method, &trace, Pool::serial());
-            let parallel = schedule_parallel(method, &trace, Pool::with_threads(threads));
+            let par = |pool| Run::new(&trace).parallel(pool).run_method(method).unwrap();
+            let serial = par(Pool::serial());
+            let parallel = par(Pool::with_threads(threads));
             prop_assert_eq!(
                 &serial, &parallel,
                 "{} with {} threads diverged from serial", method, threads
@@ -254,9 +237,9 @@ proptest! {
     }
 
     /// The flat fast paths (incremental medians + chunk-sharded fan-out +
-    /// capacity replay) are bit-identical to the classic schedulers for
-    /// every policy, and `flat_total_cost` charges exactly what
-    /// `Schedule::evaluate` does.
+    /// capacity replay) are bit-identical to the pre-cache reference
+    /// schedulers for every policy, and `flat_total_cost` charges exactly
+    /// what `Schedule::evaluate` does.
     #[test]
     fn flat_fast_paths_bit_identical(trace in arb_trace(), threads in 1usize..=4) {
         let flat = FlatTrace::from_trace(&trace);
@@ -267,7 +250,7 @@ proptest! {
                 (Method::Lomcds, flat_lomcds),
                 (Method::Gomcds, flat_gomcds),
             ] {
-                let classic = schedule(method, &trace, policy);
+                let classic = schedule_uncached(method, &trace, policy);
                 let fast = fast(&flat, policy, pool)
                     .unwrap_or_else(|e| panic!("{method} {policy:?}: {e}"));
                 prop_assert_eq!(

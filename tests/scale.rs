@@ -7,7 +7,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_par::Pool;
-use pim_sched::{schedule, schedule_parallel, MemoryPolicy, Method};
+use pim_sched::{schedule, MemoryPolicy, Method, Run};
 use pim_workloads::{windowed, Benchmark};
 
 #[test]
@@ -37,7 +37,11 @@ fn big_parallel_matches_sequential() {
     let grid = Grid::new(8, 8);
     let (trace, _) = windowed(Benchmark::MatMul, grid, 24, 2, 0);
     let seq = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
-    let par = schedule_parallel(Method::Gomcds, &trace, Pool::auto());
+    let par = Run::new(&trace)
+        .policy(MemoryPolicy::Unbounded)
+        .parallel(Pool::auto())
+        .run_method(Method::Gomcds)
+        .unwrap();
     assert_eq!(seq, par);
 }
 

@@ -5,7 +5,7 @@ use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::cost::{cost_at, cost_table, cost_table_naive, optimal_center};
 use pim_sched::median::median_center;
-use pim_sched::{schedule, schedule_parallel, MemoryPolicy, Method};
+use pim_sched::{schedule, MemoryPolicy, Method, Run};
 use pim_trace::window::{WindowRefs, WindowedTrace};
 use proptest::prelude::*;
 
@@ -66,7 +66,11 @@ proptest! {
     fn parallel_equals_sequential(trace in arb_trace()) {
         for method in [Method::Scds, Method::Lomcds, Method::Gomcds, Method::GroupedLocal] {
             let seq = schedule(method, &trace, MemoryPolicy::Unbounded);
-            let par = schedule_parallel(method, &trace, Pool::with_threads(4));
+            let par = Run::new(&trace)
+                .policy(MemoryPolicy::Unbounded)
+                .parallel(Pool::with_threads(4))
+                .run_method(method)
+                .unwrap();
             prop_assert_eq!(seq, par, "method {}", method);
         }
     }
