@@ -5,10 +5,8 @@
 //! grid, with unit distance between adjacent processors. That is exactly the
 //! L1 metric implemented here.
 
-use serde::{Deserialize, Serialize};
-
 /// A processor coordinate on the 2-D grid. `x` is the column, `y` the row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Point {
     /// Column index (x-axis position).
     pub x: u32,

@@ -5,10 +5,9 @@
 //! loops in `pim-sched` iterate over every processor for every datum).
 
 use crate::geom::Point;
-use serde::{Deserialize, Serialize};
 
 /// Dense processor identifier: `id = y * width + x` (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -28,7 +27,7 @@ impl core::fmt::Display for ProcId {
 /// A `width × height` grid of PIM processors.
 ///
 /// The paper's experiments all use a 4×4 grid; the model is general.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     width: u32,
     height: u32,

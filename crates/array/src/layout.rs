@@ -12,10 +12,9 @@
 //! column count is a multiple of the processor count.
 
 use crate::grid::{Grid, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// A static distribution of a 2-D data array over the processor grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// Elements in row-major order, split into contiguous equal chunks,
     /// chunk `k` on processor `k`. The paper's straight-forward baseline.

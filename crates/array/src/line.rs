@@ -7,11 +7,9 @@
 //! so that `pim-sched::theory` can state and property-test Lemma 1 in its
 //! native setting.
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D array of `len` processors with unit spacing; processor `i` sits at
 /// coordinate `i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Line {
     len: u32,
 }

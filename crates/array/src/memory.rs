@@ -8,11 +8,10 @@
 //! each processor holds 8).
 
 use crate::grid::{Grid, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// How much data each processor's local memory can hold, in data units
 /// (one unit = one datum; the paper's model is per-element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemorySpec {
     /// Capacity of each processor, in data units.
     pub capacity_per_proc: u32,

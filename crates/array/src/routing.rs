@@ -8,10 +8,9 @@
 
 use crate::geom::Point;
 use crate::grid::{Grid, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// A directed link between two adjacent processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Link {
     /// Source processor of the link.
     pub from: ProcId,

@@ -7,11 +7,10 @@
 
 use crate::geom::Point;
 use crate::grid::ProcId;
-use serde::{Deserialize, Serialize};
 
 /// A `width × height` torus of processors: like [`crate::grid::Grid`] but
 /// with wrap-around distance in both axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus {
     width: u32,
     height: u32,

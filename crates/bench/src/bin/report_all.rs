@@ -111,8 +111,8 @@ fn main() {
 
 /// Time the registry's comparison set cached and uncached over benchmark ×
 /// size, plus the `compare_methods` headline (benchmark 3, 32×32 data, 4×4
-/// array), and render the results as JSON (hand-rolled; the vendored serde
-/// shim has no serializer and the schema is flat). Grouped rows also
+/// array), and render the results as JSON (hand-rolled; the offline build
+/// has no JSON crate and the schema is flat). Grouped rows also
 /// isolate the Algorithm 3 grouping-decision phase (`grouping_ns`), and
 /// any row whose cached path loses to the reference is warned about on
 /// stderr. Any newly registered scheduler with `in_comparison()` shows up

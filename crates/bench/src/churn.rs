@@ -236,7 +236,7 @@ pub fn churn_row(
 }
 
 /// Render rows as the `BENCH_churn.json` document (hand-rolled JSON; the
-/// vendored serde shim has no serializer and the schema is flat).
+/// offline build has no JSON crate and the schema is flat).
 pub fn render_json(rows: &[ChurnRow]) -> String {
     use std::fmt::Write as _;
     let mut json = String::from("{\n");

@@ -212,7 +212,7 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
 }
 
 /// Render rows as the `BENCH_scale.json` document (hand-rolled JSON; the
-/// vendored serde shim has no serializer and the schema is flat).
+/// offline build has no JSON crate and the schema is flat).
 pub fn render_json(rows: &[ScaleRow]) -> String {
     use std::fmt::Write as _;
     let mut json = String::from("{\n");

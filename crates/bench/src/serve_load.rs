@@ -292,7 +292,7 @@ pub fn burst_row(side: u32, num_data: usize, concurrency: usize, reps: usize) ->
 }
 
 /// Render rows (and the burst row) as the `BENCH_serve.json` document
-/// (hand-rolled JSON; the vendored serde shim has no serializer).
+/// (hand-rolled JSON; the offline build has no JSON crate).
 pub fn render_json(rows: &[ServeRow], burst: &ServeRow) -> String {
     use std::fmt::Write as _;
     let mut json = String::from("{\n");

@@ -230,7 +230,7 @@ impl StreamRow {
 }
 
 /// Render the `BENCH_stream.json` document (hand-rolled JSON; the
-/// vendored serde shim has no serializer and the schema is flat).
+/// offline build has no JSON crate and the schema is flat).
 pub fn render_json(
     side: u32,
     num_data: usize,

@@ -22,7 +22,8 @@ pub enum Command {
     Replicate,
     /// Report Algorithm 3 grouping decisions per datum.
     Windows,
-    /// Write the generated windowed trace to a binary file (`--out`).
+    /// Write the generated trace to `--out` as a `.pimb` binary file
+    /// (or, with `--dag`, the task DAG as JSON).
     Export,
     /// Narrate the costliest data items' schedules window by window.
     Explain,
@@ -67,7 +68,7 @@ pub struct ParsedArgs {
     pub seed: u64,
     /// Output path for `export`.
     pub out: Option<String>,
-    /// Load the trace from this file instead of generating it
+    /// Load the trace from this `.pimb` file instead of generating it
     /// (`run`/`stats`/`simulate`/`windows` only — the baseline comparison
     /// needs the data-array shape, which the binary format does not carry).
     pub trace_file: Option<String>,
@@ -372,7 +373,8 @@ pub fn usage() -> String {
      [--serve-workers N] [--queue N] [--cache-mb MB (serve: sizing)]\n\
      pack writes a flat trace (--trace text, or synthetic --grid/--data/--windows/--seed) \
      to the .pimb binary container at --out; unpack decodes a .pimb back to text; \
-     export and scale write .pimb when --out ends in .pimb"
+     export writes the trace as .pimb to --out, which --trace reads back; \
+     scale writes .pimb when --out ends in .pimb"
         .to_string()
 }
 

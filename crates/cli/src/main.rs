@@ -67,20 +67,19 @@ fn main() -> ExitCode {
             eprintln!("`compare` needs the data-array shape; it cannot run from --trace");
             return ExitCode::FAILURE;
         }
-        match std::fs::read(path) {
-            Ok(raw) => match pim_trace::encode::decode_trace(bytes::Bytes::from(raw)) {
-                Ok(t) => {
-                    println!("loaded trace from {path}");
-                    let n = (t.num_data() as f64).sqrt().ceil() as u32;
-                    (t, pim_workloads::DataSpace::single(n.max(1)).0)
-                }
-                Err(e) => {
-                    eprintln!("cannot decode {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        match pim_trace::binfmt::load_flat(path) {
+            Ok(flat) => {
+                println!("loaded trace from {path}");
+                let t = flat.to_windowed();
+                let n = (t.num_data() as f64).sqrt().ceil() as u32;
+                (t, pim_workloads::DataSpace::single(n.max(1)).0)
+            }
             Err(e) => {
-                eprintln!("cannot read {path}: {e}");
+                let verb = match e {
+                    pim_trace::BinError::Io(_) => "read",
+                    _ => "decode",
+                };
+                eprintln!("cannot {verb} {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -362,9 +361,9 @@ fn main() -> ExitCode {
                     d.edges().len(),
                     d.num_windows()
                 );
-            } else if path.ends_with(".pimb") {
-                // A `.pimb` destination selects the flat binary container
-                // (zero-copy loadable via `run --bin` / `serve` `path`).
+            } else {
+                // The trace goes out as the flat binary container, which
+                // `run --trace` (and `run --bin`, `serve` `path`) loads back.
                 let flat = pim_trace::flat::FlatTrace::from_trace(&trace);
                 match pim_trace::binfmt::pack_file(&flat, path) {
                     Ok(bytes) => println!(
@@ -377,18 +376,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-            } else {
-                let bytes = pim_trace::encode::encode_trace(&trace);
-                if let Err(e) = std::fs::write(path, &bytes) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "wrote {} bytes ({} data x {} windows) to {path}",
-                    bytes.len(),
-                    trace.num_data(),
-                    trace.num_windows()
-                );
             }
         }
         Command::Explain => {

@@ -50,10 +50,9 @@ use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_par::Pool;
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// Inner-minimum strategy for the layered shortest path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
     /// `O(m²)` per window — the paper's literal cost-graph relaxation.
     Naive,

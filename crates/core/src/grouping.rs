@@ -39,11 +39,10 @@ use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_par::Pool;
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// How centers are computed for a grouped window set when costing a
 /// grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupMethod {
     /// Each group's center is the local optimal center of its merged
     /// references (what Table 2 of the paper uses: "Algorithm 3 assuming

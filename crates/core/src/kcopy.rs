@@ -17,12 +17,11 @@ use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// A schedule with up to `k` replicas per datum per window. The first
 /// replica of every window is the primary copy; all windows of a datum
 /// hold at least one replica.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KCopySchedule {
     grid: Grid,
     /// `replicas[d][w]` — non-empty, first entry is the primary.

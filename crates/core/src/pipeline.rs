@@ -37,7 +37,6 @@ use pim_array::memory::MemorySpec;
 use pim_metrics::{Metrics, PoolUsage};
 use pim_par::Pool;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Which scheduling algorithm to run — the closed enum form of the paper's
 /// method set, kept for exhaustive sweeps ([`Method::ALL`]) and pattern
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// [`Scheduler`] ([`Method::scheduler`]); the registry also carries
 /// strategies that have no `Method` variant (`baseline`, `online`,
 /// `kcopy`, `replicate`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Single-Center Data Scheduling (Algorithm 1).
     Scds,
@@ -109,7 +108,7 @@ impl core::fmt::Display for Method {
 }
 
 /// Memory model under which to schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryPolicy {
     /// No capacity constraint (the pure scheduling question).
     Unbounded,
@@ -331,7 +330,7 @@ pub fn compare_methods(trace: &WindowedTrace, policy: MemoryPolicy) -> Vec<(&'st
 
 /// Comparison of a scheduler set (and the straight-forward baseline) on
 /// one trace — the row format of the paper's tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// Straight-forward (row-wise) baseline total cost.
     pub straightforward: u64,

@@ -30,11 +30,10 @@ use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_trace::ids::DataId;
 use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
-use serde::{Deserialize, Serialize};
 
 /// A replicated schedule: per datum, per window, one or two replica
 /// locations (first entry is the primary copy).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicatedSchedule {
     grid: Grid,
     /// `replicas[d][w]` — primary, plus optional secondary.

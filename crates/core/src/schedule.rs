@@ -16,10 +16,9 @@ use crate::cost::cost_at;
 use pim_array::grid::{Grid, ProcId};
 use pim_trace::ids::DataId;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Total communication cost split into its two components.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Volume-weighted reference traffic.
     pub reference: u64,
@@ -54,7 +53,7 @@ impl core::fmt::Display for CostBreakdown {
 
 /// A complete data schedule: `centers[d][w]` is the storage processor of
 /// datum `d` during window `w`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     grid: Grid,
     centers: Vec<Vec<ProcId>>,

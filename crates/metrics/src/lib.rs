@@ -28,10 +28,10 @@
 //! schedule is bit-identical with metrics enabled vs. disabled.
 //!
 //! [`MetricsReport`] is the frozen snapshot; [`MetricsReport::to_json`]
-//! renders it as a JSON object (hand-rolled — the vendored serde shim has
-//! no serializer) for embedding into a `RunReport` or a bench row.
+//! renders it as a JSON object (hand-rolled with the shared
+//! [`pim_trace::json`] escaper — the offline build has no JSON crate) for
+//! embedding into a `RunReport` or a bench row.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -71,7 +71,7 @@ struct PlacementStats {
 }
 
 /// Pool-utilization delta over one run of the `pim-par` worker pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolUsage {
     /// Parallel jobs submitted to the pool.
     pub jobs: u64,
@@ -285,7 +285,7 @@ impl Drop for PhaseTimer<'_> {
 }
 
 /// Frozen cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheReport {
     /// Lazy prefix-table builds.
     pub prefix_builds: u64,
@@ -300,7 +300,7 @@ pub struct CacheReport {
 }
 
 /// Frozen incremental-rescheduling counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalReport {
     /// Delta resolves performed by an incremental engine.
     pub resolves: u64,
@@ -311,7 +311,7 @@ pub struct IncrementalReport {
 }
 
 /// Frozen capacity-displacement counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlacementReport {
     /// Bounded-policy placements recorded.
     pub placements: u64,
@@ -326,7 +326,7 @@ pub struct PlacementReport {
 }
 
 /// Frozen wall time of one named phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseReport {
     /// Phase name (a scheduler name, or a sub-phase such as
     /// `incremental/dirty-solve` or `cycle-sim/window`).
@@ -338,7 +338,7 @@ pub struct PhaseReport {
 }
 
 /// Full frozen snapshot of a [`Metrics`] sink.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// False when the run recorded nothing (disabled handle).
     pub enabled: bool,
@@ -401,10 +401,12 @@ impl MetricsReport {
             if i > 0 {
                 s.push_str(", ");
             }
+            s.push_str("{\"name\": \"");
+            pim_trace::json::escape_into(&mut s, &p.name);
             write!(
                 s,
-                "{{\"name\": \"{}\", \"calls\": {}, \"total_ns\": {}}}",
-                p.name, p.calls, p.total_ns
+                "\", \"calls\": {}, \"total_ns\": {}}}",
+                p.calls, p.total_ns
             )
             .expect("write to String cannot fail");
         }
@@ -529,6 +531,7 @@ mod tests {
         let m = Metrics::enabled();
         m.record_placement(1);
         drop(m.phase("run"));
+        drop(m.phase("a\"b\\c"));
         let json = m.report().to_json();
         for key in [
             "\"enabled\"",
@@ -555,6 +558,17 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.starts_with('{') && json.ends_with('}'));
+        // Phase names are escaped: a quote or backslash cannot break the
+        // document, and both names parse back unchanged.
+        let doc = pim_trace::json::parse(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
+        let names: Vec<_> = doc
+            .get("phases")
+            .and_then(pim_trace::json::Value::as_arr)
+            .expect("phases array")
+            .iter()
+            .map(|p| p.get("name").and_then(pim_trace::json::Value::as_str))
+            .collect();
+        assert_eq!(names, [Some("run"), Some("a\"b\\c")]);
     }
 
     #[test]

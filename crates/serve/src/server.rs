@@ -1,12 +1,13 @@
 //! Transports and the worker pool: stdin/stdout, Unix socket, TCP.
 //!
-//! All three transports funnel request lines through one [`submit`]
-//! path: try to enqueue on the bounded [`JobQueue`], reject immediately
-//! with `overloaded` when full, otherwise block for the worker's
-//! response. Service workers pull from the queue and execute on the
-//! shared [`ServeCore`]; connection threads only move bytes. The socket
-//! transports accept with a poll loop and read with a short timeout so
-//! every thread notices the drain flag within a fraction of a second —
+//! All three transports read request lines in one loop and funnel them
+//! through one [`submit`] path: try to enqueue on the bounded
+//! [`JobQueue`], reject immediately with `overloaded` when full,
+//! otherwise block for the worker's response. Service workers pull from
+//! the queue and execute on the shared [`ServeCore`]; connection threads
+//! only move bytes. The two socket transports share one accept loop,
+//! which polls, and read with a short timeout so every thread notices
+//! the drain flag within a fraction of a second —
 //! graceful shutdown is: flip the flag (the `shutdown` op does this),
 //! stop accepting, close the queue, let workers drain admitted jobs,
 //! join everything.
@@ -106,7 +107,11 @@ fn spawn_workers(
 
 /// Serve one duplex byte stream: read request lines, write response
 /// lines. Returns on EOF, on an unrecoverable stream error, or once the
-/// drain flag is up (reads time out every [`POLL`] to check).
+/// drain flag is up: the flag is checked before every read, so a
+/// `shutdown` response is the last line written, and socket reads time
+/// out every [`POLL`] to re-check it. Lines are read as bytes: one that
+/// is not UTF-8 gets a `bad_request` response and the stream keeps
+/// serving.
 fn serve_stream<R: io::Read, W: Write>(
     core: &ServeCore,
     queue: &JobQueue<Job>,
@@ -114,16 +119,21 @@ fn serve_stream<R: io::Read, W: Write>(
     mut writer: W,
 ) {
     let mut reader = BufReader::new(reader);
-    let mut buf = String::new();
-    loop {
-        match reader.read_line(&mut buf) {
+    let mut buf = Vec::new();
+    while !core.is_shutting_down() {
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) => return, // EOF
             Ok(_) => {
-                let line = std::mem::take(&mut buf);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = submit(core, queue, line);
+                let response = match String::from_utf8(std::mem::take(&mut buf)) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => submit(core, queue, line),
+                    Err(e) => {
+                        core.stats().record_error();
+                        let id = peek_id(&String::from_utf8_lossy(e.as_bytes()));
+                        let err = ServeError::BadRequest("request line is not UTF-8".into());
+                        proto::error_response(id, &err)
+                    }
+                };
                 if writer
                     .write_all(response.as_bytes())
                     .and_then(|()| writer.write_all(b"\n"))
@@ -133,16 +143,15 @@ fn serve_stream<R: io::Read, W: Write>(
                     return; // client hung up
                 }
             }
+            // Read timeout: partial bytes (if any) stay in `buf` and the
+            // next read_until keeps appending.
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Read timeout: partial bytes (if any) stay in `buf` and
-                // the next read_line keeps appending.
-                if core.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) => {}
             Err(_) => return,
         }
     }
@@ -155,36 +164,7 @@ pub fn serve_stdio(config: &ServeConfig) {
     let core = Arc::new(ServeCore::new(config));
     let queue = Arc::new(JobQueue::new(config.queue_capacity));
     let workers = spawn_workers(&core, &queue, config.workers);
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    {
-        let mut reader = stdin.lock();
-        let mut writer = stdout.lock();
-        let mut buf = String::new();
-        loop {
-            if core.is_shutting_down() {
-                break;
-            }
-            buf.clear();
-            match reader.read_line(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {
-                    if buf.trim().is_empty() {
-                        continue;
-                    }
-                    let response = submit(&core, &queue, std::mem::take(&mut buf));
-                    if writeln!(writer, "{response}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-    }
+    serve_stream(&core, &queue, io::stdin().lock(), io::stdout().lock());
     core.begin_shutdown();
     queue.close();
     for w in workers {
@@ -195,6 +175,75 @@ pub fn serve_stdio(config: &ServeConfig) {
 enum Endpoint {
     Unix(PathBuf),
     Tcp(SocketAddr),
+}
+
+/// A bound listening socket of either transport.
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+impl Listener {
+    /// Accept one connection, configured for its connection thread:
+    /// blocking reads that time out every [`POLL`]; TCP also turns off
+    /// Nagle's algorithm.
+    fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Unix(l) => {
+                let (stream, _) = l.accept()?;
+                let _ = stream.set_read_timeout(Some(POLL));
+                Stream::Unix(stream)
+            }
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_read_timeout(Some(POLL));
+                let _ = stream.set_nodelay(true);
+                Stream::Tcp(stream)
+            }
+        })
+    }
+}
+
+/// A connected socket of either transport: the daemon's connection
+/// threads and [`Client`] both speak through it.
+enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl io::Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
+        }
+    }
+}
+
+impl Stream {
+    fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+        }
+    }
 }
 
 /// A running socket daemon (Unix or TCP). Dropping without
@@ -208,63 +257,21 @@ pub struct Server {
     endpoint: Endpoint,
 }
 
-fn accept_loop_unix(core: Arc<ServeCore>, queue: Arc<JobQueue<Job>>, listener: UnixListener) {
+/// Accept connections until the drain flag is up, one thread per
+/// connection, then join them all. The listener is nonblocking, so the
+/// loop polls every [`ACCEPT_POLL`].
+fn accept_loop(core: Arc<ServeCore>, queue: Arc<JobQueue<Job>>, listener: Listener) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    listener
-        .set_nonblocking(true)
-        .expect("unix listener nonblocking");
-    loop {
-        if core.is_shutting_down() {
-            break;
-        }
+    while !core.is_shutting_down() {
         match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(POLL));
+            Ok(stream) => {
                 let core = Arc::clone(&core);
                 let queue = Arc::clone(&queue);
                 conns.push(
                     std::thread::Builder::new()
                         .name("pim-serve-conn".into())
                         .spawn(move || {
-                            let writer = stream.try_clone().expect("clone unix stream");
-                            serve_stream(&core, &queue, stream, writer);
-                        })
-                        .expect("spawn connection thread"),
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-}
-
-fn accept_loop_tcp(core: Arc<ServeCore>, queue: Arc<JobQueue<Job>>, listener: TcpListener) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    listener
-        .set_nonblocking(true)
-        .expect("tcp listener nonblocking");
-    loop {
-        if core.is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(POLL));
-                let _ = stream.set_nodelay(true);
-                let core = Arc::clone(&core);
-                let queue = Arc::clone(&queue);
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("pim-serve-conn".into())
-                        .spawn(move || {
-                            let writer = stream.try_clone().expect("clone tcp stream");
+                            let writer = stream.try_clone().expect("clone socket stream");
                             serve_stream(&core, &queue, stream, writer);
                         })
                         .expect("spawn connection thread"),
@@ -290,31 +297,23 @@ impl Server {
             std::fs::remove_file(path)?;
         }
         let listener = UnixListener::bind(path)?;
-        let core = Arc::new(ServeCore::new(config));
-        let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let workers = spawn_workers(&core, &queue, config.workers);
-        let accept = {
-            let core = Arc::clone(&core);
-            let queue = Arc::clone(&queue);
-            std::thread::Builder::new()
-                .name("pim-serve-accept".into())
-                .spawn(move || accept_loop_unix(core, queue, listener))
-                .expect("spawn accept thread")
-        };
-        Ok(Server {
-            core,
-            queue,
-            workers,
-            accept: Some(accept),
-            endpoint: Endpoint::Unix(path.to_path_buf()),
-        })
+        listener.set_nonblocking(true)?;
+        let endpoint = Endpoint::Unix(path.to_path_buf());
+        Ok(Server::start(config, Listener::Unix(listener), endpoint))
     }
 
     /// Bind a TCP daemon at `addr` (`127.0.0.1:0` picks a free port —
     /// read it back via [`Server::tcp_addr`]) and start accepting.
     pub fn start_tcp(config: &ServeConfig, addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let endpoint = Endpoint::Tcp(listener.local_addr()?);
+        Ok(Server::start(config, Listener::Tcp(listener), endpoint))
+    }
+
+    /// Spawn the workers and the accept thread over a bound, nonblocking
+    /// listener.
+    fn start(config: &ServeConfig, listener: Listener, endpoint: Endpoint) -> Server {
         let core = Arc::new(ServeCore::new(config));
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
         let workers = spawn_workers(&core, &queue, config.workers);
@@ -323,16 +322,16 @@ impl Server {
             let queue = Arc::clone(&queue);
             std::thread::Builder::new()
                 .name("pim-serve-accept".into())
-                .spawn(move || accept_loop_tcp(core, queue, listener))
+                .spawn(move || accept_loop(core, queue, listener))
                 .expect("spawn accept thread")
         };
-        Ok(Server {
+        Server {
             core,
             queue,
             workers,
             accept: Some(accept),
-            endpoint: Endpoint::Tcp(local),
-        })
+            endpoint,
+        }
     }
 
     /// Shared daemon state (tests inspect counters through this).
@@ -379,52 +378,17 @@ impl Server {
     }
 }
 
-enum ClientStream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
 /// A blocking line-protocol client for tests, the benchmark load
 /// generator and simple scripting.
 pub struct Client {
-    reader: BufReader<ClientStream>,
-}
-
-impl io::Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Unix(s) => s.read(buf),
-            ClientStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl ClientStream {
-    fn writer(&self) -> io::Result<ClientStream> {
-        match self {
-            ClientStream::Unix(s) => s.try_clone().map(ClientStream::Unix),
-            ClientStream::Tcp(s) => s.try_clone().map(ClientStream::Tcp),
-        }
-    }
-
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        let mut out = Vec::with_capacity(line.len() + 1);
-        out.extend_from_slice(line.as_bytes());
-        if !line.ends_with('\n') {
-            out.push(b'\n');
-        }
-        match self {
-            ClientStream::Unix(s) => s.write_all(&out),
-            ClientStream::Tcp(s) => s.write_all(&out),
-        }
-    }
+    reader: BufReader<Stream>,
 }
 
 impl Client {
     /// Connect to a Unix-socket daemon.
     pub fn connect_unix(path: &Path) -> io::Result<Client> {
         Ok(Client {
-            reader: BufReader::new(ClientStream::Unix(UnixStream::connect(path)?)),
+            reader: BufReader::new(Stream::Unix(UnixStream::connect(path)?)),
         })
     }
 
@@ -433,13 +397,18 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(Client {
-            reader: BufReader::new(ClientStream::Tcp(stream)),
+            reader: BufReader::new(Stream::Tcp(stream)),
         })
     }
 
     /// Send one request line and block for its response line.
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        self.reader.get_mut().writer()?.write_line(line)?;
+        let mut out = Vec::with_capacity(line.len() + 1);
+        out.extend_from_slice(line.as_bytes());
+        if !line.ends_with('\n') {
+            out.push(b'\n');
+        }
+        self.reader.get_mut().write_all(&out)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

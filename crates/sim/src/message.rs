@@ -2,10 +2,9 @@
 
 use pim_array::grid::ProcId;
 use pim_trace::ids::DataId;
-use serde::{Deserialize, Serialize};
 
 /// Why a transfer happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
     /// A referencing processor pulls the datum from its center: `volume`
     /// copies of the value cross the network within one window.
@@ -15,7 +14,7 @@ pub enum MessageKind {
 }
 
 /// One routed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Source processor (the datum's center).
     pub src: ProcId,

@@ -2,10 +2,9 @@
 
 use pim_array::grid::Grid;
 use pim_array::routing::LinkIndex;
-use serde::{Deserialize, Serialize};
 
 /// Per-window statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowStats {
     /// Window index.
     pub window: usize,
@@ -27,7 +26,7 @@ impl WindowStats {
 }
 
 /// Full simulation report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     grid: Grid,
     windows: Vec<WindowStats>,

@@ -8,8 +8,8 @@
 //! and the per-row `"metrics"` objects in `BENCH_sched.json` — and
 //! [`collect_run_report`] is the one-call front end that produces it.
 //!
-//! JSON is hand-rolled ([`RunReport::to_json`]): the vendored `serde`
-//! shim provides derive markers only, no serializer.
+//! JSON is hand-rolled ([`RunReport::to_json`]) with the shared
+//! [`pim_trace::json`] escaper: the offline build has no JSON crate.
 
 use crate::cycle::CycleResult;
 use crate::error::RunError;
@@ -17,11 +17,11 @@ use crate::report::SimReport;
 use pim_par::Pool;
 use pim_sched::schedule::{CostBreakdown, Schedule};
 use pim_sched::{MemoryPolicy, Metrics, MetricsReport, Run};
+use pim_trace::json;
 use pim_trace::window::WindowedTrace;
-use serde::Serialize;
 
 /// Everything one run produced, in export order.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Registry name of the scheduler that produced the run.
     pub scheduler: String,
@@ -118,7 +118,7 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
         let hottest = match &self.hottest_link {
-            Some(l) => format!("\"{}\"", escape_json(l)),
+            Some(l) => format!("\"{}\"", json::escape(l)),
             None => "null".to_string(),
         };
         let windows = self
@@ -151,8 +151,8 @@ impl RunReport {
                 "\"window_completion_cycles\":[{}]}},{}",
                 "\"metrics\":{}}}"
             ),
-            escape_json(&self.scheduler),
-            escape_json(&self.policy),
+            json::escape(&self.scheduler),
+            json::escape(&self.policy),
             self.analytic_total,
             self.analytic_reference,
             self.analytic_movement,
@@ -171,24 +171,6 @@ impl RunReport {
             self.metrics.to_json(),
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// enough for scheduler names, policy debug strings and link labels.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Schedule `name` over `trace` under `policy`, simulate the result (both
@@ -329,6 +311,37 @@ mod tests {
     }
 
     #[test]
+    fn escape_handles_quotes_and_controls() {
+        let trace = paper_trace();
+        let (_, mut report) = collect_run_report(
+            "gomcds",
+            &trace,
+            MemoryPolicy::Unbounded,
+            Pool::serial(),
+            Metrics::disabled(),
+        )
+        .unwrap();
+        report.scheduler = "a\"b\\c".to_string();
+        report.policy = "x\ny".to_string();
+        report.hottest_link = Some("\u{1}".to_string());
+        let text = report.to_json();
+        assert!(text.contains("\"scheduler\":\"a\\\"b\\\\c\""), "{text}");
+        assert!(text.contains("\"policy\":\"x\\ny\""), "{text}");
+        assert!(text.contains("\"hottest_link\":\"\\u0001\""), "{text}");
+        let doc = json::parse(&text).expect("escaped report is valid JSON");
+        assert_eq!(
+            doc.get("scheduler").and_then(|v| v.as_str()),
+            Some("a\"b\\c")
+        );
+        assert_eq!(doc.get("policy").and_then(|v| v.as_str()), Some("x\ny"));
+        let sim = doc.get("sim").expect("sim section");
+        assert_eq!(
+            sim.get("hottest_link").and_then(|v| v.as_str()),
+            Some("\u{1}")
+        );
+    }
+
+    #[test]
     fn dag_section_appears_only_when_attached() {
         let trace = paper_trace();
         let (schedule, report) = collect_run_report(
@@ -363,12 +376,5 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"dag\":{\"completion_cycles\":"), "{json}");
         assert!(json.contains("\"window_completion_cycles\":["), "{json}");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\ny");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

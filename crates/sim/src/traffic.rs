@@ -14,10 +14,9 @@ use pim_array::grid::{Grid, ProcId};
 use pim_array::routing::visit_xy_route;
 use pim_sched::schedule::Schedule;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Volume totals for one processor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeTraffic {
     /// Volume originating here (message source).
     pub injected: u64,
@@ -35,7 +34,7 @@ impl NodeTraffic {
 }
 
 /// Per-processor traffic of a whole (trace, schedule) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficMap {
     nodes: Vec<NodeTraffic>,
 }

@@ -1,12 +1,10 @@
 //! Datum identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of one datum (one array element in the paper's model).
 ///
 /// Data ids are dense (`0..num_data`) so schedulers can keep per-datum state
 /// in flat vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DataId(pub u32);
 
 impl DataId {

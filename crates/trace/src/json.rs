@@ -1,11 +1,12 @@
 //! Just-enough JSON for the workspace's hand-rolled documents.
 //!
-//! The vendored serde shim has no serializer or deserializer, so every
-//! JSON surface in this workspace — DAG files ([`crate::dag::TaskDag`]),
-//! churn deltas ([`crate::edit::TraceDelta`]), and the `pim-serve` request
-//! protocol — is written and parsed by hand. This module is the one shared
-//! parser those surfaces build on: a recursive-descent reader producing a
-//! [`Value`] tree, plus the string-escaping helper the writers use.
+//! The offline build has no JSON crate, so every JSON surface in this
+//! workspace — DAG files ([`crate::dag::TaskDag`]), churn deltas
+//! ([`crate::edit::TraceDelta`]), the `pim-serve` request protocol, and
+//! the metrics and bench reports — is written and parsed by hand. This
+//! module is the one shared parser those surfaces build on: a
+//! recursive-descent reader producing a [`Value`] tree, plus the
+//! string-escaping helper every writer uses.
 //!
 //! Design constraints, in order:
 //!
@@ -351,6 +352,13 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\r\u{0001}é—";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), Value::Str(nasty.to_string()));
+        for (raw, escaped) in [
+            ("a\"b\\c", "a\\\"b\\\\c"),
+            ("x\ny", "x\\ny"),
+            ("\u{1}", "\\u0001"),
+        ] {
+            assert_eq!(escape(raw), escaped);
+        }
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //!   (validated ownership partition + JSON round-trip).
 //! * [`json`] — the shared hand-rolled JSON parser and string escaper
 //!   behind every JSON surface (DAG files, churn deltas, `pim-serve`
-//!   requests); the vendored serde shim has no serializer.
+//!   requests, metrics and bench reports); the offline build has no JSON
+//!   crate.
 //! * [`builder`] — ergonomic trace construction.
 //! * [`stats`] — descriptive statistics (reference locality, spread).
-//! * [`encode`] — compact binary encoding (magic + version framing) for
-//!   storing traces on disk.
 //! * [`validate`] — structural invariants checked at crate boundaries.
 //!
 //! ## Example
@@ -52,14 +51,11 @@ pub mod binfmt;
 pub mod builder;
 pub mod dag;
 pub mod edit;
-pub mod encode;
 pub mod flat;
 pub mod ids;
 pub mod json;
-pub mod perproc;
 pub mod stats;
 pub mod step;
-pub mod transform;
 pub mod validate;
 pub mod window;
 

@@ -8,10 +8,9 @@
 use crate::ids::DataId;
 use crate::window::{WindowRefs, WindowedTrace};
 use pim_array::grid::Grid;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one windowed trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Number of data items.
     pub num_data: usize,

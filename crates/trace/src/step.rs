@@ -8,11 +8,10 @@
 use crate::ids::DataId;
 use crate::window::{WindowRefs, WindowedTrace};
 use pim_array::grid::{Grid, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// One access: processor `proc` references datum `data` `count` times
 /// during a step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// The referencing processor.
     pub proc: ProcId,
@@ -25,7 +24,7 @@ pub struct Access {
 /// One parallel execution step: the accesses all processors perform during
 /// it. Order within a step carries no meaning (the paper's model charges
 /// per-reference distance, not latency).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStep {
     /// Accesses performed in this step.
     pub accesses: Vec<Access>,
@@ -40,7 +39,7 @@ impl ExecStep {
 
 /// A complete raw trace: the machine it ran on, the number of distinct data
 /// items, and the step sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepTrace {
     /// The processor array the trace was collected on.
     pub grid: Grid,

@@ -10,10 +10,9 @@
 
 use crate::ids::DataId;
 use pim_array::grid::{Grid, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// One aggregated reference: `proc` requires the datum `count` times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ref {
     /// The referencing processor.
     pub proc: ProcId,
@@ -24,7 +23,7 @@ pub struct Ref {
 /// The processor reference string for one datum in one execution window:
 /// sorted by processor id, aggregated (each processor appears at most once,
 /// with positive count).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowRefs {
     refs: Vec<Ref>,
 }
@@ -103,7 +102,7 @@ impl WindowRefs {
 }
 
 /// One datum's reference string across every execution window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataRefString {
     windows: Vec<WindowRefs>,
 }
@@ -176,7 +175,7 @@ impl DataRefString {
 
 /// The full windowed application trace: one [`DataRefString`] per datum,
 /// all over the same window sequence on the same grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedTrace {
     grid: Grid,
     num_windows: usize,

@@ -1,13 +1,13 @@
-//! Property tests for the binary trace encoding: arbitrary traces
-//! round-trip, arbitrary corruption never panics, and re-encoding is
-//! canonical. The second half covers the two text decode paths the
-//! serve daemon exposes to untrusted input — the flat-trace text format
-//! and the `TraceDelta` JSON codec — which must return typed errors on
-//! arbitrary corruption, truncation and out-of-range ids, never panic.
+//! Property tests for the trace encodings: arbitrary windowed traces
+//! round-trip bit-identically through the `.pimb` binary container, and
+//! the `.pimb` decoder plus the two text decode paths the serve daemon
+//! exposes to untrusted input — the flat-trace text format and the
+//! `TraceDelta` JSON codec — return typed errors on arbitrary corruption,
+//! truncation and out-of-range ids, never panic.
 
 use pim_array::grid::{Grid, ProcId};
+use pim_trace::binfmt::{encode_flat, read_flat};
 use pim_trace::edit::{EditableTrace, TraceDelta};
-use pim_trace::encode::{decode_trace, encode_trace, encoded_size};
 use pim_trace::flat::{FlatRecord, FlatTrace};
 use pim_trace::ids::DataId;
 use pim_trace::window::{WindowRefs, WindowedTrace};
@@ -48,41 +48,9 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
 proptest! {
     #[test]
     fn roundtrip(trace in arb_trace()) {
-        let buf = encode_trace(&trace);
-        prop_assert_eq!(buf.len(), encoded_size(&trace));
-        let back = decode_trace(buf).expect("well-formed encoding decodes");
-        prop_assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn reencoding_is_canonical(trace in arb_trace()) {
-        let a = encode_trace(&trace);
-        let b = encode_trace(&decode_trace(a.clone()).unwrap());
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn corruption_never_panics(trace in arb_trace(), byte in 0usize..4096, flip in 1u8..=255) {
-        let buf = encode_trace(&trace);
-        let mut raw = buf.to_vec();
-        let idx = byte % raw.len();
-        raw[idx] ^= flip;
-        // decoding may succeed (if the flip hits a count) or fail — it must
-        // never panic, and a success must still be structurally valid.
-        if let Ok(t) = decode_trace(bytes::Bytes::from(raw)) {
-            prop_assert!(pim_trace::validate::validate_windowed(&t).is_ok());
-        }
-    }
-
-    #[test]
-    fn truncation_always_detected(trace in arb_trace(), frac in 0u32..100) {
-        let buf = encode_trace(&trace);
-        if buf.len() <= 1 {
-            return Ok(());
-        }
-        let cut = (buf.len() as u64 * frac as u64 / 100) as usize;
-        let cut = cut.min(buf.len() - 1);
-        prop_assert!(decode_trace(buf.slice(0..cut)).is_err());
+        let bytes = encode_flat(&FlatTrace::from_trace(&trace));
+        let back = read_flat(&bytes).expect("well-formed encoding decodes");
+        prop_assert_eq!(back.to_windowed(), trace);
     }
 }
 
@@ -171,15 +139,15 @@ proptest! {
 
     #[test]
     fn binfmt_text_binary_text_is_bit_identical(flat in arb_flat()) {
-        let bytes = pim_trace::binfmt::encode_flat(&flat);
-        let back = pim_trace::binfmt::read_flat(&bytes)
+        let bytes = encode_flat(&flat);
+        let back = read_flat(&bytes)
             .expect("well-formed container decodes");
         prop_assert_eq!(&back, &flat);
         // The full loop text -> binary -> text reproduces the text
         // byte-for-byte, and re-encoding the decoded trace reproduces
         // the container byte-for-byte (canonical encoding).
         prop_assert_eq!(back.to_text(), flat.to_text());
-        prop_assert_eq!(pim_trace::binfmt::encode_flat(&back), bytes);
+        prop_assert_eq!(encode_flat(&back), bytes);
     }
 
     #[test]
@@ -188,7 +156,7 @@ proptest! {
         byte in 0usize..16384,
         flip in 1u8..=255,
     ) {
-        let mut raw = pim_trace::binfmt::encode_flat(&flat);
+        let mut raw = encode_flat(&flat);
         let idx = byte % raw.len();
         raw[idx] ^= flip;
         // Payload flips are caught by the checksum; count flips by the
@@ -197,7 +165,7 @@ proptest! {
         // grid dims (bytes 8..16) and the window count (16..24) — can
         // absorb a flip and still decode (e.g. widening the grid keeps
         // every ref in range). Never a panic or out-of-bounds read.
-        match pim_trace::binfmt::read_flat(&raw) {
+        match read_flat(&raw) {
             Err(_) => {}
             Ok(_) => prop_assert!(
                 (8..24).contains(&idx),
@@ -208,17 +176,17 @@ proptest! {
 
     #[test]
     fn binfmt_truncation_is_typed(flat in arb_flat(), frac in 0u32..100) {
-        let raw = pim_trace::binfmt::encode_flat(&flat);
+        let raw = encode_flat(&flat);
         let cut = (raw.len() as u64 * frac as u64 / 100) as usize;
         let cut = cut.min(raw.len() - 1);
         // The container's exact-length contract makes any truncation a
         // typed error (short header or length mismatch), never a panic.
-        prop_assert!(pim_trace::binfmt::read_flat(&raw[..cut]).is_err());
+        prop_assert!(read_flat(&raw[..cut]).is_err());
         // Trailing garbage is equally rejected: the total length must
         // match the header-declared counts exactly.
         let mut extended = raw.clone();
         extended.push(0);
-        prop_assert!(pim_trace::binfmt::read_flat(&extended).is_err());
+        prop_assert!(read_flat(&extended).is_err());
     }
 
     // --- TraceDelta JSON decode path (serve `edit` requests) ---

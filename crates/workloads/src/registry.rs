@@ -18,10 +18,9 @@ use crate::trisolve::{trisolve_trace, TrisolveParams};
 use pim_array::grid::Grid;
 use pim_trace::step::StepTrace;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Every workload the harness can generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Benchmark {
     /// Paper benchmark 1: LU factorization.
     Lu,

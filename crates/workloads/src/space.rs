@@ -12,14 +12,13 @@ use pim_array::layout::Layout;
 use pim_sched::schedule::Schedule;
 use pim_trace::ids::DataId;
 use pim_trace::window::WindowedTrace;
-use serde::{Deserialize, Serialize};
 
 /// Handle to one array registered in a [`DataSpace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayHandle(usize);
 
 /// One named 2-D array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArraySpec {
     /// Human-readable array name ("A", "C", …).
     pub name: String,
@@ -46,7 +45,7 @@ impl ArraySpec {
 
 /// The set of arrays a benchmark operates on, packed into one dense datum
 /// id space.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataSpace {
     arrays: Vec<ArraySpec>,
 }

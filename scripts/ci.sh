@@ -74,6 +74,21 @@ else
   echo "run_metrics.json: expected keys present (grep fallback)"
 fi
 
+# Export-then-reload smoke: `export` writes the generated trace as a
+# `.pimb`, and `run --trace` must load it back and schedule it at the
+# same cost as the generated trace.
+echo "== export / run --trace reload smoke (bench 3, 8x8, gomcds 2x) =="
+./target/release/pim-cli export --bench 3 --size 8 --out "$metrics_tmp/b3.pimb"
+./target/release/pim-cli run --trace "$metrics_tmp/b3.pimb" --method gomcds \
+  --memory 2x > "$metrics_tmp/b3_reload.txt"
+./target/release/pim-cli run --bench 3 --size 8 --method gomcds --memory 2x \
+  > "$metrics_tmp/b3_direct.txt"
+reload_cost="$(sed -n 's/^GOMCDS: total \([0-9]*\) .*/\1/p' "$metrics_tmp/b3_reload.txt")"
+direct_cost="$(sed -n 's/^GOMCDS: total \([0-9]*\) .*/\1/p' "$metrics_tmp/b3_direct.txt")"
+[ -n "$direct_cost" ] && [ "$reload_cost" = "$direct_cost" ] \
+  || { echo "export reload: GOMCDS total '$reload_cost' != generated '$direct_cost'"; exit 1; }
+echo "export reload: GOMCDS total $reload_cost matches the generated trace"
+
 # Cycle-bench artifact smoke: the committed BENCH_cycle.json (emitted by
 # `report_all`) must parse, carry at least one row, and keep the speedup
 # column; a speedup below 1 is reported but does not gate (timings are

@@ -1,35 +1,25 @@
-//! Trace binary encoding round-trips on real benchmark traces, including
-//! corruption detection.
+//! Real benchmark traces round-trip bit-identically through the `.pimb`
+//! binary container, the path `pim-cli export` and `run --trace` take.
 
 use pim_array::grid::Grid;
-use pim_trace::encode::{decode_trace, encode_trace, encoded_size, DecodeError};
+use pim_trace::binfmt::{encode_flat, read_flat};
+use pim_trace::flat::FlatTrace;
+use pim_trace::window::WindowedTrace;
 use pim_workloads::{windowed, Benchmark};
+
+fn roundtrip(trace: &WindowedTrace) -> WindowedTrace {
+    let bytes = encode_flat(&FlatTrace::from_trace(trace));
+    read_flat(&bytes)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .to_windowed()
+}
 
 #[test]
 fn every_benchmark_roundtrips() {
     let grid = Grid::new(4, 4);
     for bench in Benchmark::paper_set() {
         let (trace, _) = windowed(bench, grid, 8, 2, 1998);
-        let buf = encode_trace(&trace);
-        assert_eq!(buf.len(), encoded_size(&trace), "{bench}");
-        let back = decode_trace(buf).unwrap_or_else(|e| panic!("{bench}: {e}"));
-        assert_eq!(back, trace, "{bench}");
-    }
-}
-
-#[test]
-fn truncation_is_detected_not_misparsed() {
-    let grid = Grid::new(4, 4);
-    let (trace, _) = windowed(Benchmark::Lu, grid, 8, 2, 0);
-    let buf = encode_trace(&trace);
-    // cut at several interior offsets
-    for frac in [1usize, 3, 10, 2] {
-        let cut = buf.len() * frac / 11;
-        let sliced = buf.slice(0..cut.min(buf.len() - 1));
-        match decode_trace(sliced) {
-            Err(DecodeError::Truncated) | Err(DecodeError::Invalid(_)) => {}
-            other => panic!("cut at {cut}: expected failure, got {other:?}"),
-        }
+        assert_eq!(roundtrip(&trace), trace, "{bench}");
     }
 }
 
@@ -38,7 +28,7 @@ fn schedules_survive_trace_roundtrip() {
     use pim_sched::{schedule, MemoryPolicy, Method};
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::CodeReverse, grid, 8, 2, 5);
-    let restored = decode_trace(encode_trace(&trace)).unwrap();
+    let restored = roundtrip(&trace);
     // scheduling the restored trace gives bit-identical results
     let a = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
     let b = schedule(Method::Gomcds, &restored, MemoryPolicy::Unbounded);

@@ -3,8 +3,9 @@
 //! direct in-process run bit for bit (checked through the full cost
 //! breakdown); typed `overloaded` rejections under an over-capacity
 //! burst; and typed errors (never a hang or a dropped connection) for
-//! malformed request lines.
+//! malformed request lines, including lines that are not UTF-8.
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -240,6 +241,15 @@ fn malformed_lines_get_typed_errors_and_the_daemon_survives() {
             ))
             .unwrap(),
     );
+
+    // A line that is not UTF-8 gets a typed answer too, and the raw
+    // connection keeps serving.
+    let mut raw = std::net::TcpStream::connect(addr).expect("raw client connects");
+    raw.write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n").unwrap();
+    let mut lines = BufReader::new(raw).lines();
+    assert_eq!(parse_err(&lines.next().unwrap().unwrap()), "bad_request");
+    let pong = parse_ok(&lines.next().unwrap().unwrap());
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
     server.shutdown();
 }
 
