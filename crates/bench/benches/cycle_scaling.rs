@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::Grid;
 use pim_bench::cycle_workload::reversal_window;
-use pim_sim::cycle::{run_window_oracle, CycleSim};
+use pim_sim::cycle::CycleSim;
 use std::hint::black_box;
 
 const VOLUME: u32 = 256;
@@ -25,7 +25,9 @@ fn bench_cycle_scaling(c: &mut Criterion) {
             b.iter(|| black_box(sim.run_window(black_box(msgs)).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("oracle", &label), &msgs, |b, msgs| {
-            b.iter(|| black_box(run_window_oracle(black_box(&grid), black_box(msgs)).unwrap()))
+            b.iter(|| {
+                black_box(pim_reference::run_window(black_box(&grid), black_box(msgs)).unwrap())
+            })
         });
     }
     group.finish();

@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::Grid;
-use pim_sched::gomcds::{gomcds_schedule_with, Solver};
-use pim_sched::MemoryPolicy;
+use pim_sched::{schedule, MemoryPolicy, Method};
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
 
@@ -15,18 +14,12 @@ fn bench_solvers(c: &mut Criterion) {
     for dim in [4u32, 8, 16] {
         let grid = Grid::new(dim, dim);
         let (trace, _) = windowed(Benchmark::MatMul, grid, 16, 2, 1998);
-        let spec = MemoryPolicy::Unbounded.resolve(&trace);
+        let policy = MemoryPolicy::Unbounded;
         group.bench_with_input(BenchmarkId::new("naive", dim), &trace, |b, trace| {
-            b.iter(|| black_box(gomcds_schedule_with(black_box(trace), spec, Solver::Naive)))
+            b.iter(|| black_box(schedule(Method::GomcdsNaive, black_box(trace), policy)))
         });
         group.bench_with_input(BenchmarkId::new("dt", dim), &trace, |b, trace| {
-            b.iter(|| {
-                black_box(gomcds_schedule_with(
-                    black_box(trace),
-                    spec,
-                    Solver::DistanceTransform,
-                ))
-            })
+            b.iter(|| black_box(schedule(Method::Gomcds, black_box(trace), policy)))
         });
     }
     group.finish();

@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::{Grid, ProcId};
 use pim_sched::grouping::{greedy_grouping_cached, optimal_grouping_cached, GroupMethod};
-use pim_sched::{
-    compare_methods, schedule, schedule_uncached, DatumCostCache, MemoryPolicy, Method, Workspace,
-};
+use pim_sched::{compare_methods, schedule, DatumCostCache, MemoryPolicy, Method, Workspace};
 use pim_trace::window::{DataRefString, WindowRefs};
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
@@ -64,9 +62,9 @@ fn bench_parallel_speedup(c: &mut Criterion) {
 }
 
 /// The tentpole measurement: every method through the shared cost-table
-/// cache (`schedule`) against the pre-cache reference (`schedule_uncached`),
-/// plus the whole `compare_methods` sweep where one cache serves all five
-/// methods.
+/// cache (`schedule`) against the pre-cache reference
+/// (`pim_reference::schedule`), plus the whole `compare_methods` sweep where
+/// one cache serves all five methods.
 fn bench_cached_vs_uncached(c: &mut Criterion) {
     let grid = Grid::new(4, 4);
     let memory = MemoryPolicy::ScaledMinimum { factor: 2 };
@@ -88,7 +86,9 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("uncached", method.name()),
             &trace,
-            |b, trace| b.iter(|| black_box(schedule_uncached(method, black_box(trace), memory))),
+            |b, trace| {
+                b.iter(|| black_box(pim_reference::schedule(method, black_box(trace), memory)))
+            },
         );
     }
     group.bench_with_input(
@@ -110,7 +110,8 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
                 ]
                 .into_iter()
                 .map(|m| {
-                    schedule_uncached(m, black_box(trace), memory)
+                    pim_reference::schedule(m, black_box(trace), memory)
+                        .unwrap()
                         .evaluate(trace)
                         .total()
                 })

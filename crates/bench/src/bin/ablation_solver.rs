@@ -4,8 +4,7 @@
 //! (wall-clock; see `benches/gomcds_solvers.rs` for the Criterion version).
 
 use pim_array::grid::Grid;
-use pim_sched::gomcds::{gomcds_schedule_with, Solver};
-use pim_sched::MemoryPolicy;
+use pim_sched::{schedule, MemoryPolicy, Method};
 use pim_workloads::{windowed, Benchmark};
 use std::time::Instant;
 
@@ -18,9 +17,8 @@ fn main() {
     let grid = Grid::new(4, 4);
     for bench in Benchmark::paper_set() {
         let (trace, _) = windowed(bench, grid, 16, 2, 1998);
-        let spec = memory.resolve(&trace);
-        let a = gomcds_schedule_with(&trace, spec, Solver::Naive);
-        let b = gomcds_schedule_with(&trace, spec, Solver::DistanceTransform);
+        let a = schedule(Method::GomcdsNaive, &trace, memory);
+        let b = schedule(Method::Gomcds, &trace, memory);
         assert_eq!(a, b, "solver divergence on benchmark {}", bench.label());
         println!(
             "benchmark {}: schedules identical (cost {})",
@@ -37,14 +35,14 @@ fn main() {
     for dim in [4u32, 8, 16, 24] {
         let grid = Grid::new(dim, dim);
         let (trace, _) = windowed(Benchmark::MatMul, grid, 16, 2, 1998);
-        let spec = MemoryPolicy::Unbounded.resolve(&trace);
+        let unbounded = MemoryPolicy::Unbounded;
 
         let t0 = Instant::now();
-        let a = gomcds_schedule_with(&trace, spec, Solver::Naive);
+        let a = schedule(Method::GomcdsNaive, &trace, unbounded);
         let naive = t0.elapsed();
 
         let t0 = Instant::now();
-        let b = gomcds_schedule_with(&trace, spec, Solver::DistanceTransform);
+        let b = schedule(Method::Gomcds, &trace, unbounded);
         let dt = t0.elapsed();
 
         assert_eq!(a, b);

@@ -109,7 +109,14 @@ fn main() {
     println!("\nall consistency assertions passed");
 }
 
-/// Time the registry's comparison set cached and uncached over benchmark ×
+/// The paper method a comparison-set scheduler implements; its reference
+/// implementation is `pim_reference::schedule` of that method.
+fn paper_method(scheduler: &dyn pim_sched::Scheduler) -> Method {
+    Method::parse(scheduler.name()).expect("comparison-set schedulers are paper methods")
+}
+
+/// Time the registry's comparison set against its pre-cache reference
+/// (`pim_reference::schedule`, the `uncached_ns` column) over benchmark ×
 /// size, plus the `compare_methods` headline (benchmark 3, 32×32 data, 4×4
 /// array), and render the results as JSON (hand-rolled; the offline build
 /// has no JSON crate and the schema is flat). Grouped rows also
@@ -136,11 +143,9 @@ fn bench_sched_json() -> String {
                         .run(scheduler)
                         .unwrap_or_else(|e| panic!("{e}"))
                 });
+                let method = paper_method(scheduler);
                 let (uncached_ns, _) = bench_ns(10, || {
-                    Run::new(&trace)
-                        .policy(memory)
-                        .cached(false)
-                        .run(scheduler)
+                    pim_reference::schedule(method, &trace, memory)
                         .unwrap_or_else(|e| panic!("{e}"))
                 });
                 // One extra observed run per row (outside the timing loop,
@@ -208,11 +213,11 @@ fn bench_sched_json() -> String {
     let (trace, _) = windowed(Benchmark::LuCode, grid, 32, 2, 1998);
     let (cached_ns, costs) = bench_ns(5, || compare_methods(&trace, memory));
     let (uncached_ns, uncached_costs) = bench_ns(5, || {
-        let mut run = Run::new(&trace).policy(memory).cached(false);
         compare_set
             .iter()
             .map(|&s| {
-                let sched = run.run(s).unwrap_or_else(|e| panic!("{e}"));
+                let sched = pim_reference::schedule(paper_method(s), &trace, memory)
+                    .unwrap_or_else(|e| panic!("{e}"));
                 (s.name(), sched.evaluate(&trace).total())
             })
             .collect::<Vec<_>>()
@@ -248,10 +253,11 @@ fn bench_sched_json() -> String {
 /// Time the event-driven cycle simulator and the brute-force oracle on the
 /// same high-contention reversal window per grid size, assert they still
 /// agree bit for bit, and render the rows as JSON (`oracle_ns` is the old
-/// implementation, `event_ns` the rewrite). Mirrors `bench_sched_json`'s
-/// convention: any row where the rewrite loses is warned about on stderr.
+/// implementation, `pim_reference::run_window`; `event_ns` the rewrite).
+/// Mirrors `bench_sched_json`'s convention: any row where the rewrite loses
+/// is warned about on stderr.
 fn bench_cycle_json() -> String {
-    use pim_sim::cycle::{run_window_oracle, CycleSim};
+    use pim_sim::cycle::CycleSim;
 
     const VOLUME: u32 = 256;
     let mut json = String::from("{\n");
@@ -267,7 +273,7 @@ fn bench_cycle_json() -> String {
         let reps = if side >= 16 { 3 } else { 10 };
         let (event_ns, event) = bench_ns(reps, || sim.run_window(&msgs).expect("event sim"));
         let (oracle_ns, oracle) = bench_ns(reps, || {
-            run_window_oracle(&grid, &msgs).expect("oracle sim")
+            pim_reference::run_window(&grid, &msgs).expect("oracle sim")
         });
         assert_eq!(event, oracle, "event-driven diverged from the oracle");
         let speedup = oracle_ns as f64 / event_ns.max(1) as f64;

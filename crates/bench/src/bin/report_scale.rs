@@ -4,7 +4,7 @@
 //! `BENCH_scale.json`.
 //!
 //! Small instances also schedule the equivalent nested trace with the
-//! reference oracles (`Run::cached(false)`, the pre-cache
+//! reference oracles (`pim_reference::schedule`, the pre-cache
 //! implementations) for a cost-parity assertion and a speedup column; at
 //! the large sizes only the flat path runs.
 //!

@@ -7,7 +7,7 @@
 //! `FlatTrace::from_records` sort sees nearly-sorted input.
 
 use pim_array::grid::Grid;
-use pim_sched::{flat_lomcds, flat_scds, flat_total_cost, MemoryPolicy, Run};
+use pim_sched::{flat_lomcds, flat_scds, flat_total_cost, MemoryPolicy, Method};
 use pim_trace::flat::{FlatRecord, FlatTrace};
 use pim_trace::ids::DataId;
 use std::time::Instant;
@@ -101,7 +101,7 @@ pub struct MethodScale {
     pub flat_ns: u128,
     /// Total cost of the flat schedule (reference + movement).
     pub total_cost: u64,
-    /// Wall time of the reference oracle (`Run::cached(false)`, the
+    /// Wall time of the reference oracle (`pim_reference::schedule`, the
     /// pre-cache implementation) on the nested trace, when measured.
     pub exact_ns: Option<u128>,
     /// Total cost of the reference oracle's schedule, when measured (must
@@ -145,7 +145,7 @@ pub const SCALE_WINDOWS: usize = 32;
 pub const SCALE_SEED: u64 = 1998;
 
 /// Build and measure one scale instance. `parity` additionally runs the
-/// reference oracles (`Run::cached(false)`) on the equivalent nested trace
+/// reference oracles (`pim_reference::schedule`) on the equivalent nested trace
 /// and asserts the total costs are identical — the registry drives the
 /// same flat code, so it would compare the flat path with itself; `reps`
 /// is the timed-repetition count for the flat path, reported min-of-reps
@@ -164,7 +164,7 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
     let windowed = parity.then(|| flat.to_windowed());
     let policy = MemoryPolicy::Unbounded;
     let mut methods = Vec::new();
-    for method in ["scds", "lomcds"] {
+    for (method, paper) in [("scds", Method::Scds), ("lomcds", Method::Lomcds)] {
         let run_flat = || match method {
             "scds" => flat_scds(&flat, policy, pool).expect("unbounded cannot exhaust"),
             _ => flat_lomcds(&flat, policy, pool).expect("unbounded cannot exhaust"),
@@ -176,10 +176,7 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
         let (exact_ns, exact_cost) = match &windowed {
             Some(trace) => {
                 let start = Instant::now();
-                let exact = Run::new(trace)
-                    .policy(policy)
-                    .cached(false)
-                    .run_named(method)
+                let exact = pim_reference::schedule(paper, trace, policy)
                     .expect("unbounded cannot exhaust");
                 let exact_ns = start.elapsed().as_nanos();
                 let exact_cost = exact.evaluate(trace).total();
@@ -192,7 +189,7 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
             None => (None, None),
         };
         methods.push(MethodScale {
-            method: if method == "scds" { "scds" } else { "lomcds" },
+            method,
             flat_ns,
             total_cost,
             exact_ns,

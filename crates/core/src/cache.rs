@@ -52,7 +52,7 @@
 //!
 //! Laziness also parallelizes for free: [`DatumCostCache`] guards its
 //! tables with a [`OnceLock`], so when a worker pool partitions data
-//! across threads (see [`crate::context::SchedContext::parallel_pool`]),
+//! across threads (see [`crate::context::SchedContext::pool`]),
 //! each datum's tables are built on the worker that first needs them —
 //! the build runs on the pool without any coordination. [`CostCache::warm`]
 //! forces the same build eagerly across a pool when a caller wants the
@@ -126,9 +126,9 @@ pub struct DatumCostCache<'r> {
     num_windows: usize,
     src: RefSource<'r>,
     tables: OnceLock<PrefixTables>,
-    /// Count of raw-served single-window queries, driving the
-    /// [`SINGLE_WINDOW_PREFIX_THRESHOLD`] build trigger. Atomic because
-    /// caches are queried concurrently from worker pools; the count only
+    /// Count of raw-served single-window queries, driving the build
+    /// trigger past `num_windows +` [`SINGLE_WINDOW_SWEEP_SLACK`]. Atomic
+    /// because caches are queried concurrently from worker pools; the count only
     /// decides *when* tables appear, never what they contain, so relaxed
     /// racing cannot change a served bit.
     raw_singles: AtomicU32,

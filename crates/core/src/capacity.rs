@@ -58,14 +58,9 @@ impl ProcessorList {
         self.procs.iter().copied().zip(self.costs.iter().copied())
     }
 
-    /// The first processor in the list with free memory; the paper's
-    /// "first available processor". Returns `None` only when *every*
-    /// processor is full.
-    pub fn first_available(&self, mem: &MemoryMap) -> Option<ProcId> {
-        self.procs.iter().copied().find(|&p| mem.has_room(p))
-    }
-
-    /// First available processor, also claiming its slot.
+    /// The first processor in the list with free memory — the paper's
+    /// "first available processor" — also claiming its slot. Returns
+    /// `None` only when *every* processor is full.
     pub fn assign(&self, mem: &mut MemoryMap) -> Option<ProcId> {
         self.assign_ranked(mem).map(|(p, _)| p)
     }

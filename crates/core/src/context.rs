@@ -3,16 +3,14 @@
 //! A [`SchedContext`] bundles everything a [`crate::registry::Scheduler`]
 //! needs beyond the trace itself: the grid view, the memory policy and its
 //! resolved [`MemorySpec`], the shared per-trace [`CostCache`], a reusable
-//! [`Workspace`], and an optional [`Pool`] for per-datum parallelism. The
-//! context — not the scheduler — decides the *execution mode*:
+//! [`Workspace`], and an optional [`Pool`] for per-datum parallelism.
+//! Every scheduler serves its cost tables from the cache's prefix sums;
+//! schedulers whose kernels read flat spans (SCDS medians, LOMCDS window
+//! medians and anchors) share one [`FlatTrace`] copy of the trace,
+//! converted on first use. The context — not the scheduler — decides the
+//! *execution mode*:
 //!
-//! * **cached** (the default): the context owns a [`CostCache`] and every
-//!   scheduler serves its cost tables from prefix sums; schedulers whose
-//!   kernels read flat spans (SCDS medians, LOMCDS window medians and
-//!   anchors) share one [`FlatTrace`] copy of the trace, converted on
-//!   first use;
-//! * **uncached**: no cache is built and schedulers fall back to the
-//!   pre-cache reference implementations (the bit-identity oracles);
+//! * **sequential** (the default): every kernel runs inline;
 //! * **parallel**: a [`Pool`] is attached; schedulers that support
 //!   per-datum parallelism use it under *every* memory policy. Without a
 //!   capacity constraint the whole schedule is computed in parallel (the
@@ -24,7 +22,7 @@
 //!   code the sequential run uses — so the output is bit-identical
 //!   regardless of thread count.
 //!
-//! All modes are property-tested bit-identical for every registered
+//! Both modes are property-tested bit-identical for every registered
 //! scheduler × every memory policy in `tests/cache_equivalence.rs`.
 
 use crate::cache::CostCache;
@@ -73,7 +71,7 @@ pub struct SchedContext<'t> {
     grid: Grid,
     policy: MemoryPolicy,
     spec: MemorySpec,
-    cache: Option<CostCache<'t>>,
+    cache: CostCache<'t>,
     flat: Option<FlatTrace>,
     ws: Workspace,
     pool: Option<Pool>,
@@ -82,14 +80,15 @@ pub struct SchedContext<'t> {
 }
 
 impl<'t> SchedContext<'t> {
-    /// Cached context: wraps the trace in a (lazy) per-trace [`CostCache`].
+    /// A sequential context wrapping the trace in a (lazy) per-trace
+    /// [`CostCache`].
     pub fn new(trace: &'t WindowedTrace, policy: MemoryPolicy) -> Self {
         SchedContext::with_cache(trace, policy, CostCache::build(trace))
     }
 
-    /// Cached context around a prebuilt cost cache (shares the cache — and
-    /// any prefix tables it has already built — with other users of the
-    /// same trace).
+    /// A context around a prebuilt cost cache (shares the cache — and any
+    /// prefix tables it has already built — with other users of the same
+    /// trace).
     pub fn with_cache(
         trace: &'t WindowedTrace,
         policy: MemoryPolicy,
@@ -99,23 +98,7 @@ impl<'t> SchedContext<'t> {
             grid: trace.grid(),
             policy,
             spec: policy.resolve(trace),
-            cache: Some(cache),
-            flat: None,
-            ws: Workspace::new(),
-            pool: None,
-            metrics: Metrics::disabled(),
-            precedence: PrecedencePolicy::None,
-        }
-    }
-
-    /// Uncached reference context: schedulers re-walk raw reference strings
-    /// exactly as the seed implementation did.
-    pub fn uncached(trace: &'t WindowedTrace, policy: MemoryPolicy) -> Self {
-        SchedContext {
-            grid: trace.grid(),
-            policy,
-            spec: policy.resolve(trace),
-            cache: None,
+            cache,
             flat: None,
             ws: Workspace::new(),
             pool: None,
@@ -143,8 +126,8 @@ impl<'t> SchedContext<'t> {
     /// displacement); schedulers record into it but never read from it, so
     /// the schedule stays bit-identical with metrics on or off.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        if let (Some(stats), Some(cache)) = (metrics.cache_stats(), self.cache.as_mut()) {
-            cache.set_stats(&stats);
+        if let Some(stats) = metrics.cache_stats() {
+            self.cache.set_stats(&stats);
         }
         self.ws.metrics = metrics.clone();
         self.metrics = metrics;
@@ -181,35 +164,24 @@ impl<'t> SchedContext<'t> {
         self.precedence.dag()
     }
 
-    /// The shared cost cache, when this is a cached context.
-    pub fn cache(&self) -> Option<&CostCache<'t>> {
-        self.cache.as_ref()
+    /// The shared cost cache.
+    pub fn cache(&self) -> &CostCache<'t> {
+        &self.cache
     }
 
-    /// The attached pool, regardless of whether parallelism applies.
+    /// The pool to use for per-datum parallel scheduling, or `None` when
+    /// the run stays sequential. Bounded policies parallelize too —
+    /// schedulers split into a parallel pure phase and a sequential
+    /// capacity-replay phase (see the module docs), so determinism never
+    /// depends on thread count.
     pub fn pool(&self) -> Option<Pool> {
         self.pool
     }
 
-    /// The pool to use for per-datum parallel scheduling, or `None` when
-    /// the run must stay sequential: parallelism applies whenever a pool is
-    /// attached and the cache is present (the parallel paths read from it).
-    /// Bounded policies parallelize too — schedulers split into a parallel
-    /// pure phase and a sequential capacity-replay phase (see the module
-    /// docs), so determinism never depends on thread count. Uncached runs
-    /// stay sequential: they exist to reproduce the seed implementations
-    /// verbatim.
-    pub fn parallel_pool(&self) -> Option<Pool> {
-        match (self.pool, &self.cache) {
-            (Some(pool), Some(_)) => Some(pool),
-            _ => None,
-        }
-    }
-
-    /// Split-borrow the cache (if cached) and the workspace — the shape
-    /// the cache-reading drivers want.
-    pub fn cache_and_ws(&mut self) -> (Option<&CostCache<'t>>, &mut Workspace) {
-        (self.cache.as_ref(), &mut self.ws)
+    /// Split-borrow the cache and the workspace — the shape the
+    /// cache-reading drivers want.
+    pub fn cache_and_ws(&mut self) -> (&CostCache<'t>, &mut Workspace) {
+        (&self.cache, &mut self.ws)
     }
 
     /// The reusable scratch workspace.
@@ -219,16 +191,16 @@ impl<'t> SchedContext<'t> {
 
     /// Split-borrow the flat copy of `trace` (converted with
     /// [`FlatTrace::from_trace`] on the first call, then reused by every
-    /// later scheduler of this context), the cache (if cached) and the
-    /// workspace — the shape the span-reading drivers want.
+    /// later scheduler of this context), the cache and the workspace — the
+    /// shape the span-reading drivers want.
     pub(crate) fn flat_cache_ws(
         &mut self,
         trace: &WindowedTrace,
-    ) -> (&FlatTrace, Option<&CostCache<'t>>, &mut Workspace) {
+    ) -> (&FlatTrace, &CostCache<'t>, &mut Workspace) {
         let flat = self
             .flat
             .get_or_insert_with(|| FlatTrace::from_trace(trace));
-        (flat, self.cache.as_ref(), &mut self.ws)
+        (flat, &self.cache, &mut self.ws)
     }
 }
 
@@ -246,17 +218,9 @@ mod tests {
     fn cached_context_owns_cache() {
         let t = trace();
         let ctx = SchedContext::new(&t, MemoryPolicy::Unbounded);
-        assert!(ctx.cache().is_some());
+        assert_eq!(ctx.cache().num_data(), t.num_data());
         assert_eq!(ctx.grid(), t.grid());
         assert_eq!(ctx.spec().capacity_per_proc, u32::MAX);
-    }
-
-    #[test]
-    fn uncached_context_has_no_cache() {
-        let t = trace();
-        let ctx = SchedContext::uncached(&t, MemoryPolicy::Capacity(4));
-        assert!(ctx.cache().is_none());
-        assert_eq!(ctx.spec().capacity_per_proc, 4);
     }
 
     #[test]
@@ -275,14 +239,11 @@ mod tests {
         let t = trace();
         let pool = Pool::serial();
         let unbounded = SchedContext::new(&t, MemoryPolicy::Unbounded).with_pool(pool);
-        assert!(unbounded.parallel_pool().is_some());
+        assert!(unbounded.pool().is_some());
         // Bounded policies parallelize via the two-phase scheme.
         let bounded = SchedContext::new(&t, MemoryPolicy::Capacity(2)).with_pool(pool);
-        assert!(bounded.parallel_pool().is_some());
-        // Uncached runs reproduce the seed implementations and stay serial.
-        let uncached = SchedContext::uncached(&t, MemoryPolicy::Unbounded).with_pool(pool);
-        assert!(uncached.parallel_pool().is_none());
+        assert!(bounded.pool().is_some());
         let no_pool = SchedContext::new(&t, MemoryPolicy::Unbounded);
-        assert!(no_pool.parallel_pool().is_none());
+        assert!(no_pool.pool().is_none());
     }
 }

@@ -22,7 +22,7 @@
 //! trick; this one feeds SCDS/LOMCDS).
 
 use pim_array::grid::{Grid, ProcId};
-use pim_trace::window::WindowRefs;
+use pim_trace::window::{DataRefString, WindowRefs};
 
 /// Sentinel "infinite" cost used to mask full processors in capacity-
 /// constrained DPs. Chosen far below `u64::MAX` so sums never overflow.
@@ -167,6 +167,24 @@ pub fn optimal_centers(grid: &Grid, refs: &WindowRefs) -> Vec<ProcId> {
         .filter(|&(_, &c)| c == best)
         .map(|(i, _)| ProcId(i as u32))
         .collect()
+}
+
+/// Total cost of one datum held along the center sequence `path` (one
+/// center per window): reference cost in every window plus one hop per
+/// unit of movement between consecutive windows.
+///
+/// # Panics
+/// Panics when `path` does not have one center per window of `rs`.
+pub fn path_cost(grid: &Grid, rs: &DataRefString, path: &[ProcId]) -> u64 {
+    assert_eq!(path.len(), rs.num_windows());
+    let mut cost = 0u64;
+    for (w, refs) in rs.windows().enumerate() {
+        cost += cost_at(grid, refs, path[w]);
+    }
+    for pair in path.windows(2) {
+        cost += grid.dist(pair[0], pair[1]);
+    }
+    cost
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! flat copy of their nested trace, made once per
 //! [`crate::SchedContext`].
 //!
-//! Every entry point is **bit-identical** to the pre-cache reference
+//! Every entry point is **bit-identical** to `pim-reference`'s pre-cache
 //! scheduler on the equivalent nested trace (property-tested in
 //! `tests/cache_equivalence.rs`): the weighted median with
 //! smallest-coordinate tie-break equals the cost table's lowest-id argmin
@@ -57,10 +57,10 @@ pub(crate) fn datum_ids(nd: usize) -> Vec<DataId> {
 }
 
 /// SCDS on a flat trace: one merged-window median per datum, capacity
-/// resolved in ascending datum order. Bit-identical to
-/// [`crate::scds::scds_schedule_uncached`] on the equivalent nested trace
-/// — the merged median *is* the head of the merged processor list, and a
-/// datum only needs the rest of that list when its median is full.
+/// resolved in ascending datum order. Bit-identical to `pim-reference`'s
+/// SCDS on the equivalent nested trace — the merged median *is* the head
+/// of the merged processor list, and a datum only needs the rest of that
+/// list when its median is full.
 pub fn flat_scds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
@@ -99,9 +99,8 @@ pub(crate) fn scds_on<V: FlatView + ?Sized>(
 /// LOMCDS on a flat trace. Unbounded runs are pure per-datum median
 /// sweeps (fully parallel, no capacity state); bounded runs compute the
 /// per-datum anchors in parallel and replay the window-major capacity
-/// loop over a flat-backed cost cache. Bit-identical to
-/// [`crate::lomcds::lomcds_schedule_uncached`] on the equivalent nested
-/// trace.
+/// loop over a flat-backed cost cache. Bit-identical to `pim-reference`'s
+/// LOMCDS on the equivalent nested trace.
 pub fn flat_lomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
@@ -148,9 +147,9 @@ pub(crate) fn lomcds_on<V: FlatView + ?Sized>(
 
 /// GOMCDS (distance-transform solver) on a flat trace: per-datum layered
 /// shortest paths served from a flat-backed cost cache, capacity replayed
-/// in datum order. Bit-identical to
-/// [`crate::gomcds::gomcds_schedule_with_uncached`] on the equivalent
-/// nested trace — the cache serves identical tables from either backing.
+/// in datum order. Bit-identical to `pim-reference`'s GOMCDS on the
+/// equivalent nested trace — the cache serves identical tables from
+/// either backing.
 pub fn flat_gomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
@@ -250,39 +249,6 @@ mod tests {
                 vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
             ],
         )
-    }
-
-    #[test]
-    fn flat_paths_match_classic_schedulers() {
-        let trace = sample_trace();
-        let flat = FlatTrace::from_trace(&trace);
-        for (pool, policy) in [
-            (Pool::with_threads(2), MemoryPolicy::Unbounded),
-            (
-                Pool::with_threads(2),
-                MemoryPolicy::ScaledMinimum { factor: 2 },
-            ),
-            (Pool::with_threads(2), MemoryPolicy::Capacity(1)),
-            (Pool::serial(), MemoryPolicy::Capacity(1)),
-        ] {
-            // The pre-cache reference schedulers are the oracle.
-            let classic = |m| crate::pipeline::schedule_uncached(m, &trace, policy);
-            assert_eq!(
-                flat_scds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Scds),
-                "SCDS {policy:?}"
-            );
-            assert_eq!(
-                flat_lomcds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Lomcds),
-                "LOMCDS {policy:?}"
-            );
-            assert_eq!(
-                flat_gomcds(&flat, policy, pool).unwrap(),
-                classic(crate::pipeline::Method::Gomcds),
-                "GOMCDS {policy:?}"
-            );
-        }
     }
 
     #[test]

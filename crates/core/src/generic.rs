@@ -206,19 +206,19 @@ mod tests {
             assert_eq!(gp, fp);
         }
         // whole-trace schedulers
-        let spec = pim_array::memory::MemorySpec::unbounded();
-        let go = crate::gomcds::gomcds_schedule(&trace, spec);
+        let schedule = |m| crate::schedule(m, &trace, crate::MemoryPolicy::Unbounded);
+        let go = schedule(crate::Method::Gomcds);
         let centers = gomcds_generic(&grid, &trace);
         assert_eq!(
             evaluate_generic(&grid, &trace, &centers),
             go.evaluate(&trace).total()
         );
-        let sc = crate::scds::scds_schedule(&trace, spec);
+        let sc = schedule(crate::Method::Scds);
         assert_eq!(
             evaluate_generic(&grid, &trace, &scds_generic(&grid, &trace)),
             sc.evaluate(&trace).total()
         );
-        let lo = crate::lomcds::lomcds_schedule(&trace, spec);
+        let lo = schedule(crate::Method::Lomcds);
         assert_eq!(
             evaluate_generic(&grid, &trace, &lomcds_generic(&grid, &trace)),
             lo.evaluate(&trace).total()

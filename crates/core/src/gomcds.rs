@@ -31,16 +31,16 @@
 //! data in ascending id order, each claiming its path's slots before the
 //! next datum solves. The registry strategy, the flat fast path, the
 //! chunked stream walk, the incremental engine and the precedence layer
-//! are drivers around these two. The pre-cache implementation survives as
-//! [`gomcds_schedule_with_uncached`], property-tested bit-identical.
+//! are drivers around these two. The pre-cache implementation lives in
+//! the `pim-reference` crate; the conformance tests pin these drivers
+//! bit-identical to it.
 //!
 //! Both solvers produce bit-identical schedules (shared tie-breaking,
 //! verified by tests and the `ablation_solver` bench).
 
 use crate::cache::DatumCostCache;
 use crate::cost::{cost_table_with, AxisScratch, INF};
-use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::pipeline::MemoryPolicy;
+use crate::error::{exhausted, SchedError};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use core::borrow::Borrow;
@@ -62,7 +62,8 @@ pub enum Solver {
 
 /// Where the DP gets its per-layer node costs from.
 pub(crate) enum NodeSource<'a> {
-    /// Walk the raw reference string each time (pre-cache reference path).
+    /// Walk the raw reference string each time (no cache is built: the
+    /// one-datum [`gomcds_path`] family and [`solve_masked_path`]).
     Raw(&'a DataRefString),
     /// Raw windows with layer `w`'s reference costs scaled by `weights[w]`
     /// (the precedence layer's task-priority weights).
@@ -205,26 +206,19 @@ pub fn gomcds_schedule_volumes(trace: &WindowedTrace, volumes: &[u64]) -> Schedu
     Schedule::new(grid, centers)
 }
 
-/// Capacity-masked optimal center sequence (one [`MemoryMap`] per window);
-/// `None` when some window has no free processor. Used by the grouping
-/// pipeline's fragmentation fallback.
-pub(crate) fn solve_masked_path(
+/// Capacity-masked optimal center sequence over a raw reference string
+/// (one [`MemoryMap`] per window: a full processor is masked out of that
+/// window); `None` when some window has no free processor. The
+/// replication extensions place their primaries with it.
+pub fn solve_masked_path(
     grid: &Grid,
     rs: &DataRefString,
     masks: &[MemoryMap],
+    solver: Solver,
 ) -> Option<Vec<ProcId>> {
     let mut ws = Workspace::new();
     let src = NodeSource::Raw(rs);
-    solve_layered(
-        grid,
-        &src,
-        Some(masks),
-        Solver::DistanceTransform,
-        1,
-        None,
-        &mut ws,
-    )
-    .map(|(path, _)| path)
+    solve_layered(grid, &src, Some(masks), solver, 1, None, &mut ws).map(|(path, _)| path)
 }
 
 /// Cache-served masked path over single windows.
@@ -326,8 +320,8 @@ pub(crate) fn solve_layered(
     dp.reserve(nw * m);
     // Node rows are memoized during the forward pass so the backtrack
     // reads them instead of re-deriving each layer. The raw source skips
-    // this: it is the frozen pre-cache reference whose two-walk behaviour
-    // the cached-vs-uncached bench measures.
+    // this: it keeps the pre-cache two-walk behaviour that the
+    // `pim-reference` oracles are timed with.
     let memoize = !matches!(src, NodeSource::Raw(_));
     debug_assert!(memoize || ckpt.is_none(), "checkpoints need memoized rows");
     nodes_all.clear();
@@ -525,67 +519,10 @@ impl GomcdsReplay {
     }
 }
 
-/// Compute the GOMCDS schedule with the distance-transform solver.
-pub fn gomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    gomcds_schedule_with(trace, spec, Solver::DistanceTransform)
-}
-
-/// Compute the GOMCDS schedule with an explicit solver through the
-/// registry's cached path (one [`crate::Run`] under a uniform capacity of
-/// `spec.capacity_per_proc`).
-///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
-pub fn gomcds_schedule_with(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Schedule {
-    crate::Run::new(trace)
-        .policy(MemoryPolicy::Capacity(spec.capacity_per_proc))
-        .run(&crate::registry::GomcdsScheduler { solver })
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Pre-cache reference implementation: identical output, node costs walked
-/// from the raw reference strings each time. Kept for the equivalence
-/// property tests and the cached-vs-uncached bench.
-pub fn gomcds_schedule_with_uncached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    solver: Solver,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
-
-    let bounded = spec.capacity_per_proc != u32::MAX;
-    let mut masks: Vec<MemoryMap> = if bounded {
-        (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut ws = Workspace::new();
-    let mut centers = Vec::with_capacity(nd);
-    for (d, rs) in trace.iter_data() {
-        let mask_ref = bounded.then_some(masks.as_slice());
-        let src = NodeSource::Raw(rs);
-        let (path, _) = solve_layered(&grid, &src, mask_ref, solver, 1, None, &mut ws)
-            .ok_or_else(|| exhausted(d, None))?;
-        if bounded {
-            for (w, &p) in path.iter().enumerate() {
-                masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-            }
-        }
-        centers.push(path);
-    }
-    Ok(Schedule::new(grid, centers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lomcds::lomcds_schedule;
-    use crate::scds::scds_schedule;
+    use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
@@ -605,7 +542,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
             ]],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs, &[grid.proc_xy(0, 0); 3]);
         assert_eq!(s.evaluate(&trace).total(), 3);
@@ -622,7 +559,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
             ]],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs[0], grid.proc_xy(0, 0));
         assert_eq!(cs[1], grid.proc_xy(3, 3));
@@ -651,39 +588,10 @@ mod tests {
                 ],
             ],
         );
-        for spec in [MemorySpec::unbounded(), MemorySpec::uniform(1)] {
-            let a = gomcds_schedule_with(&trace, spec, Solver::Naive);
-            let b = gomcds_schedule_with(&trace, spec, Solver::DistanceTransform);
-            assert_eq!(a, b, "spec {spec:?}");
-        }
-    }
-
-    #[test]
-    fn cached_matches_uncached() {
-        let grid = Grid::new(5, 4);
-        let trace = WindowedTrace::from_parts(
-            grid,
-            vec![
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(4, 3), 1)]),
-                    WindowRefs::new(),
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
-                ],
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(1, 1), 1)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(3, 2), 2)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
-                ],
-            ],
-        );
-        for spec in [MemorySpec::unbounded(), MemorySpec::uniform(1)] {
-            for solver in [Solver::Naive, Solver::DistanceTransform] {
-                assert_eq!(
-                    gomcds_schedule_with(&trace, spec, solver),
-                    gomcds_schedule_with_uncached(&trace, spec, solver).unwrap(),
-                    "spec {spec:?} solver {solver:?}"
-                );
-            }
+        for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
+            let a = schedule(Method::GomcdsNaive, &trace, policy);
+            let b = schedule(Method::Gomcds, &trace, policy);
+            assert_eq!(a, b, "policy {policy:?}");
         }
     }
 
@@ -716,10 +624,11 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(2, 1), 2)]),
             ]],
         );
-        let unb = MemorySpec::unbounded();
-        let go = gomcds_schedule(&trace, unb).evaluate(&trace).total();
-        let lo = lomcds_schedule(&trace, unb).evaluate(&trace).total();
-        let sc = scds_schedule(&trace, unb).evaluate(&trace).total();
+        let unb = MemoryPolicy::Unbounded;
+        let total = |m| schedule(m, &trace, unb).evaluate(&trace).total();
+        let go = total(Method::Gomcds);
+        let lo = total(Method::Lomcds);
+        let sc = total(Method::Scds);
         assert!(go <= lo, "GOMCDS {go} must be ≤ LOMCDS {lo}");
         assert!(go <= sc, "GOMCDS {go} must be ≤ SCDS {sc}");
     }
@@ -750,7 +659,7 @@ mod tests {
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
         );
-        let s = gomcds_schedule(&trace, MemorySpec::uniform(1));
+        let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.max_occupancy(), 1);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
@@ -808,7 +717,10 @@ mod tests {
                 (grid.proc_xy(0, 2), 1),
             ])]],
         );
-        let unb = MemorySpec::unbounded();
-        assert_eq!(gomcds_schedule(&trace, unb), scds_schedule(&trace, unb));
+        let unb = MemoryPolicy::Unbounded;
+        assert_eq!(
+            schedule(Method::Gomcds, &trace, unb),
+            schedule(Method::Scds, &trace, unb)
+        );
     }
 }

@@ -18,19 +18,19 @@
 //! singleton suffix, so [`greedy_grouping_cached`] precomputes the suffix
 //! once, carries the prefix forward, and pays one cache range query per
 //! step — `O(n)` group evaluations total instead of the literal
-//! re-costing's `O(n²)` (kept as [`greedy_grouping_oracle`]).
+//! re-costing's `O(n²)` (`pim-reference`'s `greedy_grouping`).
 //!
 //! Besides the greedy (the paper's algorithm), [`optimal_grouping`] solves
 //! the same problem exactly by dynamic programming over group boundaries —
 //! `O(t²)` transitions via a per-boundary distance transform
-//! ([`optimal_grouping_cached`]; the literal `O(t³)` scan survives as
-//! [`optimal_grouping_oracle`]) — used by ablation E to measure the
-//! greedy's optimality gap.
+//! ([`optimal_grouping_cached`]; the literal `O(t³)` scan is
+//! `pim-reference`'s `optimal_grouping`) — used by ablation E to measure
+//! the greedy's optimality gap.
 
 use crate::cache::{CostCache, DatumCostCache};
 use crate::cost::{cost_at, optimal_center, INF};
 use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::gomcds::{gomcds_path, gomcds_path_ranges, Solver};
+use crate::gomcds::{gomcds_path, Solver};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use core::ops::Range;
@@ -120,46 +120,6 @@ pub fn cost_of_grouping(
     }
 }
 
-/// [`cost_of_grouping`] served from the datum's cost cache: each candidate
-/// group range costs `O(width + height + m)` regardless of how many
-/// references it merges — this is what turns Algorithm 3's inner loop from
-/// `O(r·m)` per evaluation into grid-sized work.
-pub fn cost_of_grouping_cached(
-    grid: &Grid,
-    cache: &DatumCostCache,
-    groups: &[Range<usize>],
-    group_method: GroupMethod,
-    ws: &mut Workspace,
-) -> u64 {
-    match group_method {
-        GroupMethod::LocalCenters => {
-            // A non-empty group's resolved center is its own optimal
-            // center, so its reference cost is exactly the optimum the
-            // argmin reports; empty groups carry a center forward and
-            // contribute zero reference cost.
-            let mut refcost = 0u64;
-            let centers: Vec<Option<ProcId>> = groups
-                .iter()
-                .map(|g| {
-                    (!cache.range_is_empty(g.start, g.end)).then(|| {
-                        let (c, cost) =
-                            cache.optimal_center_range(g.start, g.end, &mut ws.axes, &mut ws.table);
-                        refcost += cost;
-                        c
-                    })
-                })
-                .collect();
-            let centers = crate::lomcds::resolve_gaps(centers);
-            let mut total = refcost;
-            for pair in centers.windows(2) {
-                total += grid.dist(pair[0], pair[1]);
-            }
-            total
-        }
-        GroupMethod::GomcdsCenters => gomcds_path_ranges(grid, cache, groups, ws).1,
-    }
-}
-
 /// Paper Algorithm 3: greedy grouping of one datum's windows.
 ///
 /// Returns the grouping as consecutive half-open ranges partitioning
@@ -186,41 +146,10 @@ pub fn greedy_grouping(grid: &Grid, rs: &DataRefString, method: GroupMethod) -> 
     greedy_grouping_cached(grid, &cache, method, &mut ws)
 }
 
-/// The literal Algorithm 3 loop: re-assemble and fully re-cost both
-/// candidate partitions at every step — `O(n)` group evaluations per
-/// extension decision, `O(n²)` overall. This is the frozen reference the
-/// incremental [`greedy_grouping_cached`] is property-tested bit-identical
-/// against (`tests/grouping_props.rs`), and what the uncached scheduling
-/// path runs.
-pub fn greedy_grouping_oracle(
-    grid: &Grid,
-    rs: &DataRefString,
-    method: GroupMethod,
-) -> Vec<Range<usize>> {
-    let n = rs.num_windows();
-    let mut confirmed: Vec<Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    for j in 1..n {
-        // T: current group start..j plus remaining singletons.
-        // TNEW: current group extended to start..j+1 plus remaining
-        // singletons. Keep the extension when not worse.
-        let current = assemble(&confirmed, start..j, j, n);
-        let extended = assemble(&confirmed, start..j + 1, j + 1, n);
-        let keep = cost_of_grouping(grid, rs, &extended, method)
-            <= cost_of_grouping(grid, rs, &current, method);
-        if !keep {
-            confirmed.push(start..j);
-            start = j;
-        }
-    }
-    confirmed.push(start..n);
-    confirmed
-}
-
 /// [`greedy_grouping`] with each extension decision evaluated
 /// incrementally from the datum's cost cache — `O(1)` group evaluations
-/// (one cache range query) per step instead of the oracle's `O(n)` full
-/// re-costings, and no per-step partition `Vec`s.
+/// (one cache range query) per step instead of the literal loop's `O(n)`
+/// full re-costings, and no per-step partition `Vec`s.
 ///
 /// Both candidate partitions at step `j` share all three parts of their
 /// cost: the *confirmed prefix* (carried forward as a running sum — under
@@ -229,9 +158,11 @@ pub fn greedy_grouping_oracle(
 /// the extension needs exactly one new range query), and the *singleton
 /// tail* `j..n`, precomputed once as a backward suffix array (`tail[j]` for
 /// local centers, a suffix DP row per window for GOMCDS centers). Summing
-/// the three parts reproduces the oracle's full-partition cost exactly —
-/// same `u64` arithmetic, no approximation — so every `≤` comparison, and
-/// therefore the grouping, is bit-identical to [`greedy_grouping_oracle`].
+/// the three parts reproduces the literal loop's full-partition cost
+/// exactly — same `u64` arithmetic, no approximation — so every `≤`
+/// comparison, and therefore the grouping, is bit-identical to
+/// `pim-reference`'s `greedy_grouping` (property-tested in
+/// `tests/grouping_props.rs`).
 pub fn greedy_grouping_cached(
     grid: &Grid,
     cache: &DatumCostCache,
@@ -431,20 +362,6 @@ fn greedy_gomcds_incremental(
     confirmed
 }
 
-/// `confirmed ++ [current] ++ singletons rest..n` (oracle-path helper).
-fn assemble(
-    confirmed: &[Range<usize>],
-    current: Range<usize>,
-    rest: usize,
-    n: usize,
-) -> Vec<Range<usize>> {
-    let mut v = Vec::with_capacity(confirmed.len() + 1 + (n - rest));
-    v.extend(confirmed.iter().cloned());
-    v.push(current);
-    v.extend((rest..n).map(|i| i..i + 1));
-    v
-}
-
 /// Exact minimum-cost grouping for the [`GroupMethod::LocalCenters`] model
 /// via DP over group boundaries.
 ///
@@ -460,10 +377,10 @@ pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, 
     optimal_grouping_cached(grid, &cache, &mut ws)
 }
 
-/// [`optimal_grouping`] in `O(t²)` DP transitions instead of the oracle's
-/// `O(t³)` triple loop.
+/// [`optimal_grouping`] in `O(t²)` DP transitions instead of the literal
+/// `O(t³)` triple loop (`pim-reference`'s `optimal_grouping`).
 ///
-/// The oracle's inner minimum `min_k dp[k][a−1] + dist(centers[k][a−1], ·)`
+/// The literal inner minimum `min_k dp[k][a−1] + dist(centers[k][a−1], ·)`
 /// depends on `k` only through the *center* of run `k..=a−1` — so for each
 /// boundary `a` all `k` are projected onto the grid once
 /// (`g_a[p] = min dp[k][a−1]` over runs centered at `p`) and one L1
@@ -472,9 +389,9 @@ pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, 
 /// That is `O(t·m)` relax work plus `O(t²)` fills; group costs come from
 /// the cache's prefix-served range queries instead of incremental
 /// re-merging. The relax computes the same exact `u64` minima the scan
-/// did, and parents are re-derived by the oracle's own lowest-`k` rule, so
-/// grouping and cost are bit-identical to [`optimal_grouping_oracle`]
-/// (property-tested in `tests/grouping_props.rs`).
+/// did, and parents are re-derived by the scan's own lowest-`k` rule, so
+/// grouping and cost are bit-identical to the triple loop (property-tested
+/// in `tests/grouping_props.rs`).
 pub fn optimal_grouping_cached(
     grid: &Grid,
     cache: &DatumCostCache,
@@ -526,7 +443,7 @@ pub fn optimal_grouping_cached(
         }
     }
 
-    // Lowest-index argmin over the last column, as the oracle scans.
+    // Lowest-index argmin over the last column, as the triple loop scans.
     let (mut a, mut best) = (0usize, dp[t - 1]);
     for cand in 1..t {
         if dp[cand * t + t - 1] < best {
@@ -535,7 +452,7 @@ pub fn optimal_grouping_cached(
         }
     }
 
-    // Reconstruct runs along the optimal path only: the oracle's parent of
+    // Reconstruct runs along the optimal path only: the triple loop's parent of
     // cell (a, b) is the lowest k whose transition achieves dp[a][b], i.e.
     // the first k with dp[k][a−1] + dist == dp[a][b] − costs[a][b].
     let mut runs: Vec<(usize, usize)> = Vec::new(); // inclusive (a, b)
@@ -552,85 +469,6 @@ pub fn optimal_grouping_cached(
             .expect("dp backtrack must find a predecessor");
         b = a - 1;
         a = k;
-    }
-    runs.reverse();
-
-    (attach_empty_windows(&runs, &refd, n), best)
-}
-
-/// The original `O(t³)` boundary DP with incremental reference-list
-/// merging — the frozen reference [`optimal_grouping_cached`] is
-/// property-tested bit-identical against.
-pub fn optimal_grouping_oracle(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, u64) {
-    let n = rs.num_windows();
-    let refd: Vec<usize> = (0..n).filter(|&w| !rs.window(w).is_empty()).collect();
-    let t = refd.len();
-    if t == 0 {
-        #[allow(clippy::single_range_in_vec_init)] // one group covering 0..n is the intent
-        return (vec![0..n], 0);
-    }
-
-    // Merged cost and center for every run refd[a]..=refd[b].
-    let mut centers = vec![vec![ProcId(0); t]; t];
-    let mut costs = vec![vec![0u64; t]; t];
-    for a in 0..t {
-        let mut merged = WindowRefs::new();
-        for b in a..t {
-            merged.merge(rs.window(refd[b]));
-            let (c, cost) = optimal_center(grid, &merged);
-            centers[a][b] = c;
-            costs[a][b] = cost;
-        }
-    }
-
-    const UNSET: u64 = u64::MAX;
-    // dp[a][b]: best cost covering referenced windows 0..=b, last run a..=b.
-    let mut dp = vec![vec![UNSET; t]; t];
-    let mut parent: Vec<Vec<Option<usize>>> = vec![vec![None; t]; t];
-    for b in 0..t {
-        for a in 0..=b {
-            if a == 0 {
-                dp[a][b] = costs[a][b];
-                continue;
-            }
-            let mut best = UNSET;
-            let mut best_k = None;
-            for k in 0..a {
-                if dp[k][a - 1] == UNSET {
-                    continue;
-                }
-                let mv = grid.dist(centers[k][a - 1], centers[a][b]);
-                let cand = dp[k][a - 1] + costs[a][b] + mv;
-                if cand < best {
-                    best = cand;
-                    best_k = Some(k);
-                }
-            }
-            dp[a][b] = best;
-            parent[a][b] = best_k;
-        }
-    }
-
-    let (mut a, mut best) = (0usize, UNSET);
-    for cand in 0..t {
-        if dp[cand][t - 1] < best {
-            best = dp[cand][t - 1];
-            a = cand;
-        }
-    }
-
-    // Reconstruct runs in referenced-index space.
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // inclusive (a, b)
-    let mut b = t - 1;
-    loop {
-        runs.push((a, b));
-        match parent[a][b] {
-            Some(k) => {
-                b = a - 1;
-                a = k;
-            }
-            None => break,
-        }
     }
     runs.reverse();
 
@@ -656,12 +494,6 @@ fn attach_empty_windows(runs: &[(usize, usize)], refd: &[usize], n: usize) -> Ve
     groups
 }
 
-/// Schedule the whole trace with greedy grouping, deciding and placing with
-/// the same [`GroupMethod`]. See [`grouped_schedule_with`].
-pub fn grouped_schedule(trace: &WindowedTrace, spec: MemorySpec, method: GroupMethod) -> Schedule {
-    grouped_schedule_with(trace, spec, method, method)
-}
-
 /// Schedule the whole trace with greedy grouping (the paper's Table 2
 /// pipeline): per datum, group windows with Algorithm 3 costed by the
 /// `decide` method, then place each group's center with the `place` method
@@ -673,32 +505,15 @@ pub fn grouped_schedule(trace: &WindowedTrace, spec: MemorySpec, method: GroupMe
 /// window-major in ascending datum order like LOMCDS; a datum entering a
 /// group claims a slot in *every* window of the group (it stays put
 /// throughout). With [`GroupMethod::GomcdsCenters`] placement, data are
-/// processed in id order and each solves a masked shortest path over its
-/// grouped windows like GOMCDS.
+/// processed heaviest first and each solves a masked shortest path over
+/// its grouped windows like GOMCDS.
 ///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline (or [`grouped_schedule_with_cached`]) for a
-/// typed [`crate::SchedError`] instead.
-pub fn grouped_schedule_with(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    decide: GroupMethod,
-    place: GroupMethod,
-) -> Schedule {
-    let cache = CostCache::build(trace);
-    let mut ws = Workspace::new();
-    grouped_schedule_with_cached(trace, spec, decide, place, &cache, Pool::serial(), &mut ws)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`grouped_schedule_with`] served from a shared per-trace cost cache:
-/// grouping decisions, group tables, and masked GOMCDS placement all use
-/// prefix-sum range queries. The per-datum greedy decisions — pure
-/// functions of one datum's references and the dominant cost of the
-/// pipeline — fan out over `pool`; the placement replay is sequential in
-/// a fixed datum/window order, so the result is bit-identical to the
-/// uncached reference for any thread count.
+/// Grouping decisions, group tables and masked GOMCDS placement all use
+/// the shared cost cache's prefix-sum range queries. The per-datum greedy
+/// decisions — pure functions of one datum's references and the dominant
+/// cost of the pipeline — fan out over `pool`; the placement replay is
+/// sequential in a fixed datum/window order, so the result is the same
+/// for any thread count.
 pub fn grouped_schedule_with_cached(
     trace: &WindowedTrace,
     spec: MemorySpec,
@@ -879,164 +694,6 @@ fn grouped_place_cached(
     Ok(Schedule::new(grid, centers))
 }
 
-/// Pre-cache reference implementation of [`grouped_schedule_with`] — every
-/// merged range re-walks the reference lists. Bit-identical; kept for the
-/// equivalence property tests and benches.
-pub fn grouped_schedule_with_uncached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-    decide: GroupMethod,
-    place: GroupMethod,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
-
-    let groupings: Vec<Vec<Range<usize>>> = (0..nd)
-        .map(|d| greedy_grouping_oracle(&grid, trace.refs(DataId(d as u32)), decide))
-        .collect();
-    let mut mems: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
-    let mut centers = vec![vec![ProcId(0); nw]; nd];
-
-    match place {
-        GroupMethod::LocalCenters => {
-            // Per-datum unconstrained group centers, used as anchors.
-            let desired: Vec<Vec<ProcId>> = (0..nd)
-                .map(|d| local_group_centers(&grid, trace.refs(DataId(d as u32)), &groupings[d]))
-                .collect();
-            // Map window → group index per datum.
-            let group_of: Vec<Vec<usize>> = groupings
-                .iter()
-                .map(|gs| {
-                    let mut v = vec![0usize; nw];
-                    for (gi, g) in gs.iter().enumerate() {
-                        for w in g.clone() {
-                            v[w] = gi;
-                        }
-                    }
-                    v
-                })
-                .collect();
-            for w in 0..nw {
-                for d in 0..nd {
-                    let gi = group_of[d][w];
-                    let g = &groupings[d][gi];
-                    if g.start != w {
-                        continue; // group already placed at its first window
-                    }
-                    let rs = trace.refs(DataId(d as u32));
-                    let merged = rs.merged_range(g.start, g.end);
-                    let anchor = if w == 0 {
-                        desired[d][gi]
-                    } else {
-                        centers[d][w - 1]
-                    };
-                    let mut table = Vec::new();
-                    let list = if merged.is_empty() {
-                        // preference order: nearest to the anchor
-                        let anchor_refs = WindowRefs::from_pairs([(anchor, 1)]);
-                        crate::cost::cost_table(&grid, &anchor_refs, &mut table);
-                        crate::capacity::ProcessorList::from_cost_table(&table)
-                    } else {
-                        crate::cost::cost_table(&grid, &merged, &mut table);
-                        crate::capacity::ProcessorList::from_cost_table(&table)
-                    };
-                    let chosen = list
-                        .iter()
-                        .map(|(p, _)| p)
-                        .find(|&p| g.clone().all(|wi| mems[wi].has_room(p)));
-                    match chosen {
-                        Some(p) => {
-                            for wi in g.clone() {
-                                mems[wi]
-                                    .allocate(p)
-                                    .map_err(|_| exhausted(DataId(d as u32), Some(wi)))?;
-                                centers[d][wi] = p;
-                            }
-                        }
-                        None => {
-                            // Memory too fragmented for the whole group to
-                            // share one processor (only possible with zero
-                            // slack): degrade to per-window placement along
-                            // the group's preference order. The group's
-                            // cost benefit is lost for this datum but the
-                            // schedule stays feasible.
-                            for wi in g.clone() {
-                                let p = list
-                                    .iter()
-                                    .map(|(p, _)| p)
-                                    .find(|&p| mems[wi].has_room(p))
-                                    .ok_or_else(|| exhausted(DataId(d as u32), Some(wi)))?;
-                                mems[wi]
-                                    .allocate(p)
-                                    .map_err(|_| exhausted(DataId(d as u32), Some(wi)))?;
-                                centers[d][wi] = p;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        GroupMethod::GomcdsCenters => {
-            // Whole-path allocation is greedy across every window at once,
-            // so processing order matters more than for the window-major
-            // schedulers; heaviest data first keeps the big reference
-            // volumes at their optimal centers and lets light data adapt
-            // (deterministic: ties broken by ascending id).
-            let mut order: Vec<usize> = (0..nd).collect();
-            order.sort_by_key(|&d| (u64::MAX - trace.refs(DataId(d as u32)).total_volume(), d));
-            for d in order {
-                let rs = trace.refs(DataId(d as u32));
-                let groups = &groupings[d];
-                let regrouped = rs.regrouped(groups);
-                // Build group-level masks: a group slot is full when any of
-                // its windows lacks room.
-                let group_mems: Vec<MemoryMap> = groups
-                    .iter()
-                    .map(|g| {
-                        let mut m = MemoryMap::new(&grid, spec);
-                        for p in grid.procs() {
-                            if !g.clone().all(|wi| mems[wi].has_room(p)) {
-                                // mark full by exhausting its capacity
-                                while m.allocate(p).is_ok() {}
-                            }
-                        }
-                        m
-                    })
-                    .collect();
-                match crate::gomcds::solve_masked_path(&grid, &regrouped, &group_mems) {
-                    Some(path) => {
-                        for (gi, g) in groups.iter().enumerate() {
-                            for wi in g.clone() {
-                                mems[wi]
-                                    .allocate(path[gi])
-                                    .map_err(|_| exhausted(DataId(d as u32), Some(wi)))?;
-                                centers[d][wi] = path[gi];
-                            }
-                        }
-                    }
-                    None => {
-                        // No processor is free across every window of some
-                        // group (zero-slack fragmentation): fall back to an
-                        // ungrouped masked path for this datum, which only
-                        // needs one free slot per individual window.
-                        let path = crate::gomcds::solve_masked_path(&grid, rs, &mems)
-                            .ok_or_else(|| exhausted(DataId(d as u32), None))?;
-                        for (wi, &p) in path.iter().enumerate() {
-                            mems[wi]
-                                .allocate(p)
-                                .map_err(|_| exhausted(DataId(d as u32), Some(wi)))?;
-                            centers[d][wi] = p;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(Schedule::new(grid, centers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1141,13 +798,13 @@ mod tests {
             .map(|i| WindowRefs::from_pairs([(if i % 2 == 0 { a } else { b }, 1)]))
             .collect();
         let trace = WindowedTrace::from_parts(grid, vec![windows]);
-        let unb = MemorySpec::unbounded();
-        let lom = crate::lomcds::lomcds_schedule(&trace, unb)
-            .evaluate(&trace)
-            .total();
-        let grouped = grouped_schedule(&trace, unb, GroupMethod::LocalCenters)
-            .evaluate(&trace)
-            .total();
+        let total = |m| {
+            crate::pipeline::schedule(m, &trace, crate::MemoryPolicy::Unbounded)
+                .evaluate(&trace)
+                .total()
+        };
+        let lom = total(crate::Method::Lomcds);
+        let grouped = total(crate::Method::GroupedLocal);
         assert!(grouped <= lom, "grouped {grouped} vs lomcds {lom}");
         // LOMCDS moves every window (7 moves); grouping should cut that.
         assert!(grouped < lom);
@@ -1165,8 +822,18 @@ mod tests {
             grid,
             vec![want(grid.proc_xy(1, 1)), want(grid.proc_xy(1, 1))],
         );
+        let cache = CostCache::build(&trace);
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let s = grouped_schedule(&trace, MemorySpec::uniform(1), method);
+            let s = grouped_schedule_with_cached(
+                &trace,
+                MemorySpec::uniform(1),
+                method,
+                method,
+                &cache,
+                Pool::serial(),
+                &mut Workspace::new(),
+            )
+            .unwrap();
             assert_eq!(s.max_occupancy(), 1, "{method:?}");
         }
     }

@@ -861,11 +861,17 @@ mod tests {
     ];
 
     /// From-scratch schedule of the engine's current trace, by the
-    /// pre-cache reference scheduler (an implementation independent of
-    /// the shared kernels and replays the engine drives).
+    /// matching `flat_*` driver (itself pinned to the `pim-reference`
+    /// oracles in `tests/cache_equivalence.rs`).
     fn scratch(run: &IncrementalRun) -> Schedule {
-        let trace = run.trace().materialize().to_windowed();
-        crate::pipeline::schedule_uncached(run.method(), &trace, run.policy())
+        let flat = run.trace().materialize();
+        type Driver = fn(&FlatTrace, MemoryPolicy, Pool) -> Result<Schedule, SchedError>;
+        let driver: Driver = match run.method() {
+            Method::Scds => crate::flat::flat_scds,
+            Method::Lomcds => crate::flat::flat_lomcds,
+            _ => crate::flat::flat_gomcds,
+        };
+        driver(&flat, run.policy(), Pool::serial()).unwrap()
     }
 
     fn assert_parity(run: &IncrementalRun, what: &str) {

@@ -258,7 +258,7 @@ pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCop
     let mut replicas: Vec<Vec<Vec<ProcId>>> = Vec::with_capacity(nd);
     for (_, rs) in trace.iter_data() {
         let path = if bounded {
-            crate::gomcds::solve_masked_path(&grid, rs, &mems)
+            crate::gomcds::solve_masked_path(&grid, rs, &mems, Solver::DistanceTransform)
                 .expect("every window retains a free slot")
         } else {
             gomcds_path(&grid, rs, Solver::DistanceTransform).0
@@ -297,7 +297,7 @@ pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCop
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gomcds::gomcds_schedule;
+    use crate::pipeline::{schedule, MemoryPolicy, Method};
     use crate::replicate::replicated_schedule;
 
     fn grid() -> Grid {
@@ -325,7 +325,9 @@ mod tests {
         assert_eq!(k1.max_copies(), 1);
         assert_eq!(
             k1.evaluate(&t).total(),
-            gomcds_schedule(&t, spec).evaluate(&t).total()
+            schedule(Method::Gomcds, &t, MemoryPolicy::Unbounded)
+                .evaluate(&t)
+                .total()
         );
     }
 

@@ -24,31 +24,14 @@
 
 use crate::cache::CostCache;
 use crate::capacity::ProcessorList;
-use crate::cost::{cost_table, optimal_center};
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::median::MedianState;
-use crate::pipeline::{MemoryPolicy, Method};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_trace::flat::{span_window_runs, FlatRef};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowedTrace};
-
-/// The unconstrained LOMCDS center sequence for one datum: the local
-/// optimal center of every window, with empty windows resolved by
-/// carry-forward (and backward fill for leading empties).
-pub fn lomcds_centers_unconstrained(grid: &Grid, rs: &DataRefString) -> Vec<ProcId> {
-    let nw = rs.num_windows();
-    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
-    for (w, refs) in rs.windows().enumerate() {
-        if !refs.is_empty() {
-            centers[w] = Some(optimal_center(grid, refs).0);
-        }
-    }
-    resolve_gaps(centers)
-}
 
 /// Fill `None` slots: carry the previous center forward; leading `None`s
 /// take the first known center; an all-`None` sequence defaults to `P0`.
@@ -67,10 +50,12 @@ pub(crate) fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
         .collect()
 }
 
-/// The LOMCDS row kernel: per-window incremental medians of one flat span
-/// with gap resolution — [`lomcds_centers_unconstrained`] without a cost
-/// table (the weighted median with smallest-coordinate tie-break is the
-/// table's lowest-id argmin, see [`crate::median`]).
+/// The LOMCDS row kernel: the unconstrained center sequence of one datum
+/// — every referenced window's local optimal center, computed as an
+/// incremental median of its flat span without a cost table (the weighted
+/// median with smallest-coordinate tie-break is the table's lowest-id
+/// argmin, see [`crate::median`]) — with empty windows resolved by
+/// carry-forward and leading empties backfilled.
 pub(crate) fn span_window_medians(
     grid: &Grid,
     span: &[FlatRef],
@@ -106,27 +91,6 @@ pub(crate) fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianS
         }
         None => ProcId(0),
     }
-}
-
-/// Compute the LOMCDS schedule under a memory capacity through the
-/// registry's cached path (one [`crate::Run`] under a uniform capacity of
-/// `spec.capacity_per_proc`).
-///
-/// Capacity conflicts are resolved per window in ascending datum order with
-/// the processor list: a referenced window falls back through ascending
-/// reference cost; an unreferenced window falls back through ascending
-/// distance from its anchor (previous actual center), keeping movement
-/// minimal.
-///
-/// # Panics
-/// Panics if the array's total memory cannot hold every datum. Use the
-/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
-pub fn lomcds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    crate::pipeline::schedule(
-        Method::Lomcds,
-        trace,
-        MemoryPolicy::Capacity(spec.capacity_per_proc),
-    )
 }
 
 /// LOMCDS's window-major capacity replay over any trace representation
@@ -195,48 +159,6 @@ pub(crate) fn replay(
     Ok((Schedule::new(grid, centers), spilled))
 }
 
-/// Pre-cache reference implementation of [`lomcds_schedule`] — walks every
-/// window's reference list directly. Bit-identical; kept for the
-/// equivalence property tests and benches.
-pub fn lomcds_schedule_uncached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-    ensure_feasible(&grid, spec, nd)?;
-
-    let desired: Vec<Vec<ProcId>> = (0..nd)
-        .map(|d| lomcds_centers_unconstrained(&grid, trace.refs(DataId(d as u32))))
-        .collect();
-
-    let mut centers = vec![vec![ProcId(0); nw]; nd];
-    let mut table = Vec::new();
-    for w in 0..nw {
-        let mut mem = MemoryMap::new(&grid, spec);
-        for d in 0..nd {
-            let refs = trace.refs(DataId(d as u32)).window(w);
-            let anchor = if w == 0 {
-                desired[d][0]
-            } else {
-                centers[d][w - 1]
-            };
-            let p = if refs.is_empty() {
-                nearest_free(&grid, anchor, &mut mem)
-                    .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?
-            } else {
-                cost_table(&grid, refs, &mut table);
-                ProcessorList::from_cost_table(&table)
-                    .assign(&mut mem)
-                    .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?
-            };
-            centers[d][w] = p;
-        }
-    }
-    Ok(Schedule::new(grid, centers))
-}
-
 /// Claim the free processor nearest to `anchor` (ties by ascending id);
 /// `None` when every processor is full.
 pub(crate) fn nearest_free(grid: &Grid, anchor: ProcId, mem: &mut MemoryMap) -> Option<ProcId> {
@@ -260,7 +182,8 @@ pub(crate) fn nearest_free(grid: &Grid, anchor: ProcId, mem: &mut MemoryMap) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_trace::window::WindowRefs;
+    use crate::pipeline::{schedule, MemoryPolicy, Method};
+    use pim_trace::window::{WindowRefs, WindowedTrace};
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -276,7 +199,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
         assert_eq!(s.center(DataId(0), 1), grid.proc_xy(3, 3));
         // ref cost 0, movement 6
@@ -297,7 +220,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 0), 1)]),
             ]],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         // leading empty anchors on first referenced center → no pre-move
         assert_eq!(cs[0], grid.proc_xy(2, 2));
@@ -316,7 +239,7 @@ mod tests {
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
         );
-        let s = lomcds_schedule(&trace, MemorySpec::uniform(1));
+        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
         // spill lands at distance 1
@@ -339,7 +262,7 @@ mod tests {
         let grid = g();
         let trace =
             WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]]);
-        let s = lomcds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.evaluate(&trace).total(), 0);
         assert!(!s.has_movement());
     }

@@ -106,7 +106,7 @@ pub fn online_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gomcds::gomcds_schedule;
+    use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
     use pim_trace::window::{WindowRefs, WindowedTrace};
 
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn online_never_beats_offline_gomcds() {
         let t = drifting_trace();
-        let offline = gomcds_schedule(&t, MemorySpec::unbounded())
+        let offline = schedule(Method::Gomcds, &t, MemoryPolicy::Unbounded)
             .evaluate(&t)
             .total();
         for threshold in [0.0, 0.5, 1.0, 4.0, 100.0] {

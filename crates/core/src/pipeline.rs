@@ -1,6 +1,6 @@
 //! One-call scheduling front end: the [`Run`] builder over the
-//! [`mod@crate::registry`] engine, plus two panicking one-liners
-//! ([`schedule`], [`schedule_uncached`]) for tests and table code.
+//! [`mod@crate::registry`] engine, plus one panicking one-liner
+//! ([`schedule`]) for tests and table code.
 //!
 //! All dispatch lives in the
 //! [`SchedulerRegistry`](crate::registry::SchedulerRegistry); the one
@@ -27,12 +27,10 @@
 //! scheduler it drives — `compare_methods` is just a `Run` looped over the
 //! registry's comparison set.
 
-use crate::baseline;
 use crate::context::{PrecedencePolicy, SchedContext};
 use crate::error::SchedError;
 use crate::registry::{registry, Scheduler};
 use crate::schedule::Schedule;
-use pim_array::layout::Layout;
 use pim_array::memory::MemorySpec;
 use pim_metrics::{Metrics, PoolUsage};
 use pim_par::Pool;
@@ -146,13 +144,13 @@ impl MemoryPolicy {
 /// Builder for scheduling runs: one trace, one execution configuration,
 /// any number of schedulers sharing the cache and workspace.
 ///
-/// Configuration happens by value (`policy` / `cached` / `parallel`); the
-/// [`SchedContext`] is built lazily on the first [`Run::run`] and reused —
-/// reconfiguring after that point rebuilds it on the next run.
+/// Configuration happens by value (`policy` / `parallel` / `dag` /
+/// `metrics`); the [`SchedContext`] is built lazily on the first
+/// [`Run::run`] and reused — reconfiguring after that point rebuilds it on
+/// the next run.
 pub struct Run<'t> {
     trace: &'t WindowedTrace,
     policy: MemoryPolicy,
-    cached: bool,
     pool: Option<Pool>,
     metrics: Metrics,
     precedence: PrecedencePolicy<'t>,
@@ -160,12 +158,11 @@ pub struct Run<'t> {
 }
 
 impl<'t> Run<'t> {
-    /// A cached, sequential, unbounded run over `trace`.
+    /// A sequential, unbounded run over `trace`.
     pub fn new(trace: &'t WindowedTrace) -> Self {
         Run {
             trace,
             policy: MemoryPolicy::Unbounded,
-            cached: true,
             pool: None,
             metrics: Metrics::disabled(),
             precedence: PrecedencePolicy::None,
@@ -180,21 +177,10 @@ impl<'t> Run<'t> {
         self
     }
 
-    /// Serve cost tables from a prebuilt [`crate::CostCache`] (default `true`).
-    /// `cached(false)` drives the pre-cache reference implementations —
-    /// the bit-identity oracles the conformance suite compares against.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.cached = cached;
-        self.ctx = None;
-        self
-    }
-
-    /// Attach a worker pool for per-datum parallelism. Takes effect for
-    /// cached runs under any memory policy (see
-    /// [`SchedContext::parallel_pool`]): unconstrained runs parallelize
-    /// outright, bounded runs use the deterministic two-phase scheme.
-    /// Output is bit-identical to the sequential run either way. Uncached
-    /// runs ignore the pool (they reproduce the seed implementations).
+    /// Attach a worker pool for per-datum parallelism. Takes effect under
+    /// any memory policy (see [`SchedContext::pool`]): unconstrained runs
+    /// parallelize outright, bounded runs use the deterministic two-phase
+    /// scheme. Output is bit-identical to the sequential run either way.
     pub fn parallel(mut self, pool: Pool) -> Self {
         self.pool = Some(pool);
         self.ctx = None;
@@ -226,12 +212,7 @@ impl<'t> Run<'t> {
     /// The context this run drives schedulers with (built on first use).
     pub fn context(&mut self) -> &mut SchedContext<'t> {
         if self.ctx.is_none() {
-            let base = if self.cached {
-                SchedContext::new(self.trace, self.policy)
-            } else {
-                SchedContext::uncached(self.trace, self.policy)
-            };
-            let base = base
+            let base = SchedContext::new(self.trace, self.policy)
                 .with_metrics(self.metrics.clone())
                 .with_precedence(self.precedence);
             self.ctx = Some(match self.pool {
@@ -287,28 +268,15 @@ impl<'t> Run<'t> {
 
 /// Run one scheduling method over a trace.
 ///
-/// Compatibility shim over [`Run`] — prefer
-/// `Run::new(trace).policy(policy).run_method(method)` for a typed
-/// [`SchedError`] instead of the panic below.
+/// The crate's one panicking convenience over [`Run`], for tests and table
+/// code — prefer `Run::new(trace).policy(policy).run_method(method)` for a
+/// typed [`SchedError`] instead of the panic below.
 ///
 /// # Panics
 /// Panics when the memory policy cannot hold the working set.
 pub fn schedule(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
     Run::new(trace)
         .policy(policy)
-        .run_method(method)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Pre-cache reference dispatch: every method re-walks reference strings as
-/// the seed implementation did. Bit-identical to [`schedule`]; kept for the
-/// equivalence property tests and the `cached_vs_uncached` bench.
-///
-/// Compatibility shim — prefer `Run::new(trace).cached(false)`.
-pub fn schedule_uncached(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
-    Run::new(trace)
-        .policy(policy)
-        .cached(false)
         .run_method(method)
         .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -326,45 +294,6 @@ pub fn compare_methods(trace: &WindowedTrace, policy: MemoryPolicy) -> Vec<(&'st
             (s.name(), sched.evaluate(trace).total())
         })
         .collect()
-}
-
-/// Comparison of a scheduler set (and the straight-forward baseline) on
-/// one trace — the row format of the paper's tables.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// Straight-forward (row-wise) baseline total cost.
-    pub straightforward: u64,
-    /// `(scheduler name, total cost, % improvement over straightforward)`.
-    pub rows: Vec<(&'static str, u64, f64)>,
-}
-
-/// Run the paper's comparison: straight-forward baseline vs a set of
-/// registered schedulers (resolve names with
-/// [`crate::registry::schedulers`]). `rows`/`cols` describe the data array
-/// shape for the baseline.
-pub fn compare(
-    trace: &WindowedTrace,
-    rows: u32,
-    cols: u32,
-    schedulers: &[&dyn Scheduler],
-    policy: MemoryPolicy,
-) -> Comparison {
-    let sf = baseline::layout_schedule(trace, rows, cols, Layout::RowWise)
-        .evaluate(trace)
-        .total();
-    let mut run = Run::new(trace).policy(policy);
-    let out_rows = schedulers
-        .iter()
-        .map(|&s| {
-            let sched = run.run(s).unwrap_or_else(|e| panic!("{e}"));
-            let cost = sched.evaluate(trace).total();
-            (s.name(), cost, crate::schedule::improvement_pct(sf, cost))
-        })
-        .collect();
-    Comparison {
-        straightforward: sf,
-        rows: out_rows,
-    }
 }
 
 #[cfg(test)]
@@ -414,14 +343,11 @@ mod tests {
     #[test]
     fn method_ordering_gomcds_best() {
         let trace = sample_trace();
-        let c = compare(
-            &trace,
-            1,
-            2,
-            &schedulers(&["SCDS", "LOMCDS", "GOMCDS"]),
-            MemoryPolicy::Unbounded,
-        );
-        let costs: Vec<u64> = c.rows.iter().map(|r| r.1).collect();
+        let mut run = Run::new(&trace);
+        let costs: Vec<u64> = schedulers(&["SCDS", "LOMCDS", "GOMCDS"])
+            .into_iter()
+            .map(|s| run.run(s).unwrap().evaluate(&trace).total())
+            .collect();
         assert!(costs[2] <= costs[1], "GOMCDS ≤ LOMCDS");
         assert!(costs[2] <= costs[0], "GOMCDS ≤ SCDS");
     }

@@ -146,7 +146,7 @@ pub fn estimate_completion(trace: &WindowedTrace, schedule: &Schedule, dag: &Tas
 /// The precedence-aware placement itself: weighted per-datum paths (the
 /// GOMCDS kernel over priority-weighted node costs), capacity replayed by
 /// the GOMCDS replay in task-priority order. Deliberately one sequential,
-/// raw-reference-string code path — cached/uncached/parallel contexts all
+/// raw-reference-string code path — sequential and parallel contexts both
 /// land here, so the with-DAG output is bit-identical across execution
 /// modes by construction.
 fn precedence_schedule(
@@ -380,9 +380,10 @@ mod tests {
             &mut ws,
         )
         .unwrap();
-        // Independent oracle: brute-force enumeration of every sequence
-        // (lexicographically smallest minimizer = the DP's lowest-id ties).
-        let plain = crate::exhaustive::optimal_path_exhaustive(&grid, &rs);
+        // Unit weights leave every node cost unchanged, so the weighted
+        // solve is plain GOMCDS (itself pinned to brute-force enumeration
+        // in tests/theory_exhaustive.rs).
+        let plain = crate::gomcds::gomcds_path(&grid, &rs, Solver::DistanceTransform);
         assert_eq!(weighted, plain);
     }
 

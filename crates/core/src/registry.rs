@@ -27,9 +27,9 @@
 //! the simulator (`pim_sim::simulate_named`) and the bench sweeps all pick
 //! it up through the registry — there is no other dispatch path.
 //!
-//! This module is the **only** place allowed to match on
-//! [`Method`](crate::pipeline::Method): the enum survives for backwards
-//! compatibility and maps 1:1 onto registered names.
+//! [`Method`](crate::pipeline::Method) is the closed enum of the paper's
+//! methods and maps 1:1 onto registered names: `Method::name` is the only
+//! label table, and every registered strategy reports that label.
 
 use crate::context::SchedContext;
 use crate::error::{ensure_feasible, SchedError};
@@ -43,12 +43,11 @@ use std::sync::OnceLock;
 
 /// A pluggable scheduling strategy.
 ///
-/// Implementations read the execution mode off the context: serve cost
-/// tables from [`SchedContext::cache_and_ws`] when a cache is present,
-/// fall back to the raw reference strings when it is not, and use
-/// [`SchedContext::parallel_pool`] for per-datum parallelism when it
-/// returns a pool. All modes must be bit-identical (property-tested for
-/// every registered strategy in `tests/cache_equivalence.rs`).
+/// Implementations serve cost tables from [`SchedContext::cache_and_ws`]
+/// and use [`SchedContext::pool`] for per-datum parallelism when it
+/// returns a pool. The sequential and parallel runs must be bit-identical
+/// (property-tested for every registered strategy in
+/// `tests/cache_equivalence.rs`).
 pub trait Scheduler: Send + Sync {
     /// Stable registry name (also the table/display label). Lookup is
     /// case-insensitive.
@@ -79,7 +78,7 @@ pub trait Scheduler: Send + Sync {
         true
     }
 
-    /// Whether this strategy exploits [`SchedContext::parallel_pool`]:
+    /// Whether this strategy exploits [`SchedContext::pool`]:
     /// per-datum fan-out when the policy is unbounded, the two-phase
     /// compute-then-replay scheme when capacity is bounded. Strategies
     /// that ignore the pool (inherently sequential streaming policies,
@@ -117,9 +116,9 @@ pub trait Scheduler: Send + Sync {
 // ---------------------------------------------------------------------------
 
 /// The pool the drivers fan per-datum kernels out over: the context's
-/// parallel pool, else an inline one-thread pool (no phase-1 fan-out).
+/// pool, else an inline one-thread pool (no phase-1 fan-out).
 fn driver_pool(ctx: &SchedContext) -> Pool {
-    ctx.parallel_pool().unwrap_or_else(Pool::serial)
+    ctx.pool().unwrap_or_else(Pool::serial)
 }
 
 /// Algorithm 1: one center per datum for the whole execution.
@@ -149,9 +148,6 @@ impl Scheduler for ScdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        if ctx.cache().is_none() {
-            return crate::scds::scds_schedule_uncached(trace, spec);
-        }
         let pool = driver_pool(ctx);
         let (flat, _, ws) = ctx.flat_cache_ws(trace);
         crate::flat::scds_on(flat, spec, pool, &ws.metrics)
@@ -185,12 +181,9 @@ impl Scheduler for LomcdsScheduler {
         trace: &WindowedTrace,
     ) -> Result<Schedule, SchedError> {
         let spec = ctx.spec();
-        if ctx.cache().is_none() {
-            return crate::lomcds::lomcds_schedule_uncached(trace, spec);
-        }
         let pool = driver_pool(ctx);
         let (flat, cache, ws) = ctx.flat_cache_ws(trace);
-        crate::flat::lomcds_on(flat, spec, pool, cache, ws)
+        crate::flat::lomcds_on(flat, spec, pool, Some(cache), ws)
     }
 }
 
@@ -257,12 +250,8 @@ impl Scheduler for GomcdsScheduler {
         let spec = ctx.spec();
         let pool = driver_pool(ctx);
         let (grid, nw) = (trace.grid(), trace.num_windows());
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => {
-                crate::flat::gomcds_on(cache, grid, nw, spec, self.solver, pool, ws)
-            }
-            (None, _) => crate::gomcds::gomcds_schedule_with_uncached(trace, spec, self.solver),
-        }
+        let (cache, ws) = ctx.cache_and_ws();
+        crate::flat::gomcds_on(cache, grid, nw, spec, self.solver, pool, ws)
     }
 }
 
@@ -298,14 +287,10 @@ impl Scheduler for GroupedScheduler {
         let spec = ctx.spec();
         let pool = driver_pool(ctx);
         let decide = GroupMethod::LocalCenters;
-        match ctx.cache_and_ws() {
-            (Some(cache), ws) => crate::grouping::grouped_schedule_with_cached(
-                trace, spec, decide, self.place, cache, pool, ws,
-            ),
-            (None, _) => {
-                crate::grouping::grouped_schedule_with_uncached(trace, spec, decide, self.place)
-            }
-        }
+        let (cache, ws) = ctx.cache_and_ws();
+        crate::grouping::grouped_schedule_with_cached(
+            trace, spec, decide, self.place, cache, pool, ws,
+        )
     }
 }
 
@@ -357,7 +342,7 @@ impl Scheduler for BaselineScheduler {
         ensure_feasible(&ctx.grid(), ctx.spec(), trace.num_data())?;
         let nd = trace.num_data() as u32;
         let rows = (nd as f64).sqrt().floor().max(1.0) as u32;
-        let cols = (nd / rows).max(1);
+        let cols = nd / rows;
         Ok(crate::baseline::layout_schedule(
             trace,
             rows,

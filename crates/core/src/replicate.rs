@@ -23,7 +23,7 @@
 //! reductions. The datum keeps the secondary only where it pays for
 //! itself, so the result is never worse than single-copy GOMCDS (tested).
 
-use crate::cost::cost_at;
+use crate::cost::{cost_at, path_cost};
 use crate::gomcds::{gomcds_path, Solver};
 use crate::schedule::CostBreakdown;
 use pim_array::grid::{Grid, ProcId};
@@ -276,7 +276,7 @@ pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Replicate
     let mut replicas = Vec::with_capacity(nd);
     for (d, rs) in trace.iter_data() {
         let primary = &primaries[d.index()];
-        let single_cost = crate::exhaustive::path_cost(&grid, rs, primary);
+        let single_cost = path_cost(&grid, rs, primary);
         let (secondary, dual_cost) =
             secondary_dp(&grid, rs, primary, bounded.then_some(mems.as_slice()));
         let seq: Vec<(ProcId, Option<ProcId>)> = if dual_cost < single_cost {
@@ -305,7 +305,7 @@ pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Replicate
 /// Masked single-copy fallback used when the unconstrained primary path
 /// collides with occupancy.
 fn resolve_masked(grid: &Grid, rs: &DataRefString, mems: &[MemoryMap]) -> Vec<ProcId> {
-    crate::gomcds::solve_masked_path(grid, rs, mems)
+    crate::gomcds::solve_masked_path(grid, rs, mems, Solver::DistanceTransform)
         .expect("every window retains a free slot for the primary")
 }
 
@@ -316,6 +316,12 @@ mod tests {
 
     fn grid() -> Grid {
         Grid::new(4, 4)
+    }
+
+    /// Total cost of the single-copy GOMCDS schedule, unbounded memory.
+    fn gomcds_total(trace: &WindowedTrace) -> u64 {
+        let gomcds = crate::schedule(crate::Method::Gomcds, trace, crate::MemoryPolicy::Unbounded);
+        gomcds.evaluate(trace).total()
     }
 
     /// Two distant clusters hammer the same datum every window — the case
@@ -329,9 +335,7 @@ mod tests {
     #[test]
     fn replication_wins_on_twin_hotspots() {
         let trace = twin_hotspot_trace();
-        let single = crate::gomcds::gomcds_schedule(&trace, MemorySpec::unbounded())
-            .evaluate(&trace)
-            .total();
+        let single = gomcds_total(&trace);
         let repl = replicated_schedule(&trace, MemorySpec::unbounded());
         let dual = repl.evaluate(&trace).total();
         assert!(
@@ -358,9 +362,7 @@ mod tests {
             WindowedTrace::from_parts(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]),
         ];
         for trace in traces {
-            let single = crate::gomcds::gomcds_schedule(&trace, MemorySpec::unbounded())
-                .evaluate(&trace)
-                .total();
+            let single = gomcds_total(&trace);
             let dual = replicated_schedule(&trace, MemorySpec::unbounded())
                 .evaluate(&trace)
                 .total();

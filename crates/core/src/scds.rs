@@ -14,32 +14,14 @@
 //! [`crate::incremental::IncrementalRun`] are drivers around these two.
 
 use crate::capacity::ProcessorList;
-use crate::cost::{cost_table, AxisScratch};
-use crate::error::{ensure_feasible, exhausted, SchedError};
+use crate::cost::AxisScratch;
+use crate::error::{exhausted, SchedError};
 use crate::median::MedianState;
-use crate::pipeline::{MemoryPolicy, Method};
-use crate::schedule::Schedule;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_metrics::Metrics;
 use pim_trace::flat::FlatRef;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
-
-/// Compute the SCDS schedule through the registry's cached path (one
-/// [`crate::Run`] under a uniform capacity of `spec.capacity_per_proc`).
-///
-/// # Panics
-/// Panics if the total memory of the array cannot hold one copy of every
-/// datum (`spec.capacity_per_proc × num_procs < num_data`). Use the
-/// [`crate::Run`] pipeline for a typed [`SchedError`] instead.
-pub fn scds_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Schedule {
-    crate::pipeline::schedule(
-        Method::Scds,
-        trace,
-        MemoryPolicy::Capacity(spec.capacity_per_proc),
-    )
-}
 
 /// The SCDS kernel: the merged-window weighted median of one datum's
 /// span — the lowest-id argmin of its merged cost table, so the head of
@@ -108,35 +90,10 @@ impl ScdsReplay {
     }
 }
 
-/// Pre-cache reference implementation (merges each reference string and
-/// runs [`cost_table`] directly). Bit-identical to [`scds_schedule`];
-/// kept for the equivalence property tests and benches.
-pub fn scds_schedule_uncached(
-    trace: &WindowedTrace,
-    spec: MemorySpec,
-) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    ensure_feasible(&grid, spec, trace.num_data())?;
-    let mut mem = MemoryMap::new(&grid, spec);
-    let mut table = Vec::new();
-    let mut placement = Vec::with_capacity(trace.num_data());
-    for (d, rs) in trace.iter_data() {
-        let merged = rs.merged_all();
-        cost_table(&grid, &merged, &mut table);
-        let list = ProcessorList::from_cost_table(&table);
-        let p = list.assign(&mut mem).ok_or_else(|| exhausted(d, None))?;
-        placement.push(p);
-    }
-    Ok(Schedule::static_placement(
-        grid,
-        placement,
-        trace.num_windows(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
     use pim_trace::ids::DataId;
     use pim_trace::window::{WindowRefs, WindowedTrace};
@@ -156,7 +113,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
         );
-        let s = scds_schedule(&trace, MemorySpec::unbounded());
+        let s = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
         assert_eq!(s.center(DataId(0), 1), grid.proc_xy(0, 0));
         assert!(!s.has_movement());
@@ -169,7 +126,7 @@ mod tests {
         // two data both want (1,1)
         let refs = || vec![WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)])];
         let trace = WindowedTrace::from_parts(grid, vec![refs(), refs()]);
-        let s = scds_schedule(&trace, MemorySpec::uniform(1));
+        let s = schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(1, 1));
         // datum 1 spills to the distance-1 neighbour with lowest id: (1,0)
         assert_eq!(s.center(DataId(1), 0), grid.proc_xy(1, 0));
@@ -181,7 +138,7 @@ mod tests {
         let grid = g();
         let trace =
             WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()], vec![WindowRefs::new()]]);
-        let s = scds_schedule(&trace, MemorySpec::uniform(1));
+        let s = schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
         // zero cost everywhere → list sorted by id → data scatter over
         // lowest-id processors
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
@@ -194,7 +151,7 @@ mod tests {
     fn infeasible_capacity_panics() {
         let grid = Grid::new(2, 1);
         let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 3]);
-        scds_schedule(&trace, MemorySpec::uniform(1));
+        schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
     }
 
     #[test]

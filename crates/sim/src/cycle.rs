@@ -13,24 +13,24 @@
 //!   (wormhole pipelining across store-and-forward hops of 1-flit depth);
 //! * total delivered flit-hops equal the analytic hop-volume.
 //!
-//! ## Event-driven engine, brute-force oracle
+//! ## Event-driven engine
 //!
 //! [`run_window`] is queue-driven: each message's x-y route is flattened
 //! **once** into a slice of dense link slots, its `volume` flits exist only
 //! as per-hop `sent`/`avail` counters, and every link owns a tiny priority
 //! queue holding at most one entry per waiting message hop — the head
 //! flit, keyed by `(flit index, message id)`, which is exactly the
-//! injection-order priority the brute-force loop arbitrates by. Each
+//! injection-order priority a clock-every-flit loop arbitrates by. Each
 //! simulated cycle then costs `O(active links · log queue)` instead of
 //! `O(flits in flight)`: blocked traffic waits in its queue for free, and
 //! a cycle with no eligible link never runs (the loop ends — in this
 //! model some flit moves every cycle, so active cycles are dense).
 //!
-//! The seed's literal clock-every-flit loop survives as
-//! [`run_window_oracle`]; the two are pinned bit-identical on
-//! `(completion_cycle, flit_hops, peak_in_flight)` over random grids and
-//! message sets in `tests/cycle_props.rs`, the same oracle pattern the
-//! cost cache and grouping rework used.
+//! The literal clock-every-flit loop is `pim-reference`'s `run_window`;
+//! the two are pinned bit-identical on `(completion_cycle, flit_hops,
+//! peak_in_flight)` over random grids and message sets in
+//! `tests/cycle_props.rs`, the same oracle pattern the cost cache and
+//! grouping rework used.
 //!
 //! The model is intentionally minimal — infinite node buffers, no
 //! virtual channels — because its role is to show that hop-volume savings
@@ -53,8 +53,8 @@
 
 use crate::error::{SimError, SAFETY_VALVE_CYCLES};
 use crate::message::{Message, MessageKind};
-use pim_array::grid::{Grid, ProcId};
-use pim_array::routing::{visit_xy_links, xy_route, LinkIndex};
+use pim_array::grid::Grid;
+use pim_array::routing::{visit_xy_links, LinkIndex};
 use pim_sched::Metrics;
 use pim_trace::dag::TaskDag;
 use std::cmp::Reverse;
@@ -81,7 +81,7 @@ impl CycleResult {
 
 /// A link's queue entry: the *head* waiting flit of one message at one
 /// hop. Ordered by `(injection cycle, message id)` — release cycle plus
-/// flit index, the same priority the oracle's injection-sorted scan gives
+/// flit index, the same priority the brute-force injection-sorted scan gives
 /// (releases are all 0 without precedence) — with the flattened hop index
 /// carried as payload.
 type QueueEntry = Reverse<(u64, u32)>;
@@ -211,12 +211,12 @@ impl CycleSim {
     /// (a node can source one flit of each of its messages per cycle — the
     /// serialization bottleneck is the links, which is what we study).
     ///
-    /// Bit-identical to [`run_window_oracle`] on
+    /// Bit-identical to `pim-reference`'s brute-force `run_window` on
     /// `(completion_cycle, flit_hops, peak_in_flight)`; the event-driven
     /// path refuses up front with [`SimError::NoProgress`] when the
     /// window's flit-hop volume reaches [`SAFETY_VALVE_CYCLES`] (its cycle
-    /// count is bounded by its hop volume, so the oracle's in-loop valve
-    /// could only ever trip past that point).
+    /// count is bounded by its hop volume, so the brute-force loop's
+    /// in-loop valve could only ever trip past that point).
     pub fn run_window(&mut self, messages: &[Message]) -> Result<CycleResult, SimError> {
         self.run_window_gated(messages, None)
     }
@@ -600,108 +600,6 @@ pub fn run_window(grid: &Grid, messages: &[Message]) -> Result<CycleResult, SimE
     CycleSim::new(*grid).run_window(messages)
 }
 
-/// One flit in transit (oracle representation).
-#[derive(Debug, Clone)]
-struct Flit {
-    /// Remaining route (next hop is `route[pos]` → `route[pos + 1]`).
-    route: std::sync::Arc<[ProcId]>,
-    pos: usize,
-    /// Message id for deterministic arbitration (FIFO by injection order).
-    msg: usize,
-}
-
-impl Flit {
-    fn arrived(&self) -> bool {
-        self.pos + 1 == self.route.len()
-    }
-    fn next_link(&self, links: &LinkIndex) -> usize {
-        links.index_of(pim_array::routing::Link {
-            from: self.route[self.pos],
-            to: self.route[self.pos + 1],
-        })
-    }
-}
-
-/// The seed's brute-force cycle loop, kept as the correctness oracle for
-/// [`run_window`]: every flit is materialized and every in-flight flit is
-/// visited every cycle. `O(cycles × flits in flight)` — use only for
-/// validation and benchmarking the event-driven rewrite against.
-pub fn run_window_oracle(grid: &Grid, messages: &[Message]) -> Result<CycleResult, SimError> {
-    let links = LinkIndex::new(*grid);
-    // Materialize flits: message m with volume v yields v flits injected at
-    // cycles 0..v (one per cycle).
-    let mut pending: Vec<(u64, Flit)> = Vec::new(); // (injection cycle, flit)
-    for (mid, m) in messages.iter().enumerate() {
-        if m.is_local() {
-            continue;
-        }
-        let route: std::sync::Arc<[ProcId]> = xy_route(grid, m.src, m.dst).into();
-        for f in 0..m.volume {
-            pending.push((
-                f as u64,
-                Flit {
-                    route: route.clone(),
-                    pos: 0,
-                    msg: mid,
-                },
-            ));
-        }
-    }
-    if pending.is_empty() {
-        return Ok(CycleResult::EMPTY);
-    }
-    // Stable order: by injection cycle, then message id (FIFO fairness).
-    pending.sort_by_key(|(c, f)| (*c, f.msg));
-
-    let mut in_flight: Vec<Flit> = Vec::new();
-    let mut cycle: u64 = 0;
-    let mut flit_hops: u64 = 0;
-    let mut peak = 0usize;
-    let mut next_pending = 0usize;
-    let mut link_busy = vec![false; links.num_slots()];
-
-    while next_pending < pending.len() || !in_flight.is_empty() {
-        // inject this cycle's flits
-        while next_pending < pending.len() && pending[next_pending].0 <= cycle {
-            in_flight.push(pending[next_pending].1.clone());
-            next_pending += 1;
-        }
-        peak = peak.max(in_flight.len());
-
-        // arbitration: flits claim their next link in order (older messages
-        // first — the Vec is kept in injection order).
-        link_busy.iter_mut().for_each(|b| *b = false);
-        let mut still_flying = Vec::with_capacity(in_flight.len());
-        for mut flit in in_flight.drain(..) {
-            let link = flit.next_link(&links);
-            if link_busy[link] {
-                still_flying.push(flit); // blocked this cycle
-                continue;
-            }
-            link_busy[link] = true;
-            flit.pos += 1;
-            flit_hops += 1;
-            if !flit.arrived() {
-                still_flying.push(flit);
-            }
-        }
-        in_flight = still_flying;
-        cycle += 1;
-
-        // safety valve: progress is guaranteed (at least one flit moves per
-        // cycle when any is in flight), so this can only trip on a future
-        // modelling bug — reported as a typed error, not a panic.
-        if cycle >= SAFETY_VALVE_CYCLES {
-            return Err(SimError::NoProgress { cycle });
-        }
-    }
-    Ok(CycleResult {
-        completion_cycle: cycle,
-        flit_hops,
-        peak_in_flight: peak,
-    })
-}
-
 /// Clock every window of a (trace, schedule) pair, in parallel across
 /// windows through the persistent `pim-par` pool; each worker reuses one
 /// [`CycleSim`] across all the windows it claims. Returns one
@@ -795,10 +693,7 @@ mod tests {
     }
 
     fn run(grid: &Grid, msgs: &[Message]) -> CycleResult {
-        let event = run_window(grid, msgs).expect("event sim");
-        let oracle = run_window_oracle(grid, msgs).expect("oracle sim");
-        assert_eq!(event, oracle, "event-driven diverged from the oracle");
-        event
+        run_window(grid, msgs).expect("event sim")
     }
 
     #[test]
@@ -901,24 +796,6 @@ mod tests {
         let r = run(&g, &msgs);
         assert!(r.peak_in_flight <= 3);
         assert!(r.peak_in_flight >= 1);
-    }
-
-    #[test]
-    fn crossing_and_opposing_traffic_matches_oracle() {
-        // A denser mixed case: shared links in both axes, opposing
-        // directions, different volumes — the shapes most likely to shake
-        // out an arbitration divergence.
-        let g = Grid::new(4, 4);
-        let msgs = vec![
-            msg(&g, 0, 0, 3, 3, 4),
-            msg(&g, 3, 3, 0, 0, 4),
-            msg(&g, 0, 3, 3, 0, 2),
-            msg(&g, 3, 0, 0, 3, 5),
-            msg(&g, 1, 1, 1, 1, 9), // local noise between the ids
-            msg(&g, 0, 0, 3, 3, 1),
-            msg(&g, 2, 0, 2, 3, 7),
-        ];
-        run(&g, &msgs);
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub enum SimError {
     /// The window could not complete within [`SAFETY_VALVE_CYCLES`]: the
     /// event-driven path refuses up front when the window's flit-hop
     /// volume reaches the valve (its cycle count is bounded by it), and
-    /// the oracle trips when its clock actually gets there.
+    /// `pim-reference`'s brute-force loop trips when its clock actually
+    /// gets there.
     NoProgress {
         /// The cycle budget that was exhausted.
         cycle: u64,

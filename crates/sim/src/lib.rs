@@ -14,16 +14,17 @@
 //!   windows;
 //! * cycle-accurate completion under link contention ([`cycle`]): an
 //!   event-driven per-link-queue simulator, validated bit-identically
-//!   against the brute-force oracle it replaced — optionally gated by a
-//!   task DAG ([`simulate_cycles_dag`]) so a task's traffic enters the
-//!   network only when its intra-window predecessors have delivered.
+//!   against the brute-force loop it replaced (kept in `pim-reference`) —
+//!   optionally gated by a task DAG ([`simulate_cycles_dag`]) so a task's
+//!   traffic enters the network only when its intra-window predecessors
+//!   have delivered.
 //!
 //! ## Modules
 //!
 //! * [`message`] — the transfer unit (fetches and moves).
 //! * [`engine`] — trace + schedule → messages → routed statistics.
 //! * [`contention`] — completion-time estimates per window.
-//! * [`cycle`] — event-driven cycle-level simulation (plus its oracle).
+//! * [`cycle`] — event-driven cycle-level simulation.
 //! * [`error`] — typed simulation failures ([`SimError`], [`RunError`]).
 //! * [`report`] — aggregated results with human-readable rendering.
 //! * [`run_report`] — analytic + routed + cycle + metrics in one record.

@@ -42,7 +42,19 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo doc --no-deps (first-party, -D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p pim-array -p pim-trace -p pim-par -p pim-workloads \
-  -p pim-sched -p pim-sim -p pim-serve -p pim-cli -p pim-bench
+  -p pim-sched -p pim-sim -p pim-serve -p pim-cli -p pim-bench \
+  -p pim-reference
+
+# The frozen oracles stay out of production code: besides pim-reference
+# itself, only pim-bench (parity checks and oracle timings) and its
+# dependent pim-cli may link it as a normal dependency.
+echo "== pim-reference boundary =="
+reference_users="$(cargo tree -q -e normal -i pim-reference --prefix none \
+  | awk '{print $1}' | sort -u \
+  | grep -vxE 'pim-reference|pim-bench|pim-cli' || true)"
+[ -z "$reference_users" ] \
+  || { echo "pim-reference linked by: $reference_users"; exit 1; }
+echo "pim-reference linked only by pim-bench and pim-cli"
 
 # Metrics export smoke: `--metrics` must emit JSON that parses and
 # carries the three RunReport sections. Falls back to grep when no
@@ -125,9 +137,9 @@ fi
 
 # Scale-pipeline smoke: regenerate one small big-instance row (16×16,
 # 50k data) and validate the BENCH_scale.json shape. Cost parity with the
-# reference oracle (the uncached schedulers) is asserted inside scale_row
-# itself — the binary exits non-zero on divergence; here we additionally
-# check the speedup column made it into the JSON.
+# reference oracle (`pim_reference::schedule`) is asserted inside
+# scale_row itself — the binary exits non-zero on divergence; here we
+# additionally check the speedup column made it into the JSON.
 echo "== scale pipeline smoke (16x16 x 50k) =="
 ./target/release/report_scale --smoke --out "$metrics_tmp/scale_smoke.json"
 if command -v python3 >/dev/null 2>&1; then

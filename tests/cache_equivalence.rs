@@ -3,23 +3,22 @@
 //! The shared cost-table cache ([`pim_sched::CostCache`]), the reusable
 //! [`pim_sched::Workspace`], and the persistent `pim-par` worker pool are
 //! pure performance work: every schedule they produce must be *bit
-//! identical* to the pre-cache reference implementations (`*_uncached`)
-//! across random traces, degenerate and non-square grids, and every memory
-//! policy. These properties are what licenses deleting nothing: the old
-//! code survives as the oracle.
+//! identical* to the pre-cache reference implementations
+//! ([`pim_reference::schedule`]) across random traces, degenerate and
+//! non-square grids, and every memory policy. The old code survives, out
+//! of the library, as the oracle.
 //!
 //! Since the `Scheduler`-trait refactor this doubles as the registry-wide
 //! conformance suite: `registry_conformance_across_wrappers` drives every
 //! *registered* strategy — including `baseline`/`online`/`kcopy`/
-//! `replicate`, which have no `Method` variant — through the cached,
-//! uncached, and parallel execution wrappers of [`pim_sched::Run`] and
-//! requires all three to agree exactly. The same discipline covers the
-//! observability layer: `metrics_never_change_a_schedule_bit` proves that
-//! attaching an enabled [`pim_sched::Metrics`] sink is pure observation.
+//! `replicate`, which have no `Method` variant — through the sequential
+//! and parallel execution wrappers of [`pim_sched::Run`] and requires the
+//! two to agree exactly. The same discipline covers the observability
+//! layer: `metrics_never_change_a_schedule_bit` proves that attaching an
+//! enabled [`pim_sched::Metrics`] sink is pure observation.
 
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
-use pim_sched::pipeline::schedule_uncached;
 use pim_sched::{
     flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, CostCache, MemoryPolicy,
     Method, Run, SchedContext,
@@ -58,6 +57,93 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
     })
 }
 
+/// Three data over three windows on a 4×4 grid: two referenced data with
+/// an interior empty window, and one never-referenced datum.
+fn sample_trace() -> WindowedTrace {
+    let grid = Grid::new(4, 4);
+    WindowedTrace::from_parts(
+        grid,
+        vec![
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(1, 0), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 3), 4)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 2), 2)]),
+            ],
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 1)]),
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
+            ],
+            vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
+        ],
+    )
+}
+
+/// The flat drivers, on one and two threads, equal the pre-cache
+/// reference schedulers on a fixed trace under every policy shape.
+#[test]
+fn flat_paths_match_classic_schedulers() {
+    let trace = sample_trace();
+    let flat = FlatTrace::from_trace(&trace);
+    for (pool, policy) in [
+        (Pool::with_threads(2), MemoryPolicy::Unbounded),
+        (
+            Pool::with_threads(2),
+            MemoryPolicy::ScaledMinimum { factor: 2 },
+        ),
+        (Pool::with_threads(2), MemoryPolicy::Capacity(1)),
+        (Pool::serial(), MemoryPolicy::Capacity(1)),
+    ] {
+        for (method, fast) in [
+            (
+                Method::Scds,
+                flat_scds as fn(&FlatTrace, MemoryPolicy, Pool) -> _,
+            ),
+            (Method::Lomcds, flat_lomcds),
+            (Method::Gomcds, flat_gomcds),
+        ] {
+            // The pre-cache reference schedulers are the oracle.
+            let classic = pim_reference::schedule(method, &trace, policy).unwrap();
+            assert_eq!(
+                fast(&flat, policy, pool).unwrap(),
+                classic,
+                "{method} {policy:?}"
+            );
+        }
+    }
+}
+
+/// GOMCDS with either solver, unbounded and at capacity 1, equals its
+/// pre-cache reference on a fixed trace with an interior empty window.
+#[test]
+fn cached_matches_uncached() {
+    let grid = Grid::new(5, 4);
+    let trace = WindowedTrace::from_parts(
+        grid,
+        vec![
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(4, 3), 1)]),
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
+            ],
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(1, 1), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 2), 2)]),
+                WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
+            ],
+        ],
+    );
+    for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
+        for method in [Method::GomcdsNaive, Method::Gomcds] {
+            assert_eq!(
+                schedule(method, &trace, policy),
+                pim_reference::schedule(method, &trace, policy).unwrap(),
+                "policy {policy:?} method {method}"
+            );
+        }
+    }
+}
+
 /// Memory policies to cross with every method: unconstrained, the paper's
 /// doubled balanced minimum, and the tightest uniform capacity that still
 /// fits every datum.
@@ -74,14 +160,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tentpole invariant: for every method and policy, the cached
-    /// dispatch produces exactly the schedule the uncached reference does —
+    /// dispatch produces exactly the schedule the pre-cache reference does —
     /// same centers, not just same cost.
     #[test]
     fn cached_schedules_bit_identical_to_uncached(trace in arb_trace()) {
         for method in Method::ALL {
             for policy in policies(&trace) {
                 let cached = schedule(method, &trace, policy);
-                let reference = schedule_uncached(method, &trace, policy);
+                let reference = pim_reference::schedule(method, &trace, policy).unwrap();
                 prop_assert_eq!(
                     &cached, &reference,
                     "{} under {:?} diverged from reference", method, policy
@@ -109,22 +195,17 @@ proptest! {
     }
 
     /// Registry-wide conformance: every registered scheduler × every memory
-    /// policy is bit-identical across the plain (cached), uncached, and
-    /// parallel execution wrappers. For bounded policies the parallel
-    /// wrapper runs the two-phase scheme (parallel per-datum computation,
-    /// sequential capacity replay in datum order), so this pins that the
-    /// two-phase replay reproduces the sequential capacity resolution
-    /// exactly — not merely the same cost.
+    /// policy is bit-identical across the sequential and parallel execution
+    /// wrappers. For bounded policies the parallel wrapper runs the
+    /// two-phase scheme (parallel per-datum computation, sequential
+    /// capacity replay in datum order), so this pins that the two-phase
+    /// replay reproduces the sequential capacity resolution exactly — not
+    /// merely the same cost.
     #[test]
     fn registry_conformance_across_wrappers(trace in arb_trace(), threads in 2usize..=8) {
         for scheduler in pim_sched::registry().iter() {
             for policy in policies(&trace) {
                 let cached = Run::new(&trace).policy(policy).run(scheduler);
-                let uncached = Run::new(&trace).policy(policy).cached(false).run(scheduler);
-                prop_assert_eq!(
-                    &cached, &uncached,
-                    "{} under {:?}: cached != uncached", scheduler.name(), policy
-                );
                 let parallel = Run::new(&trace)
                     .policy(policy)
                     .parallel(Pool::with_threads(threads))
@@ -185,18 +266,14 @@ proptest! {
         for policy in policies(&trace) {
             let gomcds = Run::new(&trace).policy(policy).run_named("GOMCDS");
             for name in ["list-scds", "edf-scds"] {
-                for cached in [true, false] {
-                    let s = Run::new(&trace).policy(policy).cached(cached).run_named(name);
-                    match (&gomcds, &s) {
-                        (Ok(a), Ok(b)) => prop_assert_eq!(
-                            a, b, "{} (cached={}) under {:?}", name, cached, policy
-                        ),
-                        (Err(_), Err(_)) => {}
-                        _ => prop_assert!(
-                            false,
-                            "{} under {:?}: feasibility diverged from GOMCDS", name, policy
-                        ),
-                    }
+                let s = Run::new(&trace).policy(policy).run_named(name);
+                match (&gomcds, &s) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} under {:?}", name, policy),
+                    (Err(_), Err(_)) => {}
+                    _ => prop_assert!(
+                        false,
+                        "{} under {:?}: feasibility diverged from GOMCDS", name, policy
+                    ),
                 }
                 let par = Run::new(&trace)
                     .policy(policy)
@@ -238,8 +315,8 @@ proptest! {
 
     /// The flat fast paths (incremental medians + chunk-sharded fan-out +
     /// capacity replay) are bit-identical to the pre-cache reference
-    /// schedulers for every policy, and `flat_total_cost` charges exactly
-    /// what `Schedule::evaluate` does.
+    /// schedulers (`pim_reference::schedule`) for every policy, and
+    /// `flat_total_cost` charges exactly what `Schedule::evaluate` does.
     #[test]
     fn flat_fast_paths_bit_identical(trace in arb_trace(), threads in 1usize..=4) {
         let flat = FlatTrace::from_trace(&trace);
@@ -250,7 +327,7 @@ proptest! {
                 (Method::Lomcds, flat_lomcds),
                 (Method::Gomcds, flat_gomcds),
             ] {
-                let classic = schedule_uncached(method, &trace, policy);
+                let classic = pim_reference::schedule(method, &trace, policy).unwrap();
                 let fast = fast(&flat, policy, pool)
                     .unwrap_or_else(|e| panic!("{method} {policy:?}: {e}"));
                 prop_assert_eq!(

@@ -7,6 +7,7 @@
 use pim_array::grid::Grid;
 use pim_par::Pool;
 use pim_sched::{schedule, MemoryPolicy, Method, Run, SchedError};
+use pim_trace::window::WindowedTrace;
 use pim_workloads::{windowed, Benchmark};
 
 #[test]
@@ -86,9 +87,10 @@ fn infeasible_policy_panics_with_clear_message() {
 
 /// Capacity exhaustion is a *typed error*, never a panic: on a grid whose
 /// total memory cannot hold the working set, every registered scheduler ×
-/// every bounded policy × every execution wrapper (sequential cached,
-/// pre-cache reference, two-phase parallel) returns
-/// [`SchedError::CapacityExhausted`], and its message names the failure.
+/// every bounded policy × every execution wrapper (sequential, two-phase
+/// parallel) returns [`SchedError::CapacityExhausted`], and its message
+/// names the failure. So does the pre-cache reference
+/// ([`pim_reference::schedule`]) of every scheduler that is a [`Method`].
 #[test]
 fn capacity_exhaustion_is_a_typed_error_for_every_scheduler() {
     let grid = Grid::new(2, 2);
@@ -105,12 +107,10 @@ fn capacity_exhaustion_is_a_typed_error_for_every_scheduler() {
     ] {
         for scheduler in pim_sched::registry().iter() {
             let name = scheduler.name();
-            for (mode, result) in [
+            let reference = Method::parse(name)
+                .map(|m| ("reference", pim_reference::schedule(m, &trace, policy)));
+            let wrappers = [
                 ("cached", Run::new(&trace).policy(policy).run(scheduler)),
-                (
-                    "uncached",
-                    Run::new(&trace).policy(policy).cached(false).run(scheduler),
-                ),
                 (
                     "parallel",
                     Run::new(&trace)
@@ -118,7 +118,8 @@ fn capacity_exhaustion_is_a_typed_error_for_every_scheduler() {
                         .parallel(Pool::with_threads(3))
                         .run(scheduler),
                 ),
-            ] {
+            ];
+            for (mode, result) in wrappers.into_iter().chain(reference) {
                 match result {
                     Err(e @ SchedError::CapacityExhausted { .. }) => assert!(
                         e.to_string().contains("cannot hold"),
@@ -130,6 +131,33 @@ fn capacity_exhaustion_is_a_typed_error_for_every_scheduler() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A trace with no data (the `.pimb` format allows one) schedules to an
+/// empty schedule under every registered scheduler and every reference
+/// implementation — never a panic.
+#[test]
+fn zero_data_trace_schedules_empty_for_every_scheduler() {
+    let trace = WindowedTrace::from_parts(Grid::new(4, 4), Vec::new());
+    assert_eq!(trace.num_data(), 0);
+    for policy in [
+        MemoryPolicy::Unbounded,
+        MemoryPolicy::Capacity(1),
+        MemoryPolicy::ScaledMinimum { factor: 2 },
+    ] {
+        for scheduler in pim_sched::registry().iter() {
+            let s = Run::new(&trace)
+                .policy(policy)
+                .run(scheduler)
+                .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", scheduler.name()));
+            assert_eq!(s.num_data(), 0, "{} under {policy:?}", scheduler.name());
+        }
+        for method in Method::ALL {
+            let s = pim_reference::schedule(method, &trace, policy)
+                .unwrap_or_else(|e| panic!("reference {method} under {policy:?}: {e}"));
+            assert_eq!(s.num_data(), 0, "reference {method} under {policy:?}");
         }
     }
 }

@@ -1,15 +1,16 @@
 //! Property tests for the event-driven cycle simulator.
 //!
 //! The rewrite in `pim_sim::cycle` is pinned bit-identical to the
-//! brute-force oracle it replaced — the same oracle discipline the cost
-//! cache and grouping rework used — and its completion times are checked
+//! brute-force oracle it replaced ([`pim_reference::run_window`]) — the
+//! same oracle discipline the cost cache and grouping rework used — and
+//! its completion times are checked
 //! against the analytic `window_completion_time` lower bound. Run by
 //! `scripts/ci.sh` in release mode (the vendored proptest shim derives a
 //! fixed per-test seed, so the corpus is reproducible).
 
 use pim_array::grid::{Grid, ProcId};
 use pim_sim::contention::window_completion_time;
-use pim_sim::cycle::{run_window_oracle, CycleSim};
+use pim_sim::cycle::CycleSim;
 use pim_sim::message::{Message, MessageKind};
 use pim_sim::WindowPrecedence;
 use pim_trace::dag::{Task, TaskDag};
@@ -49,6 +50,37 @@ fn arb_window() -> impl Strategy<Value = (Grid, Vec<Message>)> {
     })
 }
 
+fn msg(grid: &Grid, sx: u32, sy: u32, dx: u32, dy: u32, vol: u32) -> Message {
+    Message {
+        src: grid.proc_xy(sx, sy),
+        dst: grid.proc_xy(dx, dy),
+        volume: vol,
+        data: DataId(0),
+        window: 0,
+        kind: MessageKind::Fetch,
+    }
+}
+
+/// A dense mixed case: shared links in both axes, opposing directions,
+/// different volumes — the shapes most likely to shake out an arbitration
+/// divergence from the oracle.
+#[test]
+fn crossing_and_opposing_traffic_matches_oracle() {
+    let g = Grid::new(4, 4);
+    let msgs = vec![
+        msg(&g, 0, 0, 3, 3, 4),
+        msg(&g, 3, 3, 0, 0, 4),
+        msg(&g, 0, 3, 3, 0, 2),
+        msg(&g, 3, 0, 0, 3, 5),
+        msg(&g, 1, 1, 1, 1, 9), // local noise between the ids
+        msg(&g, 0, 0, 3, 3, 1),
+        msg(&g, 2, 0, 2, 3, 7),
+    ];
+    let event = CycleSim::new(g).run_window(&msgs).expect("event sim");
+    let oracle = pim_reference::run_window(&g, &msgs).expect("oracle sim");
+    assert_eq!(event, oracle, "event-driven diverged from the oracle");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -58,7 +90,7 @@ proptest! {
     #[test]
     fn event_driven_matches_oracle((grid, msgs) in arb_window()) {
         let event = CycleSim::new(grid).run_window(&msgs).expect("event sim");
-        let oracle = run_window_oracle(&grid, &msgs).expect("oracle sim");
+        let oracle = pim_reference::run_window(&grid, &msgs).expect("oracle sim");
         prop_assert_eq!(event, oracle, "event-driven diverged from the oracle");
     }
 

@@ -5,7 +5,7 @@
 
 use pim_array::grid::Grid;
 use pim_array::memory::MemorySpec;
-use pim_sched::exhaustive::optimal_path_exhaustive;
+use pim_reference::optimal_path_exhaustive;
 use pim_sched::gomcds::{gomcds_path, Solver};
 use pim_sched::online::{online_schedule, OnlinePolicy};
 use pim_sched::refine::refine;

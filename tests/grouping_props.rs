@@ -4,8 +4,8 @@
 use pim_array::grid::{Grid, ProcId};
 use pim_array::line::Line;
 use pim_sched::grouping::{
-    cost_of_grouping, greedy_grouping, greedy_grouping_cached, greedy_grouping_oracle,
-    optimal_grouping, optimal_grouping_cached, optimal_grouping_oracle, GroupMethod,
+    cost_of_grouping, greedy_grouping, greedy_grouping_cached, optimal_grouping,
+    optimal_grouping_cached, GroupMethod,
 };
 use pim_sched::theory::{closest_optimal_pair, lemma1_holds, theorem2_holds, theorem3_holds};
 use pim_sched::{DatumCostCache, Workspace};
@@ -95,7 +95,7 @@ proptest! {
         let cache = DatumCostCache::build(&grid, &rs);
         let mut ws = Workspace::new();
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let oracle = greedy_grouping_oracle(&grid, &rs, method);
+            let oracle = pim_reference::greedy_grouping(&grid, &rs, method);
             let incremental = greedy_grouping_cached(&grid, &cache, method, &mut ws);
             prop_assert_eq!(
                 &incremental, &oracle,
@@ -110,7 +110,7 @@ proptest! {
     fn quadratic_grouping_dp_matches_oracle((grid, rs) in arb_ref_string()) {
         let cache = DatumCostCache::build(&grid, &rs);
         let mut ws = Workspace::new();
-        let (oracle_groups, oracle_cost) = optimal_grouping_oracle(&grid, &rs);
+        let (oracle_groups, oracle_cost) = pim_reference::optimal_grouping(&grid, &rs);
         let (fast_groups, fast_cost) = optimal_grouping_cached(&grid, &cache, &mut ws);
         prop_assert_eq!(fast_cost, oracle_cost);
         prop_assert_eq!(&fast_groups, &oracle_groups, "O(t^2) DP picked a different partition");

@@ -1,13 +1,16 @@
 //! Exhaustive (not sampled) verification of the paper's theory on small
 //! machines: every reference-string pair with bounded support is checked,
 //! so within these bounds the theorems are *proved by enumeration*, not
-//! just spot-checked.
+//! just spot-checked. GOMCDS is certified against brute-force enumeration
+//! of every center sequence ([`pim_reference::optimal_path_exhaustive`]).
 
 use pim_array::grid::{Grid, ProcId};
-use pim_sched::exhaustive::optimal_path_exhaustive;
+use pim_reference::{exhaustive_schedule, optimal_path_exhaustive};
+use pim_sched::cost::path_cost;
 use pim_sched::gomcds::{gomcds_path, Solver};
 use pim_sched::theory::{closest_optimal_pair, theorem2_holds, theorem3_holds};
-use pim_trace::window::{DataRefString, WindowRefs};
+use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
 /// Every reference string on `grid` with at most `max_procs` distinct
 /// referencing processors and counts in `1..=max_count`, including the
@@ -123,4 +126,62 @@ fn scds_center_is_exhaustively_the_1_median_on_3x3() {
             "{refs:?}"
         );
     }
+}
+
+#[test]
+fn gomcds_matches_exhaustive_on_small_grids() {
+    let grid = Grid::new(3, 2);
+    let cases: Vec<Vec<WindowRefs>> = vec![
+        vec![
+            WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2)]),
+            WindowRefs::from_pairs([(grid.proc_xy(2, 1), 1)]),
+            WindowRefs::from_pairs([(grid.proc_xy(0, 1), 3)]),
+        ],
+        vec![
+            WindowRefs::from_pairs([(grid.proc_xy(1, 0), 1), (grid.proc_xy(2, 0), 2)]),
+            WindowRefs::new(),
+            WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
+            WindowRefs::from_pairs([(grid.proc_xy(2, 1), 4)]),
+        ],
+        vec![WindowRefs::new(), WindowRefs::new()],
+    ];
+    for windows in cases {
+        let rs = DataRefString::new(windows);
+        let (ex_path, ex_cost) = optimal_path_exhaustive(&grid, &rs);
+        let (go_path, go_cost) = gomcds_path(&grid, &rs, Solver::DistanceTransform);
+        assert_eq!(go_cost, ex_cost, "cost mismatch");
+        assert_eq!(path_cost(&grid, &rs, &go_path), go_cost);
+        assert_eq!(path_cost(&grid, &rs, &ex_path), ex_cost);
+    }
+}
+
+#[test]
+fn exhaustive_schedule_matches_gomcds_totals() {
+    let grid = Grid::new(2, 2);
+    let trace = WindowedTrace::from_parts(
+        grid,
+        vec![
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)]),
+            ],
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(1, 0), 3)]),
+                WindowRefs::from_pairs([(grid.proc_xy(0, 1), 1)]),
+            ],
+        ],
+    );
+    let ex = exhaustive_schedule(&trace).evaluate(&trace).total();
+    let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
+        .evaluate(&trace)
+        .total();
+    assert_eq!(ex, go);
+}
+
+#[test]
+#[should_panic(expected = "infeasible")]
+fn refuses_explosive_instances() {
+    let grid = Grid::new(8, 8);
+    let rs = DataRefString::new(vec![WindowRefs::new(); 12]);
+    optimal_path_exhaustive(&grid, &rs);
 }
