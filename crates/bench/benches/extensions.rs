@@ -9,7 +9,7 @@ use pim_sched::grouping::{greedy_grouping, optimal_grouping, GroupMethod};
 use pim_sched::online::{online_schedule, OnlinePolicy};
 use pim_sched::refine::refine;
 use pim_sched::replicate::replicated_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{schedule, CostCache, MemoryPolicy, Method, Workspace};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
@@ -17,24 +17,25 @@ use std::hint::black_box;
 fn bench_grouping(c: &mut Criterion) {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::CodeReverse, grid, 16, 1, 1998);
-    let strings: Vec<_> = (0..trace.num_data())
-        .map(|d| trace.refs(DataId(d as u32)).clone())
+    let cache = CostCache::build_flat(&trace);
+    let data: Vec<_> = (0..trace.num_data())
+        .map(|d| cache.datum(DataId(d as u32)))
         .collect();
+    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("grouping");
     group.sample_size(15);
     group.bench_function("greedy_all_data", |b| {
         b.iter(|| {
-            strings
-                .iter()
-                .map(|rs| greedy_grouping(&grid, black_box(rs), GroupMethod::LocalCenters).len())
+            data.iter()
+                .map(|dc| greedy_grouping(&grid, black_box(dc), GroupMethod::LocalCenters, &mut ws))
+                .map(|groups| groups.len())
                 .sum::<usize>()
         })
     });
     group.bench_function("optimal_all_data", |b| {
         b.iter(|| {
-            strings
-                .iter()
-                .map(|rs| optimal_grouping(&grid, black_box(rs)).1)
+            data.iter()
+                .map(|dc| optimal_grouping(&grid, black_box(dc), &mut ws).1)
                 .sum::<u64>()
         })
     });

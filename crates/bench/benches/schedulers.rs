@@ -3,9 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::{Grid, ProcId};
-use pim_sched::grouping::{greedy_grouping_cached, optimal_grouping_cached, GroupMethod};
-use pim_sched::{compare_methods, schedule, DatumCostCache, MemoryPolicy, Method, Workspace};
-use pim_trace::window::{DataRefString, WindowRefs};
+use pim_sched::grouping::{greedy_grouping, optimal_grouping, GroupMethod};
+use pim_sched::{compare_methods, schedule, CostCache, MemoryPolicy, Method, Workspace};
+use pim_trace::flat::FlatTrace;
+use pim_trace::ids::DataId;
+use pim_trace::window::WindowRefs;
 use pim_workloads::{windowed, Benchmark};
 use std::hint::black_box;
 
@@ -144,17 +146,18 @@ fn bench_grouping_scaling(c: &mut Criterion) {
                 WindowRefs::from_pairs(pairs)
             })
             .collect();
-        DataRefString::new(per_window)
+        FlatTrace::from_windows(grid, vec![per_window]).expect("procs on the grid")
     };
     let mut group = c.benchmark_group("grouping_scaling");
     for windows in [8usize, 16, 32, 64, 128] {
         let rs = make_refs(windows);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let caches = CostCache::build_flat(&rs);
+        let cache = caches.datum(DataId(0));
         cache.ensure_tables();
-        group.bench_with_input(BenchmarkId::new("greedy", windows), &cache, |b, cache| {
+        group.bench_with_input(BenchmarkId::new("greedy", windows), cache, |b, cache| {
             let mut ws = Workspace::new();
             b.iter(|| {
-                black_box(greedy_grouping_cached(
+                black_box(greedy_grouping(
                     &grid,
                     black_box(cache),
                     GroupMethod::LocalCenters,
@@ -162,9 +165,9 @@ fn bench_grouping_scaling(c: &mut Criterion) {
                 ))
             })
         });
-        group.bench_with_input(BenchmarkId::new("dp", windows), &cache, |b, cache| {
+        group.bench_with_input(BenchmarkId::new("dp", windows), cache, |b, cache| {
             let mut ws = Workspace::new();
-            b.iter(|| black_box(optimal_grouping_cached(&grid, black_box(cache), &mut ws)))
+            b.iter(|| black_box(optimal_grouping(&grid, black_box(cache), &mut ws)))
         });
     }
     group.finish();

@@ -8,6 +8,7 @@
 
 use pim_array::grid::Grid;
 use pim_sched::grouping::{cost_of_grouping, greedy_grouping, optimal_grouping, GroupMethod};
+use pim_sched::{CostCache, Workspace};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 
@@ -24,11 +25,14 @@ fn main() {
         let mut greedy_total = 0u64;
         let mut optimal_total = 0u64;
         let mut matched = 0usize;
+        let cache = CostCache::build_flat(&trace);
+        let mut ws = Workspace::new();
+        let local = GroupMethod::LocalCenters;
         for d in 0..trace.num_data() {
-            let rs = trace.refs(DataId(d as u32));
-            let groups = greedy_grouping(&grid, rs, GroupMethod::LocalCenters);
-            let g_cost = cost_of_grouping(&grid, rs, &groups, GroupMethod::LocalCenters);
-            let (_, o_cost) = optimal_grouping(&grid, rs);
+            let datum = cache.datum(DataId(d as u32));
+            let groups = greedy_grouping(&grid, datum, local, &mut ws);
+            let g_cost = cost_of_grouping(&grid, datum, &groups, local, &mut ws);
+            let (_, o_cost) = optimal_grouping(&grid, datum, &mut ws);
             assert!(
                 o_cost <= g_cost,
                 "optimal exceeded greedy on datum {d} of benchmark {}",

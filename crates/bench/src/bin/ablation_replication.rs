@@ -27,7 +27,7 @@ fn main() {
             ("unbounded", MemoryPolicy::Unbounded),
         ] {
             let (trace, _) = windowed(bench, grid, n, 2, 1998);
-            let spec = policy.resolve(&trace);
+            let spec = policy.resolve(&trace.grid(), trace.num_data());
             let single = schedule(Method::Gomcds, &trace, policy)
                 .evaluate(&trace)
                 .total();

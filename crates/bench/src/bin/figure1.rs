@@ -19,7 +19,11 @@ fn main() {
         for y in 0..g.height() {
             let mut line = String::from("  ");
             for x in 0..g.width() {
-                let v = trace.refs(DataId(0)).window(w).volume_at(g.proc_xy(x, y));
+                let run = trace.window_run(DataId(0), w);
+                let v = run
+                    .iter()
+                    .find(|r| (r.x, r.y) == (x, y))
+                    .map_or(0, |r| r.count);
                 line.push_str(&format!("{v:>3}"));
             }
             println!("{line}");

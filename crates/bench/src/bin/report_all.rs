@@ -81,7 +81,7 @@ fn main() {
         improvement_pct(sf, go)
     );
 
-    let spec = memory.resolve(&trace);
+    let spec = memory.resolve(&trace.grid(), trace.num_data());
     let repl = pim_sched::replicate::replicated_schedule(&trace, spec);
     println!(
         "  + 2-copy replication: {} ({:.1}% further)",
@@ -162,12 +162,12 @@ fn bench_sched_json() -> String {
                 // grouped methods (greedy over every datum, cached); other
                 // methods have no grouping phase and report 0.
                 let grouping_ns = if scheduler.name().starts_with("Grouped") {
-                    let cache = pim_sched::CostCache::build(&trace);
+                    let cache = pim_sched::CostCache::build_flat(&trace);
                     let mut ws = pim_sched::Workspace::new();
                     let tgrid = trace.grid();
                     bench_ns(10, || {
                         for d in 0..trace.num_data() as u32 {
-                            black_box(pim_sched::grouping::greedy_grouping_cached(
+                            black_box(pim_sched::grouping::greedy_grouping(
                                 &tgrid,
                                 cache.datum(pim_trace::ids::DataId(d)),
                                 pim_sched::grouping::GroupMethod::LocalCenters,

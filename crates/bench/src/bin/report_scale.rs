@@ -3,8 +3,8 @@
 //! 10k data up to 64×64 grids with 1M data, and writes the results to
 //! `BENCH_scale.json`.
 //!
-//! Small instances also schedule the equivalent nested trace with the
-//! reference oracles (`pim_reference::schedule`, the pre-cache
+//! Small instances also schedule the same trace with the reference
+//! oracles (`pim_reference::schedule`, the pre-cache
 //! implementations) for a cost-parity assertion and a speedup column; at
 //! the large sizes only the flat path runs.
 //!
@@ -38,9 +38,9 @@ fn main() {
     } else {
         for side in [16u32, 32, 64] {
             for num_data in [10_000usize, 100_000, 1_000_000] {
-                // Parity (reference oracle) only where the nested
-                // representation is affordable: every 10k instance, plus
-                // 100k on 16×16.
+                // Parity (reference oracle) only where its per-window
+                // tables are affordable: every 10k instance, plus 100k on
+                // 16×16.
                 let parity = num_data == 10_000 || (num_data == 100_000 && side == 16);
                 let reps = if num_data <= 100_000 { 3 } else { 1 };
                 rows.push(report(side, num_data, parity, reps));

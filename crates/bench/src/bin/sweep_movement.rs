@@ -9,10 +9,9 @@
 //! ignores movement when picking centers — falls behind SCDS. The
 //! crossover point is the figure's payload.
 
-use pim_array::grid::{Grid, ProcId};
-use pim_sched::gomcds::{gomcds_path_weighted, Solver};
-use pim_sched::{schedule, MemoryPolicy, Method, Schedule};
-use pim_trace::ids::DataId;
+use pim_array::grid::Grid;
+use pim_sched::gomcds::gomcds_schedule_volumes;
+use pim_sched::{schedule, MemoryPolicy, Method};
 use pim_workloads::{windowed, Benchmark};
 
 fn main() {
@@ -41,22 +40,12 @@ fn main() {
 
     for weight in [1u64, 2, 4, 8, 16, 32, 64, 128] {
         // Re-solve GOMCDS against the weighted cost graph.
-        let centers: Vec<Vec<ProcId>> = (0..trace.num_data())
-            .map(|d| {
-                gomcds_path_weighted(
-                    &grid,
-                    trace.refs(DataId(d as u32)),
-                    Solver::DistanceTransform,
-                    weight,
-                )
-                .0
-            })
-            .collect();
-        let gomcds = Schedule::new(grid, centers);
+        let volumes = vec![weight; trace.num_data()];
+        let gomcds = gomcds_schedule_volumes(&trace, &volumes);
 
-        let sc = scds.evaluate_weighted(&trace, weight).total();
-        let lo = lomcds.evaluate_weighted(&trace, weight).total();
-        let go = gomcds.evaluate_weighted(&trace, weight).total();
+        let sc = scds.evaluate_volumes(&trace, &volumes).total();
+        let lo = lomcds.evaluate_volumes(&trace, &volumes).total();
+        let go = gomcds.evaluate_volumes(&trace, &volumes).total();
         assert!(go <= sc && go <= lo, "weighted GOMCDS must stay optimal");
 
         if csv {

@@ -3,7 +3,7 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_sched::{MemoryPolicy, Run, Scheduler};
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatTrace;
 use pim_workloads::{windowed, Benchmark, DataSpace};
 
 /// The paper's experimental setup.
@@ -47,7 +47,7 @@ pub struct ComparisonRow {
 }
 
 /// Generate the trace for one (benchmark, size) cell of the tables.
-pub fn paper_trace(cfg: &PaperConfig, bench: Benchmark, size: u32) -> (WindowedTrace, DataSpace) {
+pub fn paper_trace(cfg: &PaperConfig, bench: Benchmark, size: u32) -> (FlatTrace, DataSpace) {
     windowed(bench, cfg.grid, size, cfg.steps_per_window, cfg.seed)
 }
 

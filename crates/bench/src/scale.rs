@@ -102,7 +102,7 @@ pub struct MethodScale {
     /// Total cost of the flat schedule (reference + movement).
     pub total_cost: u64,
     /// Wall time of the reference oracle (`pim_reference::schedule`, the
-    /// pre-cache implementation) on the nested trace, when measured.
+    /// pre-cache implementation) on the same trace, when measured.
     pub exact_ns: Option<u128>,
     /// Total cost of the reference oracle's schedule, when measured (must
     /// equal `total_cost` — asserted by [`scale_row`]).
@@ -145,7 +145,7 @@ pub const SCALE_WINDOWS: usize = 32;
 pub const SCALE_SEED: u64 = 1998;
 
 /// Build and measure one scale instance. `parity` additionally runs the
-/// reference oracles (`pim_reference::schedule`) on the equivalent nested trace
+/// reference oracles (`pim_reference::schedule`) on the same flat trace
 /// and asserts the total costs are identical — the registry drives the
 /// same flat code, so it would compare the flat path with itself; `reps`
 /// is the timed-repetition count for the flat path, reported min-of-reps
@@ -161,7 +161,6 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
         .expect("generator emits only in-range records");
     let build_ns = start.elapsed().as_nanos();
 
-    let windowed = parity.then(|| flat.to_windowed());
     let policy = MemoryPolicy::Unbounded;
     let mut methods = Vec::new();
     for (method, paper) in [("scds", Method::Scds), ("lomcds", Method::Lomcds)] {
@@ -173,20 +172,19 @@ pub fn scale_row(side: u32, num_data: usize, parity: bool, reps: u32) -> ScaleRo
         let (flat_ns, sched) = crate::timing::bench_ns(reps.max(1), run_flat);
         let total_cost = flat_total_cost(&flat, &sched).total();
 
-        let (exact_ns, exact_cost) = match &windowed {
-            Some(trace) => {
-                let start = Instant::now();
-                let exact = pim_reference::schedule(paper, trace, policy)
-                    .expect("unbounded cannot exhaust");
-                let exact_ns = start.elapsed().as_nanos();
-                let exact_cost = exact.evaluate(trace).total();
-                assert_eq!(
-                    exact_cost, total_cost,
-                    "flat/{method} diverged from the reference oracle at {side}x{side} n={num_data}"
-                );
-                (Some(exact_ns), Some(exact_cost))
-            }
-            None => (None, None),
+        let (exact_ns, exact_cost) = if parity {
+            let start = Instant::now();
+            let exact =
+                pim_reference::schedule(paper, &flat, policy).expect("unbounded cannot exhaust");
+            let exact_ns = start.elapsed().as_nanos();
+            let exact_cost = flat_total_cost(&flat, &exact).total();
+            assert_eq!(
+                exact_cost, total_cost,
+                "flat/{method} diverged from the reference oracle at {side}x{side} n={num_data}"
+            );
+            (Some(exact_ns), Some(exact_cost))
+        } else {
+            (None, None)
         };
         methods.push(MethodScale {
             method,

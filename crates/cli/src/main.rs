@@ -41,7 +41,6 @@ fn main() -> ExitCode {
             } else {
                 ""
             };
-            let flat = if s.flat_capable() { "  [flat]" } else { "" };
             let dag = if s.precedence_aware() { "  [dag]" } else { "" };
             let incr = if s.incremental() {
                 "  [incremental]"
@@ -54,7 +53,7 @@ fn main() -> ExitCode {
                 "  [not in compare]"
             };
             println!(
-                "  {:<16} {}{par}{flat}{dag}{incr}{cmp}",
+                "  {:<16} {}{par}{dag}{incr}{cmp}",
                 s.name(),
                 s.description()
             );
@@ -70,9 +69,8 @@ fn main() -> ExitCode {
         match pim_trace::binfmt::load_flat(path) {
             Ok(flat) => {
                 println!("loaded trace from {path}");
-                let t = flat.to_windowed();
-                let n = (t.num_data() as f64).sqrt().ceil() as u32;
-                (t, pim_workloads::DataSpace::single(n.max(1)).0)
+                let n = (flat.num_data() as f64).sqrt().ceil() as u32;
+                (flat, pim_workloads::DataSpace::single(n.max(1)).0)
             }
             Err(e) => {
                 let verb = match e {
@@ -307,7 +305,7 @@ fn main() -> ExitCode {
             );
         }
         Command::Refine => {
-            let spec = parsed.memory.resolve(&trace);
+            let spec = parsed.memory.resolve(&trace.grid(), trace.num_data());
             let mut s = match run.run_named(&parsed.method) {
                 Ok(s) => s,
                 Err(e) => {
@@ -327,7 +325,7 @@ fn main() -> ExitCode {
             );
         }
         Command::Replicate => {
-            let spec = parsed.memory.resolve(&trace);
+            let spec = parsed.memory.resolve(&trace.grid(), trace.num_data());
             let single = match run.run_named("gomcds") {
                 Ok(s) => s.evaluate(&trace).total(),
                 Err(e) => {
@@ -364,12 +362,11 @@ fn main() -> ExitCode {
             } else {
                 // The trace goes out as the flat binary container, which
                 // `run --trace` (and `run --bin`, `serve` `path`) loads back.
-                let flat = pim_trace::flat::FlatTrace::from_trace(&trace);
-                match pim_trace::binfmt::pack_file(&flat, path) {
+                match pim_trace::binfmt::pack_file(&trace, path) {
                     Ok(bytes) => println!(
                         "wrote {bytes} bytes (binary flat trace, {} data x {} windows) to {path}",
-                        flat.num_data(),
-                        flat.num_windows()
+                        trace.num_data(),
+                        trace.num_windows()
                     ),
                     Err(e) => {
                         eprintln!("cannot write {path}: {e}");
@@ -395,10 +392,14 @@ fn main() -> ExitCode {
             // narrate the five costliest data
             let mut by_cost: Vec<(u64, u32)> = (0..trace.num_data() as u32)
                 .map(|d| {
-                    (
-                        s.evaluate_data(&trace, pim_trace::ids::DataId(d)).total(),
-                        d,
-                    )
+                    let d = pim_trace::ids::DataId(d);
+                    let cost = pim_sched::flat::datum_cost(
+                        &trace.grid(),
+                        trace.span(d),
+                        s.centers_of(d),
+                        1,
+                    );
+                    (cost.total(), d.0)
                 })
                 .collect();
             by_cost.sort_unstable_by(|a, b| b.cmp(a));
@@ -413,11 +414,13 @@ fn main() -> ExitCode {
         Command::Windows => {
             use pim_sched::grouping::{greedy_grouping, GroupMethod};
             let grid = trace.grid();
+            let cache = pim_sched::CostCache::build_flat(&trace);
+            let mut ws = pim_sched::Workspace::new();
             let mut sizes = vec![0u64; trace.num_windows() + 1];
             let mut grouped_data = 0usize;
             for d in 0..trace.num_data() {
-                let rs = trace.refs(pim_trace::ids::DataId(d as u32));
-                let groups = greedy_grouping(&grid, rs, GroupMethod::LocalCenters);
+                let datum = cache.datum(pim_trace::ids::DataId(d as u32));
+                let groups = greedy_grouping(&grid, datum, GroupMethod::LocalCenters, &mut ws);
                 if groups.len() < trace.num_windows() {
                     grouped_data += 1;
                 }
@@ -451,7 +454,7 @@ fn main() -> ExitCode {
 /// against the trace before use.
 fn load_dag(
     parsed: &pim_cli::args::ParsedArgs,
-    trace: &pim_trace::window::WindowedTrace,
+    trace: &pim_trace::flat::FlatTrace,
 ) -> Result<Option<pim_trace::dag::TaskDag>, String> {
     let Some(spec) = &parsed.dag else {
         return Ok(None);
@@ -479,27 +482,24 @@ fn load_dag(
     Ok(Some(dag))
 }
 
-/// Dispatch a method name to its flat SoA fast path. Generic over
-/// [`pim_trace::flat::FlatView`] so the same dispatch serves synthetic
-/// owned traces (`scale`) and memory-mapped `.pimb` files (`run --bin`).
-fn flat_schedule<V: pim_trace::flat::FlatView + ?Sized>(
+/// Run the registered method `method` over any trace view — the owned
+/// synthetic instance of `scale` or the memory-mapped `.pimb` of
+/// `run --bin` — through the registry's [`Run`] pipeline.
+fn registry_schedule(
     method: &str,
-    flat: &V,
+    trace: &dyn pim_trace::flat::FlatView,
     memory: pim_sched::MemoryPolicy,
     pool: Pool,
 ) -> Result<pim_sched::Schedule, String> {
-    match method {
-        "SCDS" => pim_sched::flat_scds(flat, memory, pool).map_err(|e| e.to_string()),
-        "LOMCDS" => pim_sched::flat_lomcds(flat, memory, pool).map_err(|e| e.to_string()),
-        "GOMCDS" => pim_sched::flat_gomcds(flat, memory, pool).map_err(|e| e.to_string()),
-        other => Err(format!(
-            "the flat fast path supports SCDS, LOMCDS and GOMCDS (got '{other}')"
-        )),
-    }
+    Run::new(trace)
+        .policy(memory)
+        .parallel(pool)
+        .run_named(method)
+        .map_err(|e| e.to_string())
 }
 
-/// The `run --bin` path: memory-map a `.pimb` binary trace and drive the
-/// flat fast path zero-copy off the mapped view.
+/// The `run --bin` path: memory-map a `.pimb` binary trace and schedule
+/// it zero-copy off the mapped view.
 fn run_bin(parsed: &pim_cli::args::ParsedArgs) -> ExitCode {
     use std::time::Instant;
     let path = parsed.trace_file.as_deref().expect("validated by args");
@@ -533,7 +533,7 @@ fn run_bin(parsed: &pim_cli::args::ParsedArgs) -> ExitCode {
         Pool::serial()
     };
     let start = Instant::now();
-    let s = match flat_schedule(&parsed.method, &bt, parsed.memory, pool) {
+    let s = match registry_schedule(&parsed.method, &bt, parsed.memory, pool) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -674,7 +674,7 @@ fn run_scale(parsed: &pim_cli::args::ParsedArgs) -> ExitCode {
         return scale_stream(parsed, &flat, build, pool);
     }
     let start = Instant::now();
-    let s = match flat_schedule(&parsed.method, &flat, parsed.memory, pool) {
+    let s = match registry_schedule(&parsed.method, &flat, parsed.memory, pool) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

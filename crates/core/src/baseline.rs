@@ -8,7 +8,7 @@
 
 use crate::schedule::Schedule;
 use pim_array::layout::Layout;
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatView;
 
 /// Static schedule distributing a `rows × cols` data array by `layout`.
 ///
@@ -18,7 +18,12 @@ use pim_trace::window::WindowedTrace;
 ///
 /// # Panics
 /// Panics if the trace has fewer data items than the array has elements.
-pub fn layout_schedule(trace: &WindowedTrace, rows: u32, cols: u32, layout: Layout) -> Schedule {
+pub fn layout_schedule(
+    trace: &(impl FlatView + ?Sized),
+    rows: u32,
+    cols: u32,
+    layout: Layout,
+) -> Schedule {
     let grid = trace.grid();
     let n = (rows * cols) as usize;
     assert!(
@@ -39,13 +44,17 @@ pub fn layout_schedule(trace: &WindowedTrace, rows: u32, cols: u32, layout: Layo
 }
 
 /// The paper's straight-forward (S.F.) baseline: row-wise distribution.
-pub fn straightforward_schedule(trace: &WindowedTrace, rows: u32, cols: u32) -> Schedule {
+pub fn straightforward_schedule(
+    trace: &(impl FlatView + ?Sized),
+    rows: u32,
+    cols: u32,
+) -> Schedule {
     layout_schedule(trace, rows, cols, Layout::RowWise)
 }
 
 /// A uniformly random static placement (seeded), the sanity-check floor
 /// used by the ablation benches.
-pub fn random_schedule(trace: &WindowedTrace, seed: u64) -> Schedule {
+pub fn random_schedule(trace: &(impl FlatView + ?Sized), seed: u64) -> Schedule {
     let grid = trace.grid();
     // xorshift64* — deterministic, dependency-free
     let mut state = seed.wrapping_mul(2685821657736338717).max(1);
@@ -66,11 +75,12 @@ pub fn random_schedule(trace: &WindowedTrace, seed: u64) -> Schedule {
 mod tests {
     use super::*;
     use pim_array::grid::{Grid, ProcId};
+    use pim_trace::flat::FlatTrace;
     use pim_trace::ids::DataId;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::window::WindowRefs;
 
-    fn trace_of(grid: Grid, n: usize) -> WindowedTrace {
-        WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; n])
+    fn trace_of(grid: Grid, n: usize) -> FlatTrace {
+        FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]; n]).unwrap()
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! that the bound is tight exactly when GOMCDS never pays for movement it
 //! can't amortize.
 
-use crate::cost::optimal_center;
-use pim_array::grid::Grid;
-use pim_trace::window::WindowedTrace;
+use crate::cost::span_optimal_center;
+use pim_trace::flat::{span_window_runs, FlatView};
+use pim_trace::ids::DataId;
 
 /// Σ over data and windows of the window's minimum possible reference
 /// cost. A valid lower bound on the total cost of **any single-copy**
@@ -27,14 +27,12 @@ use pim_trace::window::WindowedTrace;
 /// schedules can go below it — nearest-replica serving beats any single
 /// center — which is exactly how `tests/extensions.rs` separates the two
 /// regimes.
-pub fn reference_lower_bound(trace: &WindowedTrace) -> u64 {
-    let grid: Grid = trace.grid();
+pub fn reference_lower_bound(trace: &(impl FlatView + ?Sized)) -> u64 {
+    let grid = trace.grid();
     let mut total = 0u64;
-    for (_, rs) in trace.iter_data() {
-        for refs in rs.windows() {
-            if !refs.is_empty() {
-                total += optimal_center(&grid, refs).1;
-            }
+    for d in 0..trace.num_data() {
+        for (_, run) in span_window_runs(trace.span(DataId(d as u32))) {
+            total += span_optimal_center(&grid, run).1;
         }
     }
     total
@@ -42,11 +40,10 @@ pub fn reference_lower_bound(trace: &WindowedTrace) -> u64 {
 
 /// Σ over data of the merged-window optimum — the unconstrained SCDS
 /// cost, which lower-bounds every static (never-moving) schedule.
-pub fn single_center_lower_bound(trace: &WindowedTrace) -> u64 {
-    let grid: Grid = trace.grid();
-    trace
-        .iter_data()
-        .map(|(_, rs)| optimal_center(&grid, &rs.merged_all()).1)
+pub fn single_center_lower_bound(trace: &(impl FlatView + ?Sized)) -> u64 {
+    let grid = trace.grid();
+    (0..trace.num_data())
+        .map(|d| span_optimal_center(&grid, trace.span(DataId(d as u32))).1)
         .sum()
 }
 
@@ -55,11 +52,13 @@ mod tests {
     use super::*;
     use crate::baseline::random_schedule;
     use crate::{schedule, MemoryPolicy, Method};
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_array::grid::Grid;
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
-    fn sample() -> WindowedTrace {
+    fn sample() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -72,6 +71,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -108,7 +108,7 @@ mod tests {
         // references never change location → zero movement needed, bound
         // achieved exactly
         let win = || WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2), (grid.proc_xy(2, 1), 1)]);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![win(), win(), win()]]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![win(), win(), win()]]).unwrap();
         let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
             .evaluate(&trace)
             .total();
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn empty_trace_bounds_zero() {
         let grid = Grid::new(2, 2);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]]).unwrap();
         assert_eq!(reference_lower_bound(&trace), 0);
         assert_eq!(single_center_lower_bound(&trace), 0);
     }

@@ -1,11 +1,12 @@
 //! Shared per-trace cost-table cache.
 //!
-//! Every scheduler keeps re-deriving the same quantity from the raw
-//! reference strings: the axis-projected reference weights of a window
-//! *range*. SCDS needs them for the merged whole execution, LOMCDS per
-//! window, GOMCDS per window twice (DP forward pass and backtrack), and
-//! grouping for `O(n)` different candidate ranges per greedy step. Each
-//! derivation walks the `(proc, count)` lists again.
+//! The table-reading schedulers keep re-deriving the same quantity from a
+//! datum's span: the axis-projected reference weights of a window
+//! *range*. GOMCDS needs them per window (the DP's node costs), grouping
+//! for `O(n)` different candidate ranges per greedy step, the precedence
+//! layer per window again. Each derivation walks the span again. (SCDS and
+//! LOMCDS need only medians and the rare table of a full median, which
+//! they project straight off the span without a cache.)
 //!
 //! Because the L1 cost table is separable (see [`crate::cost`]) and the
 //! axis projection is *linear* in the reference counts, the projections of
@@ -27,23 +28,22 @@
 //! The prefix tables are built **lazily, on a query that needs them**.
 //! Whole-execution queries are always served by projecting the raw
 //! references directly — exactly one pass over the refs involved, which is
-//! never more work than the prefix build itself — so SCDS (one full table
-//! per datum) pays nothing for tables it would never amortize. A *strict
+//! never more work than the prefix build itself — so a one-shot query pays
+//! nothing for tables it would never amortize. A *strict
 //! multi-window sub-range* query — the shape Algorithm 3 grouping issues
 //! `O(n)` times per datum — triggers the one-time prefix build immediately.
 //! Single-window queries are served raw until the datum has answered more
 //! of them than one full window sweep could issue
 //! (`num_windows + SINGLE_WINDOW_SWEEP_SLACK`); the next one triggers
-//! the build. The point: a window-sweeping scheduler (LOMCDS, GOMCDS)
-//! reads each window exactly once, so across the whole sweep the raw path
+//! the build. The point: a window-sweeping scheduler (GOMCDS) reads each
+//! window exactly once, so across the whole sweep the raw path
 //! walks every reference exactly once — the same total work as the prefix
 //! build itself, minus the build's row copies and allocations. Building
 //! mid-sweep can therefore only lose (measurably so on the paper table's
 //! sparse instances). Only a *re-scan* — more single-window queries than
 //! windows, as issued by iterated refinement or repeated capacity replays
 //! — amortizes the build, and that is exactly when it fires. The slack
-//! keeps one extra probe (e.g. LOMCDS' first-anchor lookup before its
-//! sweep) build-free.
+//! keeps one extra probe before a sweep build-free.
 //!
 //! The arithmetic is identical either way: axis weights are sums of `u64`
 //! counts (associative and exact), so raw projection, prefix subtraction,
@@ -61,9 +61,8 @@
 use crate::cost::{argmin_table, AxisScratch};
 use pim_array::grid::{Grid, ProcId};
 use pim_metrics::CacheStats;
-use pim_trace::flat::{FlatRef, FlatTrace};
+use pim_trace::flat::{FlatRef, FlatTrace, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowedTrace};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -73,35 +72,31 @@ use std::sync::{Arc, OnceLock};
 /// `num_windows + SINGLE_WINDOW_SWEEP_SLACK + 1`.
 const SINGLE_WINDOW_SWEEP_SLACK: u32 = 1;
 
-/// Where a datum's raw references live: the nested per-window
-/// representation, one contiguous window-major slice of a [`FlatTrace`],
-/// or a shared (`Arc`-owned) flat source that outlives any borrow — the
-/// form the incremental engine uses so it can rebind a datum's span after
-/// an edit without the cache borrowing the trace. All orderings iterate
-/// references identically (window-major, ascending processor id) and all
-/// served quantities are exact `u64` sums, so the backing choice can never
-/// change a table bit.
+/// Where a datum's flat span lives: borrowed from any
+/// [`FlatView`](pim_trace::flat::FlatView), or shared (`Arc`-owned) so it
+/// outlives any borrow — the form the incremental engine uses so it can
+/// rebind a datum's span after an edit without the cache borrowing the
+/// trace. Every variant is one window-major span in canonical
+/// `(window, y, x)` order, so the backing choice can never change a table
+/// bit.
 #[derive(Debug, Clone)]
 enum RefSource<'r> {
-    /// Nested per-window reference string.
-    Windowed(&'r DataRefString),
-    /// One datum's span of a [`FlatTrace`], sorted by (window, proc).
+    /// A borrowed span.
     Flat(&'r [FlatRef]),
     /// One datum of a shared flat trace (span looked up per query).
     SharedTrace(Arc<FlatTrace>, DataId),
-    /// A shared standalone span in [`FlatTrace`] canonical order (the
-    /// overlay form `pim_trace::edit::EditableTrace` produces).
+    /// A shared standalone span (the overlay form
+    /// `pim_trace::edit::EditableTrace` produces).
     SharedSpan(Arc<[FlatRef]>),
 }
 
 impl RefSource<'_> {
-    /// The window-major flat slice behind every non-`Windowed` variant.
-    fn flat(&self) -> Option<&[FlatRef]> {
+    /// The datum's span.
+    fn span(&self) -> &[FlatRef] {
         match self {
-            RefSource::Windowed(_) => None,
-            RefSource::Flat(refs) => Some(refs),
-            RefSource::SharedTrace(trace, d) => Some(trace.span(*d)),
-            RefSource::SharedSpan(refs) => Some(refs),
+            RefSource::Flat(refs) => refs,
+            RefSource::SharedTrace(trace, d) => trace.span(*d),
+            RefSource::SharedSpan(refs) => refs,
         }
     }
 }
@@ -138,30 +133,11 @@ pub struct DatumCostCache<'r> {
     stats: Option<Arc<CacheStats>>,
 }
 
-impl Clone for DatumCostCache<'_> {
-    fn clone(&self) -> Self {
-        DatumCostCache {
-            grid: self.grid,
-            num_windows: self.num_windows,
-            src: self.src.clone(),
-            tables: self.tables.clone(),
-            raw_singles: AtomicU32::new(self.raw_singles.load(Ordering::Relaxed)),
-            stats: self.stats.clone(),
-        }
-    }
-}
-
 impl<'r> DatumCostCache<'r> {
-    /// Wrap one datum's reference string. `O(1)` — no tables are built
-    /// until a query needs them (see the module docs for which do).
-    pub fn build(grid: &Grid, rs: &'r DataRefString) -> Self {
-        Self::from_source(grid, RefSource::Windowed(rs), rs.num_windows())
-    }
-
-    /// Wrap one datum's span of a [`FlatTrace`] (window-major, ascending
-    /// processor order — the layout [`FlatTrace`] guarantees). Serves the
-    /// exact same tables as [`DatumCostCache::build`] on the equivalent
-    /// nested string.
+    /// Wrap one datum's span (window-major, ascending processor order — the
+    /// layout every [`FlatView`] guarantees).
+    /// `O(1)` — no tables are built until a query needs them (see the
+    /// module docs for which do).
     pub fn build_flat(grid: &Grid, refs: &'r [FlatRef], num_windows: usize) -> Self {
         Self::from_source(grid, RefSource::Flat(refs), num_windows)
     }
@@ -173,18 +149,6 @@ impl<'r> DatumCostCache<'r> {
     pub fn build_shared_trace(grid: &Grid, trace: Arc<FlatTrace>, d: DataId) -> DatumCostCache<'r> {
         let nw = trace.num_windows();
         Self::from_source(grid, RefSource::SharedTrace(trace, d), nw)
-    }
-
-    /// Wrap a shared standalone span in [`FlatTrace`] canonical order
-    /// (window-major `(window, y, x)`, duplicates aggregated) — the
-    /// overlay form `pim_trace::edit::EditableTrace` produces for edited
-    /// data.
-    pub fn build_shared_span(
-        grid: &Grid,
-        refs: Arc<[FlatRef]>,
-        num_windows: usize,
-    ) -> DatumCostCache<'r> {
-        Self::from_source(grid, RefSource::SharedSpan(refs), num_windows)
     }
 
     fn from_source(grid: &Grid, src: RefSource<'r>, num_windows: usize) -> Self {
@@ -225,35 +189,22 @@ impl<'r> DatumCostCache<'r> {
             let mut px = vec![0u64; (nw + 1) * w];
             let mut py = vec![0u64; (nw + 1) * h];
             let mut vol = vec![0u64; nw + 1];
-            let flat = self.src.flat();
-            let mut flat_next = 0usize;
+            let refs = self.src.span();
+            let mut next = 0usize;
             for wi in 0..nw {
                 let (prev_x, row_x) = px[wi * w..(wi + 2) * w].split_at_mut(w);
                 row_x.copy_from_slice(prev_x);
                 let (prev_y, row_y) = py[wi * h..(wi + 2) * h].split_at_mut(h);
                 row_y.copy_from_slice(prev_y);
                 vol[wi + 1] = vol[wi];
-                match (flat, &self.src) {
-                    (Some(refs), _) => {
-                        while let Some(r) = refs.get(flat_next) {
-                            if r.window as usize != wi {
-                                break;
-                            }
-                            row_x[r.x as usize] += r.count as u64;
-                            row_y[r.y as usize] += r.count as u64;
-                            vol[wi + 1] += r.count as u64;
-                            flat_next += 1;
-                        }
+                while let Some(r) = refs.get(next) {
+                    if r.window as usize != wi {
+                        break;
                     }
-                    (None, RefSource::Windowed(rs)) => {
-                        for r in rs.window(wi).iter() {
-                            let p = self.grid.point_of(r.proc);
-                            row_x[p.x as usize] += r.count as u64;
-                            row_y[p.y as usize] += r.count as u64;
-                            vol[wi + 1] += r.count as u64;
-                        }
-                    }
-                    (None, _) => unreachable!("every non-windowed source is flat"),
+                    row_x[r.x as usize] += r.count as u64;
+                    row_y[r.y as usize] += r.count as u64;
+                    vol[wi + 1] += r.count as u64;
+                    next += 1;
                 }
             }
             PrefixTables { px, py, vol }
@@ -321,7 +272,7 @@ impl<'r> DatumCostCache<'r> {
         }
         let w = self.grid.width() as usize;
         let h = self.grid.height() as usize;
-        let refs = self.src.flat();
+        let refs = self.src.span();
         let Some(t) = self.tables.get_mut() else {
             return;
         };
@@ -331,7 +282,6 @@ impl<'r> DatumCostCache<'r> {
         t.px.resize((nw + 1) * w, 0);
         t.py.resize((nw + 1) * h, 0);
         t.vol.resize(nw + 1, 0);
-        let refs = refs.expect("extendable sources are flat");
         let mut next = refs.partition_point(|r| (r.window as usize) < old_nw);
         for wi in old_nw..nw {
             let (prev_x, row_x) = t.px[wi * w..(wi + 2) * w].split_at_mut(w);
@@ -375,20 +325,10 @@ impl<'r> DatumCostCache<'r> {
 
     /// Range volume by walking the raw references of `lo..hi`.
     fn raw_volume(&self, lo: usize, hi: usize) -> u64 {
-        match (&self.src, self.src.flat()) {
-            (RefSource::Windowed(rs), _) => {
-                if lo == 0 && hi == self.num_windows {
-                    rs.total_volume()
-                } else {
-                    (lo..hi).map(|w| rs.window(w).total_volume()).sum()
-                }
-            }
-            (_, Some(refs)) => Self::flat_range(refs, lo, hi)
-                .iter()
-                .map(|r| r.count as u64)
-                .sum(),
-            (_, None) => unreachable!("every non-windowed source is flat"),
-        }
+        Self::flat_range(self.src.span(), lo, hi)
+            .iter()
+            .map(|r| r.count as u64)
+            .sum()
     }
 
     /// True when no processor references the datum in windows `lo..hi`.
@@ -432,25 +372,7 @@ impl<'r> DatumCostCache<'r> {
 
     /// Project the raw references of `lo..hi` onto the axis weights.
     fn fill_weights_raw(&self, lo: usize, hi: usize, axes: &mut AxisScratch) {
-        axes.reset_weights(&self.grid);
-        match (&self.src, self.src.flat()) {
-            (RefSource::Windowed(rs), _) => {
-                for w in lo..hi {
-                    for r in rs.window(w).iter() {
-                        let p = self.grid.point_of(r.proc);
-                        axes.wx[p.x as usize] += r.count as u64;
-                        axes.wy[p.y as usize] += r.count as u64;
-                    }
-                }
-            }
-            (_, Some(refs)) => {
-                for r in Self::flat_range(refs, lo, hi) {
-                    axes.wx[r.x as usize] += r.count as u64;
-                    axes.wy[r.y as usize] += r.count as u64;
-                }
-            }
-            (_, None) => unreachable!("every non-windowed source is flat"),
-        }
+        axes.project(&self.grid, Self::flat_range(self.src.span(), lo, hi));
     }
 
     /// Fill the axis weights of `lo..hi` by prefix subtraction.
@@ -486,31 +408,6 @@ impl<'r> DatumCostCache<'r> {
         self.range_table(w, w + 1, axes, out);
     }
 
-    /// Cost table of the whole execution merged — what SCDS schedules on.
-    pub fn full_table(&self, axes: &mut AxisScratch, out: &mut Vec<u64>) {
-        self.range_table(0, self.num_windows, axes, out);
-    }
-
-    /// The cost-table argmin (lowest-id tie-break) of the merged range
-    /// `lo..hi` **without building the table**: the per-axis weighted
-    /// medians, in `O(width + height + refs in range)` — or
-    /// `O(width + height)` once prefix tables exist. Never triggers a
-    /// prefix build and does not advance the single-window build counter;
-    /// equal to `argmin_table(range_table(lo, hi)).0` by the median
-    /// decomposition (pinned in `tests/cache_equivalence.rs`).
-    pub fn range_median(&self, lo: usize, hi: usize, axes: &mut AxisScratch) -> ProcId {
-        assert!(lo <= hi && hi <= self.num_windows, "bad range {lo}..{hi}");
-        match self.tables.get() {
-            Some(t) => self.fill_weights_prefix(t, lo, hi, axes),
-            None => self.fill_weights_raw(lo, hi, axes),
-        }
-        let w = self.grid.width() as usize;
-        let h = self.grid.height() as usize;
-        let mx = crate::median::dense_weighted_median(&axes.wx[..w]);
-        let my = crate::median::dense_weighted_median(&axes.wy[..h]);
-        self.grid.proc_xy(mx, my)
-    }
-
     /// Local optimal center (lowest-id argmin) and its cost for the merged
     /// range `lo..hi`.
     pub fn optimal_center_range(
@@ -530,28 +427,16 @@ impl<'r> DatumCostCache<'r> {
 /// exactly this). Construction is `O(num_data)`; each datum's prefix
 /// tables appear lazily when a scheduler first issues a query needing
 /// them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CostCache<'t> {
     data: Vec<DatumCostCache<'t>>,
 }
 
 impl<'t> CostCache<'t> {
-    /// Wrap every datum of the trace (no per-datum work yet).
-    pub fn build(trace: &'t WindowedTrace) -> Self {
-        let grid = trace.grid();
-        CostCache {
-            data: trace
-                .iter_data()
-                .map(|(_, rs)| DatumCostCache::build(&grid, rs))
-                .collect(),
-        }
-    }
-
-    /// Wrap every datum of a flat trace. Serves bit-identical tables to
-    /// [`CostCache::build`] on the equivalent nested trace
-    /// (property-tested in `tests/cache_equivalence.rs`), while datum
-    /// spans stay contiguous slices of one shared `refs` array.
-    pub fn build_flat<V: pim_trace::flat::FlatView + ?Sized>(flat: &'t V) -> Self {
+    /// Wrap every datum of a flat trace (no per-datum work yet): each datum
+    /// borrows its span, so the cache costs one small header per datum and
+    /// no copy of the references.
+    pub fn build_flat<V: FlatView + ?Sized>(flat: &'t V) -> Self {
         let grid = flat.grid();
         let nw = flat.num_windows();
         CostCache {
@@ -616,26 +501,35 @@ mod tests {
     use crate::cost::{cost_table, optimal_center};
     use pim_trace::window::WindowRefs;
 
-    fn sample_rs(grid: &Grid) -> DataRefString {
-        DataRefString::new(vec![
+    fn sample_windows(grid: &Grid) -> Vec<WindowRefs> {
+        vec![
             WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3), (grid.proc_xy(3, 2), 1)]),
             WindowRefs::new(),
             WindowRefs::from_pairs([(grid.proc_xy(2, 1), 5)]),
             WindowRefs::from_pairs([(grid.proc_xy(1, 2), 2), (grid.proc_xy(2, 1), 1)]),
-        ])
+        ]
+    }
+
+    /// A one-datum, four-window trace over the sample windows.
+    fn sample(grid: &Grid) -> FlatTrace {
+        FlatTrace::from_windows(*grid, vec![sample_windows(grid)]).unwrap()
+    }
+
+    fn merged(windows: &[WindowRefs]) -> WindowRefs {
+        WindowRefs::merged(windows)
     }
 
     #[test]
     fn range_tables_match_merged_cost_tables() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let (flat, windows) = (sample(&grid), sample_windows(&grid));
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         let mut axes = AxisScratch::default();
         let (mut cached, mut direct) = (Vec::new(), Vec::new());
-        for lo in 0..rs.num_windows() {
-            for hi in lo + 1..=rs.num_windows() {
+        for lo in 0..4 {
+            for hi in lo + 1..=4 {
                 cache.range_table(lo, hi, &mut axes, &mut cached);
-                cost_table(&grid, &rs.merged_range(lo, hi), &mut direct);
+                cost_table(&grid, &merged(&windows[lo..hi]), &mut direct);
                 assert_eq!(cached, direct, "range {lo}..{hi}");
             }
         }
@@ -644,21 +538,22 @@ mod tests {
     #[test]
     fn lazy_raw_and_prefix_paths_agree() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
+        let flat = sample(&grid);
+        let span = flat.span(DataId(0));
         // `fresh` serves raw (no multi-window sub-range query yet);
         // `warmed` serves the same queries from prefix subtraction.
-        let fresh = DatumCostCache::build(&grid, &rs);
-        let warmed = DatumCostCache::build(&grid, &rs);
+        let fresh = DatumCostCache::build_flat(&grid, span, 4);
+        let warmed = DatumCostCache::build_flat(&grid, span, 4);
         warmed.ensure_tables();
         let mut axes = AxisScratch::default();
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        for w in 0..rs.num_windows() {
+        for w in 0..4 {
             fresh.window_table(w, &mut axes, &mut a);
             warmed.window_table(w, &mut axes, &mut b);
             assert_eq!(a, b, "window {w}");
         }
-        fresh.full_table(&mut axes, &mut a);
-        warmed.full_table(&mut axes, &mut b);
+        fresh.range_table(0, 4, &mut axes, &mut a);
+        warmed.range_table(0, 4, &mut axes, &mut b);
         assert_eq!(a, b, "full table");
         assert_eq!(fresh.range_volume(0, 4), warmed.range_volume(0, 4));
         assert_eq!(fresh.range_volume(2, 3), warmed.range_volume(2, 3));
@@ -667,13 +562,13 @@ mod tests {
     #[test]
     fn multi_window_subrange_triggers_one_build() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let flat = sample(&grid);
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         assert!(cache.tables.get().is_none(), "starts lazy");
         let mut axes = AxisScratch::default();
         let mut out = Vec::new();
         cache.window_table(1, &mut axes, &mut out);
-        cache.full_table(&mut axes, &mut out);
+        cache.range_table(0, 4, &mut axes, &mut out);
         assert!(
             cache.tables.get().is_none(),
             "single-window and full queries stay raw"
@@ -685,13 +580,13 @@ mod tests {
     #[test]
     fn single_window_rescan_triggers_build_after_full_sweep() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid); // 4 windows
-        let cache = DatumCostCache::build(&grid, &rs);
+        let flat = sample(&grid); // 4 windows
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         let mut axes = AxisScratch::default();
         let mut out = Vec::new();
         // One full sweep plus the slack probe stays raw...
-        for q in 0..rs.num_windows() + SINGLE_WINDOW_SWEEP_SLACK as usize {
-            cache.window_table(q % rs.num_windows(), &mut axes, &mut out);
+        for q in 0..4 + SINGLE_WINDOW_SWEEP_SLACK as usize {
+            cache.window_table(q % 4, &mut axes, &mut out);
             assert!(cache.tables.get().is_none(), "query {q} must serve raw");
         }
         // ...and the next single-window query builds the tables.
@@ -702,11 +597,11 @@ mod tests {
     #[test]
     fn empty_and_volume_queries() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let flat = sample(&grid);
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         assert!(cache.range_is_empty(1, 2));
         assert!(!cache.range_is_empty(0, 2));
-        assert_eq!(cache.range_volume(0, 4), rs.total_volume());
+        assert_eq!(cache.range_volume(0, 4), flat.total_volume());
         assert_eq!(cache.range_volume(2, 3), 5);
         assert_eq!(cache.num_windows(), 4);
     }
@@ -714,13 +609,13 @@ mod tests {
     #[test]
     fn optimal_center_range_matches_uncached() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let (flat, windows) = (sample(&grid), sample_windows(&grid));
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         let mut axes = AxisScratch::default();
         let mut table = Vec::new();
         for (lo, hi) in [(0, 1), (0, 4), (2, 4), (3, 4)] {
             let cached = cache.optimal_center_range(lo, hi, &mut axes, &mut table);
-            let direct = optimal_center(&grid, &rs.merged_range(lo, hi));
+            let direct = optimal_center(&grid, &merged(&windows[lo..hi]));
             assert_eq!(cached, direct, "range {lo}..{hi}");
         }
     }
@@ -728,14 +623,14 @@ mod tests {
     #[test]
     fn counters_track_every_serve_path() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid);
-        let mut cache = DatumCostCache::build(&grid, &rs);
+        let flat = sample(&grid);
+        let mut cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         let stats = Arc::new(CacheStats::default());
         cache.set_stats(Arc::clone(&stats));
         let mut axes = AxisScratch::default();
         let mut out = Vec::new();
         cache.window_table(0, &mut axes, &mut out); // raw
-        cache.full_table(&mut axes, &mut out); // raw
+        cache.range_table(0, 4, &mut axes, &mut out); // raw
         cache.range_table(1, 3, &mut axes, &mut out); // build + prefix hit
         cache.window_table(0, &mut axes, &mut out); // tables exist → hit
         assert_eq!(stats.raw_serves.load(Ordering::Relaxed), 2);
@@ -780,7 +675,7 @@ mod tests {
         cache.extend_span(Arc::from(extended.clone()), 3);
         assert_eq!(stats.prefix_extends.load(Ordering::Relaxed), 1);
         assert_eq!(stats.invalidations.load(Ordering::Relaxed), 0);
-        let oracle = DatumCostCache::build_shared_span(&grid, Arc::from(extended), 3);
+        let oracle = DatumCostCache::build_flat(&grid, &extended, 3);
         oracle.ensure_tables();
         let mut axes = AxisScratch::default();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -809,26 +704,13 @@ mod tests {
     #[test]
     fn extend_windows_copies_rows_forward() {
         let grid = Grid::new(4, 3);
-        let rs = sample_rs(&grid); // 4 windows
-        let span: Vec<FlatRef> = (0..rs.num_windows())
-            .flat_map(|w| {
-                rs.window(w).iter().map(move |r| {
-                    let p = grid.point_of(r.proc);
-                    FlatRef {
-                        window: w as u32,
-                        x: p.x,
-                        y: p.y,
-                        count: r.count,
-                    }
-                })
-            })
-            .collect();
-        let mut cache = DatumCostCache::build_shared_span(&grid, Arc::from(span), 4);
+        let flat = sample(&grid); // 4 windows
+        let mut cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
         cache.ensure_tables();
         cache.extend_windows(6);
         assert_eq!(cache.num_windows(), 6);
         assert_eq!(cache.range_volume(4, 6), 0);
-        assert_eq!(cache.range_volume(0, 6), rs.total_volume());
+        assert_eq!(cache.range_volume(0, 6), flat.total_volume());
         let mut axes = AxisScratch::default();
         let (mut full, mut old) = (Vec::new(), Vec::new());
         cache.range_table(0, 6, &mut axes, &mut full);
@@ -839,14 +721,15 @@ mod tests {
     #[test]
     fn trace_cache_indexes_by_datum() {
         let grid = Grid::new(4, 3);
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![
                 vec![WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)])],
                 vec![WindowRefs::from_pairs([(grid.proc_xy(3, 2), 7)])],
             ],
-        );
-        let cache = CostCache::build(&trace);
+        )
+        .unwrap();
+        let cache = CostCache::build_flat(&trace);
         assert_eq!(cache.num_data(), 2);
         assert_eq!(cache.datum(DataId(1)).range_volume(0, 1), 7);
     }
@@ -854,11 +737,12 @@ mod tests {
     #[test]
     fn warm_builds_every_datum() {
         let grid = Grid::new(4, 3);
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)]); 3]; 4],
-        );
-        let cache = CostCache::build(&trace);
+        )
+        .unwrap();
+        let cache = CostCache::build_flat(&trace);
         cache.warm(pim_par::Pool::with_threads(2));
         for d in 0..4 {
             assert!(cache.datum(DataId(d)).tables.get().is_some());

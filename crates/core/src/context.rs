@@ -1,14 +1,17 @@
 //! Shared execution context for pluggable schedulers.
 //!
 //! A [`SchedContext`] bundles everything a [`crate::registry::Scheduler`]
-//! needs beyond the trace itself: the grid view, the memory policy and its
-//! resolved [`MemorySpec`], the shared per-trace [`CostCache`], a reusable
+//! reads: the trace (any [`FlatView`] — an owned
+//! [`pim_trace::flat::FlatTrace`], a memory-mapped
+//! [`pim_trace::binfmt::BinTrace`] or an
+//! [`pim_trace::edit::EditableTrace`]), the memory policy and its resolved
+//! [`MemorySpec`], the shared per-trace [`CostCache`], a reusable
 //! [`Workspace`], and an optional [`Pool`] for per-datum parallelism.
-//! Every scheduler serves its cost tables from the cache's prefix sums;
-//! schedulers whose kernels read flat spans (SCDS medians, LOMCDS window
-//! medians and anchors) share one [`FlatTrace`] copy of the trace,
-//! converted on first use. The context — not the scheduler — decides the
-//! *execution mode*:
+//! Schedulers read spans straight off the trace; the cost cache — one small
+//! header per datum over borrowed spans — is built on the first call of a
+//! scheduler that serves cost tables from it (GOMCDS, grouping), so SCDS
+//! and LOMCDS runs allocate none. The context — not the scheduler —
+//! decides the *execution mode*:
 //!
 //! * **sequential** (the default): every kernel runs inline;
 //! * **parallel**: a [`Pool`] is attached; schedulers that support
@@ -33,8 +36,8 @@ use pim_array::memory::MemorySpec;
 use pim_metrics::Metrics;
 use pim_par::Pool;
 use pim_trace::dag::TaskDag;
-use pim_trace::flat::FlatTrace;
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatView;
+use std::cell::OnceCell;
 
 /// Whether (and how) task precedence constrains a scheduling run.
 ///
@@ -64,15 +67,12 @@ impl<'t> PrecedencePolicy<'t> {
 
 /// Execution context owned by one scheduling run and shared across any
 /// number of schedulers (the cache and workspace amortize across calls).
-/// The lifetime ties the context to the trace whose reference strings the
-/// (lazy) [`CostCache`] serves from.
-#[derive(Debug)]
+/// The lifetime ties the context to the trace it schedules.
 pub struct SchedContext<'t> {
-    grid: Grid,
+    trace: &'t dyn FlatView,
     policy: MemoryPolicy,
     spec: MemorySpec,
-    cache: CostCache<'t>,
-    flat: Option<FlatTrace>,
+    cache: OnceCell<CostCache<'t>>,
     ws: Workspace,
     pool: Option<Pool>,
     metrics: Metrics,
@@ -80,26 +80,14 @@ pub struct SchedContext<'t> {
 }
 
 impl<'t> SchedContext<'t> {
-    /// A sequential context wrapping the trace in a (lazy) per-trace
-    /// [`CostCache`].
-    pub fn new(trace: &'t WindowedTrace, policy: MemoryPolicy) -> Self {
-        SchedContext::with_cache(trace, policy, CostCache::build(trace))
-    }
-
-    /// A context around a prebuilt cost cache (shares the cache — and any
-    /// prefix tables it has already built — with other users of the same
-    /// trace).
-    pub fn with_cache(
-        trace: &'t WindowedTrace,
-        policy: MemoryPolicy,
-        cache: CostCache<'t>,
-    ) -> Self {
+    /// A sequential context over `trace`; its cost cache is built on first
+    /// use.
+    pub fn new(trace: &'t dyn FlatView, policy: MemoryPolicy) -> Self {
         SchedContext {
-            grid: trace.grid(),
+            trace,
             policy,
-            spec: policy.resolve(trace),
-            cache,
-            flat: None,
+            spec: policy.resolve(&trace.grid(), trace.num_data()),
+            cache: OnceCell::new(),
             ws: Workspace::new(),
             pool: None,
             metrics: Metrics::disabled(),
@@ -121,13 +109,13 @@ impl<'t> SchedContext<'t> {
         self
     }
 
-    /// Attach a metrics sink. An enabled sink is installed into the owned
-    /// cost cache (cache-behavior counters) and the workspace (capacity
+    /// Attach a metrics sink. An enabled sink is installed into the cost
+    /// cache (cache-behavior counters) and the workspace (capacity
     /// displacement); schedulers record into it but never read from it, so
     /// the schedule stays bit-identical with metrics on or off.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        if let Some(stats) = metrics.cache_stats() {
-            self.cache.set_stats(&stats);
+        if let (Some(cache), Some(stats)) = (self.cache.get_mut(), metrics.cache_stats()) {
+            cache.set_stats(&stats);
         }
         self.ws.metrics = metrics.clone();
         self.metrics = metrics;
@@ -139,9 +127,14 @@ impl<'t> SchedContext<'t> {
         &self.metrics
     }
 
+    /// The trace this context schedules.
+    pub fn trace(&self) -> &'t dyn FlatView {
+        self.trace
+    }
+
     /// The processor grid of the trace this context was built for.
     pub fn grid(&self) -> Grid {
-        self.grid
+        self.trace.grid()
     }
 
     /// The memory policy this run schedules under.
@@ -164,9 +157,16 @@ impl<'t> SchedContext<'t> {
         self.precedence.dag()
     }
 
-    /// The shared cost cache.
+    /// The shared cost cache over the trace's spans, built on the first
+    /// call (with the metrics sink's cache counters installed).
     pub fn cache(&self) -> &CostCache<'t> {
-        &self.cache
+        self.cache.get_or_init(|| {
+            let mut cache = CostCache::build_flat(self.trace);
+            if let Some(stats) = self.metrics.cache_stats() {
+                cache.set_stats(&stats);
+            }
+            cache
+        })
     }
 
     /// The pool to use for per-datum parallel scheduling, or `None` when
@@ -178,46 +178,36 @@ impl<'t> SchedContext<'t> {
         self.pool
     }
 
-    /// Split-borrow the cache and the workspace — the shape the
-    /// cache-reading drivers want.
+    /// Split-borrow the cache (built on first use) and the workspace —
+    /// the shape the cache-reading drivers want.
     pub fn cache_and_ws(&mut self) -> (&CostCache<'t>, &mut Workspace) {
-        (&self.cache, &mut self.ws)
+        self.cache();
+        let cache = self.cache.get().expect("built above");
+        (cache, &mut self.ws)
     }
 
     /// The reusable scratch workspace.
     pub fn workspace(&mut self) -> &mut Workspace {
         &mut self.ws
     }
-
-    /// Split-borrow the flat copy of `trace` (converted with
-    /// [`FlatTrace::from_trace`] on the first call, then reused by every
-    /// later scheduler of this context), the cache and the workspace — the
-    /// shape the span-reading drivers want.
-    pub(crate) fn flat_cache_ws(
-        &mut self,
-        trace: &WindowedTrace,
-    ) -> (&FlatTrace, &CostCache<'t>, &mut Workspace) {
-        let flat = self
-            .flat
-            .get_or_insert_with(|| FlatTrace::from_trace(trace));
-        (flat, &self.cache, &mut self.ws)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
-    fn trace() -> WindowedTrace {
+    fn trace() -> FlatTrace {
         let grid = Grid::new(3, 3);
-        WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new(); 2]; 2])
+        FlatTrace::from_windows(grid, vec![vec![WindowRefs::new(); 2]; 2]).unwrap()
     }
 
     #[test]
     fn cached_context_owns_cache() {
         let t = trace();
         let ctx = SchedContext::new(&t, MemoryPolicy::Unbounded);
+        assert!(ctx.cache.get().is_none(), "the cache is built on first use");
         assert_eq!(ctx.cache().num_data(), t.num_data());
         assert_eq!(ctx.grid(), t.grid());
         assert_eq!(ctx.spec().capacity_per_proc, u32::MAX);

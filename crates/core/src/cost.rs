@@ -20,9 +20,15 @@
 //! Both produce identical tables (property-tested), and the benches in
 //! `pim-bench` quantify the gap (ablation A is about GOMCDS's analogous
 //! trick; this one feeds SCDS/LOMCDS).
+//!
+//! The helpers taking a [`WindowRefs`] price one hand-written window; the
+//! schedulers price runs of a flat span ([`FlatRef`] records, whose axis
+//! projections are precomputed) with the `span_*` helpers and the
+//! [`AxisScratch`] projection.
 
 use pim_array::grid::{Grid, ProcId};
-use pim_trace::window::{DataRefString, WindowRefs};
+use pim_trace::flat::FlatRef;
+use pim_trace::window::WindowRefs;
 
 /// Sentinel "infinite" cost used to mask full processors in capacity-
 /// constrained DPs. Chosen far below `u64::MAX` so sums never overflow.
@@ -64,6 +70,24 @@ impl AxisScratch {
         self.wx.resize(grid.width() as usize, 0);
         self.wy.clear();
         self.wy.resize(grid.height() as usize, 0);
+    }
+
+    /// Zero the weight rows and project a run of flat references onto them
+    /// (any subset of one datum's span: one window, a window range, or the
+    /// whole execution).
+    pub(crate) fn project(&mut self, grid: &Grid, refs: &[FlatRef]) {
+        self.reset_weights(grid);
+        for r in refs {
+            self.wx[r.x as usize] += r.count as u64;
+            self.wy[r.y as usize] += r.count as u64;
+        }
+    }
+
+    /// The cost table of a run of flat references (see
+    /// [`AxisScratch::project`]).
+    pub(crate) fn table_of(&mut self, grid: &Grid, refs: &[FlatRef], out: &mut Vec<u64>) {
+        self.project(grid, refs);
+        self.sweep_into(grid, out);
     }
 
     /// Combine the already-filled weight rows into the full `m`-entry cost
@@ -169,17 +193,36 @@ pub fn optimal_centers(grid: &Grid, refs: &WindowRefs) -> Vec<ProcId> {
         .collect()
 }
 
+/// Cost of serving a run of flat references from `center`: each record's
+/// count times its L1 distance to the center.
+pub fn span_cost_at(grid: &Grid, refs: &[FlatRef], center: ProcId) -> u64 {
+    let c = grid.point_of(center);
+    refs.iter()
+        .map(|r| {
+            let dist =
+                (r.x as i64 - c.x as i64).unsigned_abs() + (r.y as i64 - c.y as i64).unsigned_abs();
+            r.count as u64 * dist
+        })
+        .sum()
+}
+
+/// The local optimal center (lowest-id argmin) of a run of flat references
+/// and its cost — [`optimal_center`] for a window of a flat span.
+pub fn span_optimal_center(grid: &Grid, refs: &[FlatRef]) -> (ProcId, u64) {
+    let mut axes = AxisScratch::default();
+    let mut table = Vec::new();
+    axes.table_of(grid, refs, &mut table);
+    argmin_table(&table)
+}
+
 /// Total cost of one datum held along the center sequence `path` (one
-/// center per window): reference cost in every window plus one hop per
-/// unit of movement between consecutive windows.
-///
-/// # Panics
-/// Panics when `path` does not have one center per window of `rs`.
-pub fn path_cost(grid: &Grid, rs: &DataRefString, path: &[ProcId]) -> u64 {
-    assert_eq!(path.len(), rs.num_windows());
+/// center per window): each reference of its flat `span` served from its
+/// window's center, plus one hop per unit of movement between consecutive
+/// windows.
+pub fn path_cost(grid: &Grid, span: &[FlatRef], path: &[ProcId]) -> u64 {
     let mut cost = 0u64;
-    for (w, refs) in rs.windows().enumerate() {
-        cost += cost_at(grid, refs, path[w]);
+    for r in span {
+        cost += span_cost_at(grid, core::slice::from_ref(r), path[r.window as usize]);
     }
     for pair in path.windows(2) {
         cost += grid.dist(pair[0], pair[1]);

@@ -7,10 +7,11 @@
 //! [`summarize`] aggregates the whole schedule into the handful of numbers
 //! a person actually scans. Both back the CLI's `explain` output.
 
-use crate::cost::{cost_at, optimal_center};
+use crate::cost::{span_cost_at, span_optimal_center};
+use crate::flat::datum_cost;
 use crate::schedule::Schedule;
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// One window of a datum's story.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,16 +31,17 @@ pub struct WindowExplanation {
 
 /// Narrate one datum's schedule.
 pub fn explain_data(
-    trace: &WindowedTrace,
+    trace: &(impl FlatView + ?Sized),
     schedule: &Schedule,
     d: DataId,
 ) -> Vec<WindowExplanation> {
     let grid = trace.grid();
-    let rs = trace.refs(d);
-    let mut out = Vec::with_capacity(rs.num_windows());
-    for (w, refs) in rs.windows().enumerate() {
+    let nw = trace.num_windows();
+    let mut out = Vec::with_capacity(nw);
+    for w in 0..nw {
+        let refs = trace.window_run(d, w);
         let center = schedule.center(d, w);
-        let reference_cost = cost_at(&grid, refs, center);
+        let reference_cost = span_cost_at(&grid, refs, center);
         let move_cost = if w == 0 {
             0
         } else {
@@ -48,7 +50,7 @@ pub fn explain_data(
         let regret = if refs.is_empty() {
             0
         } else {
-            reference_cost - optimal_center(&grid, refs).1
+            reference_cost - span_optimal_center(&grid, refs).1
         };
         let p = grid.point_of(center);
         out.push(WindowExplanation {
@@ -63,7 +65,7 @@ pub fn explain_data(
 }
 
 /// Render one datum's explanation as text.
-pub fn render_data(trace: &WindowedTrace, schedule: &Schedule, d: DataId) -> String {
+pub fn render_data(trace: &(impl FlatView + ?Sized), schedule: &Schedule, d: DataId) -> String {
     let mut out = format!("{d}:\n");
     for e in explain_data(trace, schedule, d) {
         out.push_str(&format!(
@@ -103,13 +105,13 @@ pub struct ScheduleSummary {
 }
 
 /// Summarize a schedule against its trace.
-pub fn summarize(trace: &WindowedTrace, schedule: &Schedule) -> ScheduleSummary {
+pub fn summarize(trace: &(impl FlatView + ?Sized), schedule: &Schedule) -> ScheduleSummary {
     let cost = schedule.evaluate(trace);
     let mut total_regret = 0u64;
     let mut worst = (DataId(0), 0u64);
     for d in 0..trace.num_data() {
         let d = DataId(d as u32);
-        let per = schedule.evaluate_data(trace, d).total();
+        let per = datum_cost(&trace.grid(), trace.span(d), schedule.centers_of(d), 1).total();
         if per > worst.1 {
             worst = (d, per);
         }
@@ -132,11 +134,12 @@ mod tests {
     use super::*;
     use crate::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
-    fn sample() -> WindowedTrace {
+    fn sample() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
@@ -144,6 +147,7 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
             ]],
         )
+        .unwrap()
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Scheduling straight off a flat CSR trace — the big-instance fast path —
-//! and the pool fan-out every driver shares.
+//! The SCDS, LOMCDS and GOMCDS drivers, the pool fan-out every driver
+//! shares, and the cost fold.
 //!
-//! The entry points here drive SCDS, LOMCDS and GOMCDS directly from the
-//! flat CSR layout. They are generic over [`FlatView`], so the same code
-//! runs against an owned in-memory [`pim_trace::flat::FlatTrace`] or a
-//! zero-copy memory-mapped [`pim_trace::binfmt::BinTrace`] — scheduling
-//! straight off file bytes.
+//! The entry points here drive SCDS, LOMCDS and GOMCDS over any
+//! [`FlatView`], so the same code runs against an owned in-memory
+//! [`pim_trace::flat::FlatTrace`] or a zero-copy memory-mapped
+//! [`pim_trace::binfmt::BinTrace`] — scheduling straight off file bytes.
 //!
 //! They are drivers: each fetches datum spans, fans the algorithm's
 //! per-datum kernel out over the [`pim_par`] pool in contiguous chunks
 //! ([`pim_par::auto_chunk`], so workers stream adjacent spans of the
 //! shared `refs` array), and runs its sequential capacity replay. The
 //! kernels and replays live in [`crate::scds`], [`crate::lomcds`] and
-//! [`crate::gomcds`]; the registry strategies call the same drivers on a
-//! flat copy of their nested trace, made once per
-//! [`crate::SchedContext`].
+//! [`crate::gomcds`]; the registry strategies call the same drivers on
+//! the trace their [`crate::SchedContext`] holds.
 //!
 //! Every entry point is **bit-identical** to `pim-reference`'s pre-cache
-//! scheduler on the equivalent nested trace (property-tested in
+//! scheduler on the same trace (property-tested in
 //! `tests/cache_equivalence.rs`): the weighted median with
 //! smallest-coordinate tie-break equals the cost table's lowest-id argmin
 //! (see [`crate::median`]), and capacity resolution replays the same
@@ -58,7 +56,7 @@ pub(crate) fn datum_ids(nd: usize) -> Vec<DataId> {
 
 /// SCDS on a flat trace: one merged-window median per datum, capacity
 /// resolved in ascending datum order. Bit-identical to `pim-reference`'s
-/// SCDS on the equivalent nested trace — the merged median *is* the head
+/// SCDS — the merged median *is* the head
 /// of the merged processor list, and a datum only needs the rest of that
 /// list when its median is full.
 pub fn flat_scds<V: FlatView + ?Sized>(
@@ -66,7 +64,7 @@ pub fn flat_scds<V: FlatView + ?Sized>(
     policy: MemoryPolicy,
     pool: Pool,
 ) -> Result<Schedule, SchedError> {
-    let spec = policy.resolve_parts(&flat.grid(), flat.num_data());
+    let spec = policy.resolve(&flat.grid(), flat.num_data());
     scds_on(flat, spec, pool, &Metrics::disabled())
 }
 
@@ -99,25 +97,22 @@ pub(crate) fn scds_on<V: FlatView + ?Sized>(
 /// LOMCDS on a flat trace. Unbounded runs are pure per-datum median
 /// sweeps (fully parallel, no capacity state); bounded runs compute the
 /// per-datum anchors in parallel and replay the window-major capacity
-/// loop over a flat-backed cost cache. Bit-identical to `pim-reference`'s
-/// LOMCDS on the equivalent nested trace.
+/// loop through per-datum span cursors. Bit-identical to
+/// `pim-reference`'s LOMCDS.
 pub fn flat_lomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
     pool: Pool,
 ) -> Result<Schedule, SchedError> {
-    let spec = policy.resolve_parts(&flat.grid(), flat.num_data());
-    lomcds_on(flat, spec, pool, None, &mut Workspace::new())
+    let spec = policy.resolve(&flat.grid(), flat.num_data());
+    lomcds_on(flat, spec, pool, &mut Workspace::new())
 }
 
-/// The LOMCDS driver behind [`flat_lomcds`] and the registry strategy. A
-/// bounded replay reads `cache` — any backing serves identical tables —
-/// or, when `None`, a flat-backed cache built here.
+/// The LOMCDS driver behind [`flat_lomcds`] and the registry strategy.
 pub(crate) fn lomcds_on<V: FlatView + ?Sized>(
     flat: &V,
     spec: MemorySpec,
     pool: Pool,
-    cache: Option<&CostCache>,
     ws: &mut Workspace,
 ) -> Result<Schedule, SchedError> {
     let grid = flat.grid();
@@ -134,29 +129,19 @@ pub(crate) fn lomcds_on<V: FlatView + ?Sized>(
     let anchors = fan_out(pool, &ids, MedianState::default, |med, d| {
         crate::lomcds::span_first_anchor(&grid, flat.span(d), med)
     });
-    let owned;
-    let cache = match cache {
-        Some(cache) => cache,
-        None => {
-            owned = CostCache::build_flat(flat);
-            &owned
-        }
-    };
-    Ok(crate::lomcds::replay(grid, nw, spec, cache, &anchors, ws)?.0)
+    Ok(crate::lomcds::replay(flat, spec, &anchors, ws)?.0)
 }
 
 /// GOMCDS (distance-transform solver) on a flat trace: per-datum layered
 /// shortest paths served from a flat-backed cost cache, capacity replayed
-/// in datum order. Bit-identical to `pim-reference`'s GOMCDS on the
-/// equivalent nested trace — the cache serves identical tables from
-/// either backing.
+/// in datum order. Bit-identical to `pim-reference`'s GOMCDS.
 pub fn flat_gomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,
     pool: Pool,
 ) -> Result<Schedule, SchedError> {
     let grid = flat.grid();
-    let spec = policy.resolve_parts(&grid, flat.num_data());
+    let spec = policy.resolve(&grid, flat.num_data());
     let cache = CostCache::build_flat(flat);
     let nw = flat.num_windows();
     let solver = Solver::DistanceTransform;
@@ -181,9 +166,10 @@ pub(crate) fn gomcds_on(
     Ok(Schedule::new(grid, centers))
 }
 
-/// Evaluate a schedule against a flat trace: volume-weighted reference
-/// distances plus inter-window movement, exactly as
-/// [`Schedule::evaluate`] charges them on the nested representation.
+/// Evaluate a schedule against a trace: volume-weighted reference
+/// distances plus one unit per hop of inter-window movement — the cost
+/// fold every evaluation ([`Schedule::evaluate`], the stream walk, serve)
+/// shares.
 ///
 /// # Panics
 /// Panics when the schedule shape (grid, data count, window count) does
@@ -200,19 +186,24 @@ pub fn flat_total_cost<V: FlatView + ?Sized>(flat: &V, schedule: &Schedule) -> C
     let mut cost = CostBreakdown::default();
     for d in 0..flat.num_data() {
         let d = DataId(d as u32);
-        fold_datum(&grid, flat.span(d), schedule.centers_of(d), &mut cost);
+        cost.add(datum_cost(&grid, flat.span(d), schedule.centers_of(d), 1));
     }
     cost
 }
 
-/// Fold one datum's center row into `cost` — the per-datum step of
-/// [`flat_total_cost`], shared with the stream walk.
-pub(crate) fn fold_datum(
+/// One datum's cost along its center row (`centers[w]` = its center in
+/// window `w`): every reference of `span` served from its window's center,
+/// plus `move_weight` per hop of movement between consecutive windows (the
+/// datum's transfer volume; the paper's model is 1). The per-datum step of
+/// [`flat_total_cost`], shared with the stream walk and
+/// [`Schedule::evaluate_volumes`].
+pub fn datum_cost(
     grid: &Grid,
     span: &[FlatRef],
     centers: &[ProcId],
-    cost: &mut CostBreakdown,
-) {
+    move_weight: u64,
+) -> CostBreakdown {
+    let mut cost = CostBreakdown::default();
     for r in span {
         let c = grid.point_of(centers[r.window as usize]);
         let dist =
@@ -220,56 +211,66 @@ pub(crate) fn fold_datum(
         cost.reference += r.count as u64 * dist;
     }
     for pair in centers.windows(2) {
-        cost.movement += grid.dist(pair[0], pair[1]);
+        cost.movement += move_weight * grid.dist(pair[0], pair[1]);
     }
+    cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::cost_at;
     use pim_array::grid::Grid;
     use pim_trace::flat::FlatTrace;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::window::WindowRefs;
 
-    fn sample_trace() -> WindowedTrace {
-        let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
-            grid,
+    fn sample_windows(grid: Grid) -> Vec<Vec<WindowRefs>> {
+        vec![
             vec![
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(1, 0), 1)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(3, 3), 4)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(3, 2), 2)]),
-                ],
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 2), 1)]),
-                    WindowRefs::new(),
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
-                ],
-                vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(1, 0), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 3), 4)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 2), 2)]),
             ],
-        )
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 1)]),
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
+            ],
+            vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
+        ]
     }
 
     #[test]
     fn flat_cost_matches_schedule_evaluate() {
-        let trace = sample_trace();
-        let flat = FlatTrace::from_trace(&trace);
+        let grid = Grid::new(4, 4);
+        let windows = sample_windows(grid);
+        let flat = FlatTrace::from_windows(grid, windows.clone()).unwrap();
         for m in [
             crate::pipeline::Method::Scds,
             crate::pipeline::Method::Lomcds,
             crate::pipeline::Method::Gomcds,
         ] {
-            let s = crate::pipeline::schedule(m, &trace, MemoryPolicy::Unbounded);
-            assert_eq!(flat_total_cost(&flat, &s), s.evaluate(&trace), "{m}");
+            let s = crate::pipeline::schedule(m, &flat, MemoryPolicy::Unbounded);
+            // The fold against a direct per-window pricing of the input.
+            let mut direct = CostBreakdown::default();
+            for (d, ws) in windows.iter().enumerate() {
+                let centers = s.centers_of(DataId(d as u32));
+                for (w, refs) in ws.iter().enumerate() {
+                    direct.reference += cost_at(&grid, refs, centers[w]);
+                }
+                for pair in centers.windows(2) {
+                    direct.movement += grid.dist(pair[0], pair[1]);
+                }
+            }
+            assert_eq!(flat_total_cost(&flat, &s), direct, "{m}");
+            assert_eq!(s.evaluate(&flat), direct, "{m}");
         }
     }
 
     #[test]
     fn flat_infeasible_errors() {
         let grid = Grid::new(2, 1);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 3]);
-        let flat = FlatTrace::from_trace(&trace);
+        let flat = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]; 3]).unwrap();
         let pool = Pool::serial();
         type FlatFn = fn(&FlatTrace, MemoryPolicy, Pool) -> Result<Schedule, SchedError>;
         let fns: [FlatFn; 3] = [flat_scds, flat_lomcds, flat_gomcds];

@@ -18,25 +18,35 @@
 //! power the `sweep_topology` ablation quantifying what wrap-around links
 //! buy the data scheduler.
 
-use pim_array::grid::ProcId;
+use pim_array::grid::{Grid, ProcId};
 use pim_array::topology::Topology;
+use pim_trace::flat::{span_window, FlatRef, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
-/// `out[p] = Σ volume · dist(p, referencing proc)` for every processor.
-pub fn cost_table_generic<T: Topology + ?Sized>(topo: &T, refs: &WindowRefs, out: &mut Vec<u64>) {
+/// Literal cost table of one window's references (a run of a span on
+/// `grid`) under an arbitrary topology: `out[k] = Σ count · dist(k, ref)`.
+pub fn cost_table_generic<T: Topology + ?Sized>(
+    topo: &T,
+    grid: &Grid,
+    refs: &[FlatRef],
+    out: &mut Vec<u64>,
+) {
     out.clear();
     out.extend((0..topo.num_procs() as u32).map(|k| {
         refs.iter()
-            .map(|r| r.count as u64 * topo.dist(ProcId(k), r.proc))
+            .map(|r| r.count as u64 * topo.dist(ProcId(k), r.proc(grid)))
             .sum::<u64>()
     }));
 }
 
-/// The minimum-cost processor (ties to the lowest id) and its cost.
-pub fn optimal_center_generic<T: Topology + ?Sized>(topo: &T, refs: &WindowRefs) -> (ProcId, u64) {
+/// Lowest-id argmin of [`cost_table_generic`] and its cost.
+pub fn optimal_center_generic<T: Topology + ?Sized>(
+    topo: &T,
+    grid: &Grid,
+    refs: &[FlatRef],
+) -> (ProcId, u64) {
     let mut table = Vec::new();
-    cost_table_generic(topo, refs, &mut table);
+    cost_table_generic(topo, grid, refs, &mut table);
     let (idx, &cost) = table
         .iter()
         .enumerate()
@@ -45,17 +55,21 @@ pub fn optimal_center_generic<T: Topology + ?Sized>(topo: &T, refs: &WindowRefs)
     (ProcId(idx as u32), cost)
 }
 
-/// Layered shortest path (GOMCDS) over an arbitrary topology, `O(n·m²)`.
+/// GOMCDS over an arbitrary topology for one datum's span over `nw`
+/// windows: the layered DP with the literal `O(m²)` relaxation, same
+/// tie-breaks as [`crate::gomcds`] (lowest-id sink, lowest-id
+/// predecessor).
 pub fn gomcds_path_generic<T: Topology + ?Sized>(
     topo: &T,
-    rs: &DataRefString,
+    grid: &Grid,
+    span: &[FlatRef],
+    nw: usize,
 ) -> (Vec<ProcId>, u64) {
     let m = topo.num_procs();
-    let nw = rs.num_windows();
     let mut dp = vec![vec![0u64; m]; nw];
     let mut node = Vec::new();
     for w in 0..nw {
-        cost_table_generic(topo, rs.window(w), &mut node);
+        cost_table_generic(topo, grid, span_window(span, w), &mut node);
         if w == 0 {
             dp[0].copy_from_slice(&node);
         } else {
@@ -76,7 +90,7 @@ pub fn gomcds_path_generic<T: Topology + ?Sized>(
     let mut path = vec![ProcId(0); nw];
     path[nw - 1] = ProcId(k as u32);
     for w in (1..nw).rev() {
-        cost_table_generic(topo, rs.window(w), &mut node);
+        cost_table_generic(topo, grid, span_window(span, w), &mut node);
         let need = dp[w][k] - node[k];
         let kk = ProcId(k as u32);
         k = (0..m)
@@ -87,58 +101,74 @@ pub fn gomcds_path_generic<T: Topology + ?Sized>(
     (path, best)
 }
 
-/// SCDS over any topology (unconstrained memory): one merged-window center
-/// per datum.
-pub fn scds_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> Vec<Vec<ProcId>> {
-    trace
-        .iter_data()
-        .map(|(_, rs)| {
-            let c = optimal_center_generic(topo, &rs.merged_all()).0;
+/// Every datum's span, in id order.
+fn spans<V: FlatView + ?Sized>(trace: &V) -> impl Iterator<Item = &[FlatRef]> {
+    (0..trace.num_data()).map(|d| trace.span(DataId(d as u32)))
+}
+
+/// Unconstrained SCDS under a topology: each datum at its merged optimum.
+pub fn scds_generic<T: Topology + ?Sized>(
+    topo: &T,
+    trace: &(impl FlatView + ?Sized),
+) -> Vec<Vec<ProcId>> {
+    let grid = trace.grid();
+    spans(trace)
+        .map(|span| {
+            let c = optimal_center_generic(topo, &grid, span).0;
             vec![c; trace.num_windows()]
         })
         .collect()
 }
 
-/// LOMCDS over any topology (unconstrained): per-window local optimum,
-/// empty windows carrying the previous center.
-pub fn lomcds_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> Vec<Vec<ProcId>> {
-    trace
-        .iter_data()
-        .map(|(_, rs)| {
-            let centers: Vec<Option<ProcId>> = rs
-                .windows()
-                .map(|w| (!w.is_empty()).then(|| optimal_center_generic(topo, w).0))
+/// Unconstrained LOMCDS under a topology: per-window optima, gaps carried.
+pub fn lomcds_generic<T: Topology + ?Sized>(
+    topo: &T,
+    trace: &(impl FlatView + ?Sized),
+) -> Vec<Vec<ProcId>> {
+    let grid = trace.grid();
+    spans(trace)
+        .map(|span| {
+            let centers: Vec<Option<ProcId>> = (0..trace.num_windows())
+                .map(|w| {
+                    let run = span_window(span, w);
+                    (!run.is_empty()).then(|| optimal_center_generic(topo, &grid, run).0)
+                })
                 .collect();
             crate::lomcds::resolve_gaps(centers)
         })
         .collect()
 }
 
-/// GOMCDS over any topology (unconstrained).
-pub fn gomcds_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> Vec<Vec<ProcId>> {
-    trace
-        .iter_data()
-        .map(|(_, rs)| gomcds_path_generic(topo, rs).0)
+/// Unconstrained GOMCDS under a topology.
+pub fn gomcds_generic<T: Topology + ?Sized>(
+    topo: &T,
+    trace: &(impl FlatView + ?Sized),
+) -> Vec<Vec<ProcId>> {
+    let grid = trace.grid();
+    spans(trace)
+        .map(|span| gomcds_path_generic(topo, &grid, span, trace.num_windows()).0)
         .collect()
 }
 
-/// Evaluate a center matrix under a topology (reference + movement).
+/// Total cost (reference + unit movement) of a center matrix under a
+/// topology.
+///
+/// # Panics
+/// Panics when the matrix shape does not match the trace.
 pub fn evaluate_generic<T: Topology + ?Sized>(
     topo: &T,
-    trace: &WindowedTrace,
+    trace: &(impl FlatView + ?Sized),
     centers: &[Vec<ProcId>],
 ) -> u64 {
     assert_eq!(centers.len(), trace.num_data(), "data count mismatch");
+    let grid = trace.grid();
     let mut total = 0u64;
-    for (d, rs) in trace.iter_data() {
-        let cs = &centers[d.index()];
-        assert_eq!(cs.len(), rs.num_windows(), "window mismatch for {d}");
-        for (w, refs) in rs.windows().enumerate() {
-            total += refs
-                .iter()
-                .map(|r| r.count as u64 * topo.dist(cs[w], r.proc))
-                .sum::<u64>();
-        }
+    for (span, cs) in spans(trace).zip(centers) {
+        assert_eq!(cs.len(), trace.num_windows(), "window count mismatch");
+        total += span
+            .iter()
+            .map(|r| r.count as u64 * topo.dist(cs[r.window as usize], r.proc(&grid)))
+            .sum::<u64>();
         for pair in cs.windows(2) {
             total += topo.dist(pair[0], pair[1]);
         }
@@ -146,28 +176,27 @@ pub fn evaluate_generic<T: Topology + ?Sized>(
     total
 }
 
-/// Static row-wise-style baseline over any topology: datum `d` on processor
-/// `d % m` (the straight-forward striping when no data shape is known).
-pub fn striped_generic<T: Topology + ?Sized>(topo: &T, trace: &WindowedTrace) -> Vec<Vec<ProcId>> {
+/// The static striped baseline under a topology: datum `d` on `d mod m`.
+pub fn striped_generic<T: Topology + ?Sized>(
+    topo: &T,
+    trace: &(impl FlatView + ?Sized),
+) -> Vec<Vec<ProcId>> {
     let m = topo.num_procs() as u32;
     (0..trace.num_data() as u32)
         .map(|d| vec![ProcId(d % m); trace.num_windows()])
         .collect()
 }
 
-/// The datum id used by [`evaluate_generic`]'s panic messages.
-#[allow(unused)]
-fn _doc_anchor(_: DataId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gomcds::{gomcds_path, Solver};
-    use pim_array::grid::Grid;
     use pim_array::torus::Torus;
+    use pim_trace::flat::{span_window_runs, FlatTrace};
+    use pim_trace::window::WindowRefs;
 
-    fn sample_trace(grid: Grid) -> WindowedTrace {
-        WindowedTrace::from_parts(
+    fn sample_trace(grid: Grid) -> FlatTrace {
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -184,6 +213,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -191,17 +221,21 @@ mod tests {
         let grid = Grid::new(4, 4);
         let trace = sample_trace(grid);
         // cost tables
-        for (_, rs) in trace.iter_data() {
-            for w in rs.windows() {
+        let cache = crate::CostCache::build_flat(&trace);
+        let mut ws = crate::Workspace::new();
+        for d in 0..trace.num_data() {
+            let d = DataId(d as u32);
+            for (_, run) in span_window_runs(trace.span(d)) {
                 let mut generic = Vec::new();
                 let mut fast = Vec::new();
-                cost_table_generic(&grid, w, &mut generic);
-                crate::cost::cost_table(&grid, w, &mut fast);
+                cost_table_generic(&grid, &grid, run, &mut generic);
+                let refs = WindowRefs::from_pairs(run.iter().map(|r| (r.proc(&grid), r.count)));
+                crate::cost::cost_table(&grid, &refs, &mut fast);
                 assert_eq!(generic, fast);
             }
             // paths
-            let (gp, gc) = gomcds_path_generic(&grid, rs);
-            let (fp, fc) = gomcds_path(&grid, rs, Solver::DistanceTransform);
+            let (gp, gc) = gomcds_path_generic(&grid, &grid, trace.span(d), trace.num_windows());
+            let (fp, fc) = gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, &mut ws);
             assert_eq!(gc, fc);
             assert_eq!(gp, fp);
         }

@@ -23,9 +23,9 @@
 //!   transform from [`crate::dt`], giving `O(n·m)` per datum.
 //!
 //! The module owns GOMCDS's two decisions. The per-datum kernel is one
-//! layered DP (`solve_layered`): node costs come from the raw reference
-//! string, a [`DatumCostCache`] (single windows or grouped ranges), or
-//! precedence-weighted raw windows; full (window, processor) slots are
+//! layered DP (`solve_layered`): node costs come from the datum's
+//! [`DatumCostCache`] (single windows, grouped ranges, or
+//! precedence-weighted windows); full (window, processor) slots are
 //! masked to [`INF`]; an optional checkpoint resumes the forward pass from
 //! the first edited window. The capacity replay (`GomcdsReplay`) places
 //! data in ascending id order, each claiming its path's slots before the
@@ -38,8 +38,8 @@
 //! Both solvers produce bit-identical schedules (shared tie-breaking,
 //! verified by tests and the `ablation_solver` bench).
 
-use crate::cache::DatumCostCache;
-use crate::cost::{cost_table_with, AxisScratch, INF};
+use crate::cache::{CostCache, DatumCostCache};
+use crate::cost::{AxisScratch, INF};
 use crate::error::{exhausted, SchedError};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
@@ -48,8 +48,8 @@ use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_par::Pool;
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowedTrace};
 
 /// Inner-minimum strategy for the layered shortest path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,16 +60,14 @@ pub enum Solver {
     DistanceTransform,
 }
 
-/// Where the DP gets its per-layer node costs from.
+/// Where the DP gets its per-layer node costs from: always the datum's
+/// cost cache.
 pub(crate) enum NodeSource<'a> {
-    /// Walk the raw reference string each time (no cache is built: the
-    /// one-datum [`gomcds_path`] family and [`solve_masked_path`]).
-    Raw(&'a DataRefString),
-    /// Raw windows with layer `w`'s reference costs scaled by `weights[w]`
-    /// (the precedence layer's task-priority weights).
-    Weighted(&'a DataRefString, &'a [u64]),
     /// Serve each window from the datum's prefix-sum cache.
     Cached(&'a DatumCostCache<'a>),
+    /// Cached windows with layer `w`'s reference costs scaled by
+    /// `weights[w]` (the precedence layer's task-priority weights).
+    Weighted(&'a DatumCostCache<'a>, &'a [u64]),
     /// Serve grouped window ranges from the cache — layer `g` of the DP is
     /// the merged range `ranges[g]` (grouping's regrouped string, without
     /// materializing it).
@@ -79,8 +77,7 @@ pub(crate) enum NodeSource<'a> {
 impl NodeSource<'_> {
     fn num_layers(&self) -> usize {
         match self {
-            NodeSource::Raw(rs) | NodeSource::Weighted(rs, _) => rs.num_windows(),
-            NodeSource::Cached(c) => c.num_windows(),
+            NodeSource::Cached(c) | NodeSource::Weighted(c, _) => c.num_windows(),
             NodeSource::CachedRanges(_, ranges) => ranges.len(),
         }
     }
@@ -89,21 +86,19 @@ impl NodeSource<'_> {
     /// full processors masked to [`INF`].
     fn node_costs(
         &self,
-        grid: &Grid,
         masks: Option<&[MemoryMap]>,
         w: usize,
         axes: &mut AxisScratch,
         out: &mut Vec<u64>,
     ) {
         match self {
-            NodeSource::Raw(rs) => cost_table_with(grid, rs.window(w), axes, out),
-            NodeSource::Weighted(rs, weights) => {
-                cost_table_with(grid, rs.window(w), axes, out);
+            NodeSource::Cached(c) => c.window_table(w, axes, out),
+            NodeSource::Weighted(c, weights) => {
+                c.window_table(w, axes, out);
                 for slot in out.iter_mut() {
                     *slot = slot.saturating_mul(weights[w]);
                 }
             }
-            NodeSource::Cached(c) => c.window_table(w, axes, out),
             NodeSource::CachedRanges(c, ranges) => {
                 c.range_table(ranges[w].start, ranges[w].end, axes, out)
             }
@@ -118,43 +113,44 @@ impl NodeSource<'_> {
     }
 }
 
-/// The unconstrained optimal center sequence and its cost for one datum.
+/// The unconstrained optimal center sequence and its cost for one datum,
+/// with node costs served from its cost cache.
 ///
 /// ```
 /// use pim_array::grid::Grid;
-/// use pim_trace::window::{DataRefString, WindowRefs};
 /// use pim_sched::gomcds::{gomcds_path, Solver};
+/// use pim_sched::{CostCache, Workspace};
+/// use pim_trace::flat::FlatTrace;
+/// use pim_trace::ids::DataId;
+/// use pim_trace::window::WindowRefs;
 ///
 /// let grid = Grid::new(4, 4);
-/// let rs = DataRefString::new(vec![
-///     WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
-///     WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
-/// ]);
-/// let (path, cost) = gomcds_path(&grid, &rs, Solver::DistanceTransform);
+/// let trace = FlatTrace::from_windows(
+///     grid,
+///     vec![vec![
+///         WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
+///         WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
+///     ]],
+/// )
+/// .unwrap();
+/// let cache = CostCache::build_flat(&trace);
+/// let mut ws = Workspace::new();
+/// let (path, cost) = gomcds_path(&grid, cache.datum(DataId(0)), Solver::DistanceTransform, &mut ws);
 /// // moving once (6 hops) beats serving 10 remote references
 /// assert_eq!(path, vec![grid.proc_xy(0, 0), grid.proc_xy(3, 3)]);
 /// assert_eq!(cost, 6);
 /// ```
-pub fn gomcds_path(grid: &Grid, rs: &DataRefString, solver: Solver) -> (Vec<ProcId>, u64) {
-    gomcds_path_weighted(grid, rs, solver, 1)
-}
-
-/// [`gomcds_path`] served from a prebuilt per-datum cache and a reusable
-/// workspace — the hot-path form used by the pipeline.
-pub fn gomcds_path_cached(
+pub fn gomcds_path(
     grid: &Grid,
     cache: &DatumCostCache,
     solver: Solver,
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
-    solve_layered(grid, &NodeSource::Cached(cache), None, solver, 1, None, ws)
-        .expect("unconstrained path always feasible")
+    gomcds_path_weighted(grid, cache, solver, 1, ws)
 }
 
 /// Optimal center sequence over *grouped* windows: layer `g` of the DP is
-/// the merged range `groups[g]`. Equivalent to
-/// `gomcds_path(grid, &rs.regrouped(groups), solver)` without building the
-/// regrouped string.
+/// the merged range `groups[g]`, without materializing a regrouped trace.
 pub fn gomcds_path_ranges(
     grid: &Grid,
     cache: &DatumCostCache,
@@ -172,13 +168,13 @@ pub fn gomcds_path_ranges(
 /// optimal policy collapses toward SCDS as data get heavier.
 pub fn gomcds_path_weighted(
     grid: &Grid,
-    rs: &DataRefString,
+    cache: &DatumCostCache,
     solver: Solver,
     move_weight: u64,
+    ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
-    let mut ws = Workspace::new();
-    let src = NodeSource::Raw(rs);
-    solve_layered(grid, &src, None, solver, move_weight, None, &mut ws)
+    let src = NodeSource::Cached(cache);
+    solve_layered(grid, &src, None, solver, move_weight, None, ws)
         .expect("unconstrained path always feasible")
 }
 
@@ -188,17 +184,22 @@ pub fn gomcds_path_weighted(
 ///
 /// # Panics
 /// Panics when `volumes.len() != trace.num_data()`.
-pub fn gomcds_schedule_volumes(trace: &WindowedTrace, volumes: &[u64]) -> Schedule {
+pub fn gomcds_schedule_volumes<V: FlatView + ?Sized>(trace: &V, volumes: &[u64]) -> Schedule {
     assert_eq!(volumes.len(), trace.num_data(), "volumes length mismatch");
     let grid = trace.grid();
-    let centers = trace
-        .iter_data()
-        .map(|(d, rs)| {
+    let cache = CostCache::build_flat(trace);
+    let mut ws = Workspace::new();
+    let centers = volumes
+        .iter()
+        .enumerate()
+        .map(|(d, &volume)| {
+            let datum = cache.datum(DataId(d as u32));
             gomcds_path_weighted(
                 &grid,
-                rs,
+                datum,
                 Solver::DistanceTransform,
-                volumes[d.index()].max(1),
+                volume.max(1),
+                &mut ws,
             )
             .0
         })
@@ -206,39 +207,19 @@ pub fn gomcds_schedule_volumes(trace: &WindowedTrace, volumes: &[u64]) -> Schedu
     Schedule::new(grid, centers)
 }
 
-/// Capacity-masked optimal center sequence over a raw reference string
-/// (one [`MemoryMap`] per window: a full processor is masked out of that
-/// window); `None` when some window has no free processor. The
-/// replication extensions place their primaries with it.
+/// Capacity-masked optimal center sequence of one datum (one
+/// [`MemoryMap`] per window: a full processor is masked out of that
+/// window); `None` when some window has no free processor. The capacity
+/// replays and the replication extensions place data with it.
 pub fn solve_masked_path(
-    grid: &Grid,
-    rs: &DataRefString,
-    masks: &[MemoryMap],
-    solver: Solver,
-) -> Option<Vec<ProcId>> {
-    let mut ws = Workspace::new();
-    let src = NodeSource::Raw(rs);
-    solve_layered(grid, &src, Some(masks), solver, 1, None, &mut ws).map(|(path, _)| path)
-}
-
-/// Cache-served masked path over single windows.
-pub(crate) fn solve_masked_path_cached(
     grid: &Grid,
     cache: &DatumCostCache,
     masks: &[MemoryMap],
+    solver: Solver,
     ws: &mut Workspace,
 ) -> Option<Vec<ProcId>> {
     let src = NodeSource::Cached(cache);
-    solve_layered(
-        grid,
-        &src,
-        Some(masks),
-        Solver::DistanceTransform,
-        1,
-        None,
-        ws,
-    )
-    .map(|(path, _)| path)
+    solve_layered(grid, &src, Some(masks), solver, 1, None, ws).map(|(path, _)| path)
 }
 
 /// Cache-served masked path over grouped window ranges (`masks[g]` masks
@@ -263,7 +244,7 @@ pub(crate) fn solve_masked_ranges(
     .map(|(path, _)| path)
 }
 
-/// A saved DP prefix of one datum's unconstrained cache-served solve:
+/// A saved DP prefix of one datum's unconstrained solve:
 /// forward rows `0..layers` of `dp` and the memoized node rows, each
 /// `layers × m`. Because row `w` is a pure function of the node rows
 /// `0..=w`, a checkpoint whose prefix windows are unedited resumes
@@ -293,8 +274,7 @@ impl DpCheckpoint {
 
 /// The GOMCDS kernel: solve one datum's layered shortest path. `masks`
 /// (one map per layer) marks full processors; `move_weight` is the
-/// per-hop movement charge; `ckpt` (unconstrained cache-served solves
-/// only) supplies the valid prefix layers to resume from and receives
+/// per-hop movement charge; `ckpt` (unconstrained solves only) supplies the valid prefix layers to resume from and receives
 /// every layer of this solve. Returns `None` when no feasible path exists.
 /// Ties go to the lowest-id sink and the lowest-id predecessor.
 pub(crate) fn solve_layered(
@@ -319,15 +299,9 @@ pub(crate) fn solve_layered(
     dp.clear();
     dp.reserve(nw * m);
     // Node rows are memoized during the forward pass so the backtrack
-    // reads them instead of re-deriving each layer. The raw source skips
-    // this: it keeps the pre-cache two-walk behaviour that the
-    // `pim-reference` oracles are timed with.
-    let memoize = !matches!(src, NodeSource::Raw(_));
-    debug_assert!(memoize || ckpt.is_none(), "checkpoints need memoized rows");
+    // reads them instead of re-deriving each layer.
     nodes_all.clear();
-    if memoize {
-        nodes_all.reserve(nw * m);
-    }
+    nodes_all.reserve(nw * m);
     let start = ckpt.as_ref().map_or(0, |c| c.layers.min(nw));
     if let Some(c) = &ckpt {
         dp.extend_from_slice(&c.dp[..start * m]);
@@ -335,10 +309,8 @@ pub(crate) fn solve_layered(
     }
 
     for w in start..nw {
-        src.node_costs(grid, masks, w, axes, node);
-        if memoize {
-            nodes_all.extend_from_slice(node);
-        }
+        src.node_costs(masks, w, axes, node);
+        nodes_all.extend_from_slice(node);
         if w == 0 {
             dp.extend_from_slice(node);
         } else {
@@ -380,12 +352,7 @@ pub(crate) fn solve_layered(
     let mut path = vec![ProcId(0); nw];
     path[nw - 1] = ProcId(k as u32);
     for w in (1..nw).rev() {
-        let noderow: &[u64] = if memoize {
-            &nodes_all[w * m..(w + 1) * m]
-        } else {
-            src.node_costs(grid, masks, w, axes, node);
-            node
-        };
+        let noderow = &nodes_all[w * m..(w + 1) * m];
         let need = dp[w * m + k] - noderow[k];
         let prev_row = &dp[(w - 1) * m..w * m];
         let kp = grid.point_of(ProcId(k as u32));
@@ -507,7 +474,7 @@ impl GomcdsReplay {
         let (grid, solver) = (self.grid, self.solver);
         let pure = if pool.threads() > 1 {
             crate::flat::fan_out(pool, ids, Workspace::new, |w, d| {
-                Some(gomcds_path_cached(&grid, datum(d).borrow(), solver, w).0)
+                Some(gomcds_path(&grid, datum(d).borrow(), solver, w).0)
             })
         } else {
             vec![None; ids.len()]
@@ -523,7 +490,13 @@ impl GomcdsReplay {
 mod tests {
     use super::*;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
+    use pim_trace::flat::FlatTrace;
     use pim_trace::window::WindowRefs;
+
+    /// A one-datum trace over `windows`.
+    fn one_datum(grid: Grid, windows: Vec<WindowRefs>) -> FlatTrace {
+        FlatTrace::from_windows(grid, vec![windows]).unwrap()
+    }
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -534,14 +507,15 @@ mod tests {
         let grid = g();
         // A brief, light excursion of references: moving out and back would
         // cost more than serving remotely.
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 0), 1)]),
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 5)]),
             ]],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs, &[grid.proc_xy(0, 0); 3]);
@@ -551,14 +525,15 @@ mod tests {
     #[test]
     fn moves_when_references_shift_for_good() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
             ]],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         assert_eq!(cs[0], grid.proc_xy(0, 0));
@@ -571,7 +546,7 @@ mod tests {
     #[test]
     fn naive_and_dt_agree_exactly() {
         let grid = Grid::new(5, 4);
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -587,7 +562,8 @@ mod tests {
                     WindowRefs::new(),
                 ],
             ],
-        );
+        )
+        .unwrap();
         for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
             let a = schedule(Method::GomcdsNaive, &trace, policy);
             let b = schedule(Method::Gomcds, &trace, policy);
@@ -598,24 +574,38 @@ mod tests {
     #[test]
     fn path_ranges_matches_regrouped_path() {
         let grid = g();
-        let rs = DataRefString::new(vec![
+        let windows = vec![
             WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2)]),
             WindowRefs::from_pairs([(grid.proc_xy(1, 0), 1)]),
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 6)]),
             WindowRefs::new(),
-        ]);
+        ];
         let groups = vec![0..2, 2..4];
-        let cache = DatumCostCache::build(&grid, &rs);
+        let regrouped = one_datum(
+            grid,
+            groups
+                .iter()
+                .map(|g| WindowRefs::merged(&windows[g.clone()]))
+                .collect(),
+        );
+        let trace = one_datum(grid, windows);
+        let cache = CostCache::build_flat(&trace);
+        let regrouped_cache = CostCache::build_flat(&regrouped);
         let mut ws = Workspace::new();
-        let via_ranges = gomcds_path_ranges(&grid, &cache, &groups, &mut ws);
-        let via_regroup = gomcds_path(&grid, &rs.regrouped(&groups), Solver::DistanceTransform);
+        let via_ranges = gomcds_path_ranges(&grid, cache.datum(DataId(0)), &groups, &mut ws);
+        let via_regroup = gomcds_path(
+            &grid,
+            regrouped_cache.datum(DataId(0)),
+            Solver::DistanceTransform,
+            &mut ws,
+        );
         assert_eq!(via_ranges, via_regroup);
     }
 
     #[test]
     fn never_beaten_by_scds_or_lomcds_unconstrained() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(1, 0), 2), (grid.proc_xy(2, 1), 1)]),
@@ -623,7 +613,8 @@ mod tests {
                 WindowRefs::from_pairs([(grid.proc_xy(1, 0), 2)]),
                 WindowRefs::from_pairs([(grid.proc_xy(2, 1), 2)]),
             ]],
-        );
+        )
+        .unwrap();
         let unb = MemoryPolicy::Unbounded;
         let total = |m| schedule(m, &trace, unb).evaluate(&trace).total();
         let go = total(Method::Gomcds);
@@ -640,8 +631,11 @@ mod tests {
             WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 2)]),
         ];
-        let trace = WindowedTrace::from_parts(grid, vec![rs_windows]);
-        let (path, cost) = gomcds_path(&grid, trace.refs(DataId(0)), Solver::DistanceTransform);
+        let trace = one_datum(grid, rs_windows);
+        let cache = CostCache::build_flat(&trace);
+        let mut ws = Workspace::new();
+        let datum = cache.datum(DataId(0));
+        let (path, cost) = gomcds_path(&grid, datum, Solver::DistanceTransform, &mut ws);
         let s = Schedule::new(grid, vec![path]);
         assert_eq!(s.evaluate(&trace).total(), cost);
     }
@@ -655,10 +649,11 @@ mod tests {
                 WindowRefs::from_pairs([(p, 3)]),
             ]
         };
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Gomcds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.max_occupancy(), 1);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
@@ -668,17 +663,22 @@ mod tests {
     #[test]
     fn resumable_solve_matches_cached_from_every_layer() {
         let grid = Grid::new(5, 4);
-        let rs = DataRefString::new(vec![
-            WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(4, 3), 1)]),
-            WindowRefs::new(),
-            WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
-            WindowRefs::from_pairs([(grid.proc_xy(4, 0), 1), (grid.proc_xy(0, 3), 1)]),
-            WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
-        ]);
-        let cache = DatumCostCache::build(&grid, &rs);
+        let trace = one_datum(
+            grid,
+            vec![
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(4, 3), 1)]),
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
+                WindowRefs::from_pairs([(grid.proc_xy(4, 0), 1), (grid.proc_xy(0, 3), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
+            ],
+        );
+        let nw = trace.num_windows();
+        let caches = CostCache::build_flat(&trace);
+        let cache = caches.datum(DataId(0));
         let mut ws = Workspace::new();
-        let expect = gomcds_path_cached(&grid, &cache, Solver::DistanceTransform, &mut ws);
-        let src = NodeSource::Cached(&cache);
+        let expect = gomcds_path(&grid, cache, Solver::DistanceTransform, &mut ws);
+        let src = NodeSource::Cached(cache);
         let mut solve = |ckpt: &mut DpCheckpoint| {
             solve_layered(
                 &grid,
@@ -696,9 +696,9 @@ mod tests {
         // (0 = cold, nw = fully warm): all must be bit-identical.
         let mut ckpt = DpCheckpoint::default();
         assert_eq!(solve(&mut ckpt), expect);
-        assert_eq!(ckpt.layers, rs.num_windows());
+        assert_eq!(ckpt.layers, nw);
         let m = grid.num_procs();
-        for cut in 0..=rs.num_windows() {
+        for cut in 0..=nw {
             let mut c = ckpt.clone();
             c.truncate(cut, m);
             assert_eq!(c.layers, cut);
@@ -710,13 +710,14 @@ mod tests {
     #[test]
     fn single_window_gomcds_equals_scds_placement() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([
                 (grid.proc_xy(3, 1), 2),
                 (grid.proc_xy(0, 2), 1),
             ])]],
-        );
+        )
+        .unwrap();
         let unb = MemoryPolicy::Unbounded;
         assert_eq!(
             schedule(Method::Gomcds, &trace, unb),

@@ -15,30 +15,32 @@
 //!
 //! The greedy's extension decisions are evaluated **incrementally**: both
 //! candidate partitions at a step share their confirmed prefix and their
-//! singleton suffix, so [`greedy_grouping_cached`] precomputes the suffix
+//! singleton suffix, so [`greedy_grouping`] precomputes the suffix
 //! once, carries the prefix forward, and pays one cache range query per
 //! step — `O(n)` group evaluations total instead of the literal
 //! re-costing's `O(n²)` (`pim-reference`'s `greedy_grouping`).
 //!
 //! Besides the greedy (the paper's algorithm), [`optimal_grouping`] solves
 //! the same problem exactly by dynamic programming over group boundaries —
-//! `O(t²)` transitions via a per-boundary distance transform
-//! ([`optimal_grouping_cached`]; the literal `O(t³)` scan is
-//! `pim-reference`'s `optimal_grouping`) — used by ablation E to measure
-//! the greedy's optimality gap.
+//! `O(t²)` transitions via a per-boundary distance transform (the literal
+//! `O(t³)` scan is `pim-reference`'s `optimal_grouping`) — used by
+//! ablation E to measure the greedy's optimality gap.
+//!
+//! Every function here reads one datum's references through its
+//! [`DatumCostCache`]: group tables are prefix-sum range queries.
 
 use crate::cache::{CostCache, DatumCostCache};
-use crate::cost::{cost_at, optimal_center, INF};
+use crate::cost::INF;
 use crate::error::{ensure_feasible, exhausted, SchedError};
-use crate::gomcds::{gomcds_path, Solver};
+use crate::gomcds::{gomcds_path_ranges, solve_masked_path, Solver};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_par::Pool;
+use pim_trace::flat::{FlatRef, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
 /// How centers are computed for a grouped window set when costing a
 /// grouping.
@@ -54,27 +56,10 @@ pub enum GroupMethod {
 }
 
 /// The local-center sequence for a grouping: each group's optimal center of
-/// merged refs; empty groups keep the previous group's center (leading
-/// empties take the first known center; all-empty defaults to `P0`).
+/// merged refs (a cache range query); empty groups keep the previous
+/// group's center (leading empties take the first known center; all-empty
+/// defaults to `P0`).
 pub fn local_group_centers(
-    grid: &Grid,
-    rs: &DataRefString,
-    groups: &[Range<usize>],
-) -> Vec<ProcId> {
-    let centers: Vec<Option<ProcId>> = groups
-        .iter()
-        .map(|g| {
-            let merged = rs.merged_range(g.start, g.end);
-            (!merged.is_empty()).then(|| optimal_center(grid, &merged).0)
-        })
-        .collect();
-    crate::lomcds::resolve_gaps(centers)
-}
-
-/// [`local_group_centers`] served from the datum's cost cache: each group's
-/// merged table comes from prefix-sum range queries instead of re-merging
-/// reference lists.
-pub fn local_group_centers_cached(
     cache: &DatumCostCache,
     groups: &[Range<usize>],
     ws: &mut Workspace,
@@ -96,27 +81,25 @@ pub fn local_group_centers_cached(
 /// unconstrained by memory. This is the paper's `COST(T)`.
 pub fn cost_of_grouping(
     grid: &Grid,
-    rs: &DataRefString,
+    cache: &DatumCostCache,
     groups: &[Range<usize>],
     group_method: GroupMethod,
+    ws: &mut Workspace,
 ) -> u64 {
     match group_method {
         GroupMethod::LocalCenters => {
-            let centers = local_group_centers(grid, rs, groups);
+            let centers = local_group_centers(cache, groups, ws);
             let mut total = 0u64;
             for (g, &c) in groups.iter().zip(&centers) {
-                let merged = rs.merged_range(g.start, g.end);
-                total += cost_at(grid, &merged, c);
+                cache.range_table(g.start, g.end, &mut ws.axes, &mut ws.table);
+                total += ws.table[c.index()];
             }
             for pair in centers.windows(2) {
                 total += grid.dist(pair[0], pair[1]);
             }
             total
         }
-        GroupMethod::GomcdsCenters => {
-            let regrouped = rs.regrouped(groups);
-            gomcds_path(grid, &regrouped, Solver::DistanceTransform).1
-        }
+        GroupMethod::GomcdsCenters => gomcds_path_ranges(grid, cache, groups, ws).1,
     }
 }
 
@@ -127,29 +110,31 @@ pub fn cost_of_grouping(
 ///
 /// ```
 /// use pim_array::grid::Grid;
-/// use pim_trace::window::{DataRefString, WindowRefs};
 /// use pim_sched::grouping::{greedy_grouping, GroupMethod};
+/// use pim_sched::{CostCache, Workspace};
+/// use pim_trace::flat::FlatTrace;
+/// use pim_trace::ids::DataId;
+/// use pim_trace::window::WindowRefs;
 ///
 /// let grid = Grid::new(4, 4);
 /// // two identical windows near (1,1), then a far hotspot
 /// let near = || WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)]);
-/// let rs = DataRefString::new(vec![
-///     near(), near(),
-///     WindowRefs::from_pairs([(grid.proc_xy(3, 3), 9)]),
-/// ]);
-/// let groups = greedy_grouping(&grid, &rs, GroupMethod::LocalCenters);
+/// let far = WindowRefs::from_pairs([(grid.proc_xy(3, 3), 9)]);
+/// let trace = FlatTrace::from_windows(grid, vec![vec![near(), near(), far]]).unwrap();
+/// let cache = CostCache::build_flat(&trace);
+/// let groups = greedy_grouping(
+///     &grid,
+///     cache.datum(DataId(0)),
+///     GroupMethod::LocalCenters,
+///     &mut Workspace::new(),
+/// );
 /// assert_eq!(groups, vec![0..2, 2..3]); // merges the twins, keeps the hotspot apart
 /// ```
-pub fn greedy_grouping(grid: &Grid, rs: &DataRefString, method: GroupMethod) -> Vec<Range<usize>> {
-    let cache = DatumCostCache::build(grid, rs);
-    let mut ws = Workspace::new();
-    greedy_grouping_cached(grid, &cache, method, &mut ws)
-}
-
-/// [`greedy_grouping`] with each extension decision evaluated
-/// incrementally from the datum's cost cache — `O(1)` group evaluations
-/// (one cache range query) per step instead of the literal loop's `O(n)`
-/// full re-costings, and no per-step partition `Vec`s.
+///
+/// Each extension decision is evaluated incrementally from the datum's
+/// cost cache — `O(1)` group evaluations (one cache range query) per step
+/// instead of the literal loop's `O(n)` full re-costings, and no per-step
+/// partition `Vec`s.
 ///
 /// Both candidate partitions at step `j` share all three parts of their
 /// cost: the *confirmed prefix* (carried forward as a running sum — under
@@ -163,7 +148,7 @@ pub fn greedy_grouping(grid: &Grid, rs: &DataRefString, method: GroupMethod) -> 
 /// comparison, and therefore the grouping, is bit-identical to
 /// `pim-reference`'s `greedy_grouping` (property-tested in
 /// `tests/grouping_props.rs`).
-pub fn greedy_grouping_cached(
+pub fn greedy_grouping(
     grid: &Grid,
     cache: &DatumCostCache,
     method: GroupMethod,
@@ -363,7 +348,7 @@ fn greedy_gomcds_incremental(
 }
 
 /// Exact minimum-cost grouping for the [`GroupMethod::LocalCenters`] model
-/// via DP over group boundaries.
+/// via DP over group boundaries, and its cost.
 ///
 /// Key observation: a window with no references contributes nothing to any
 /// group's merged reference string, and under the carry-forward center rule
@@ -371,14 +356,9 @@ fn greedy_gomcds_incremental(
 /// depends only on how the *referenced* windows are partitioned into
 /// consecutive runs. The DP runs over referenced windows (`t` of them);
 /// empty windows are attached to the preceding group afterwards.
-pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, u64) {
-    let cache = DatumCostCache::build(grid, rs);
-    let mut ws = Workspace::new();
-    optimal_grouping_cached(grid, &cache, &mut ws)
-}
-
-/// [`optimal_grouping`] in `O(t²)` DP transitions instead of the literal
-/// `O(t³)` triple loop (`pim-reference`'s `optimal_grouping`).
+///
+/// It takes `O(t²)` DP transitions instead of the literal `O(t³)` triple
+/// loop (`pim-reference`'s `optimal_grouping`).
 ///
 /// The literal inner minimum `min_k dp[k][a−1] + dist(centers[k][a−1], ·)`
 /// depends on `k` only through the *center* of run `k..=a−1` — so for each
@@ -392,7 +372,7 @@ pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, 
 /// did, and parents are re-derived by the scan's own lowest-`k` rule, so
 /// grouping and cost are bit-identical to the triple loop (property-tested
 /// in `tests/grouping_props.rs`).
-pub fn optimal_grouping_cached(
+pub fn optimal_grouping(
     grid: &Grid,
     cache: &DatumCostCache,
     ws: &mut Workspace,
@@ -514,8 +494,8 @@ fn attach_empty_windows(runs: &[(usize, usize)], refd: &[usize], n: usize) -> Ve
 /// cost of the pipeline — fan out over `pool`; the placement replay is
 /// sequential in a fixed datum/window order, so the result is the same
 /// for any thread count.
-pub fn grouped_schedule_with_cached(
-    trace: &WindowedTrace,
+pub fn grouped_schedule<V: FlatView + ?Sized>(
+    trace: &V,
     spec: MemorySpec,
     decide: GroupMethod,
     place: GroupMethod,
@@ -524,17 +504,17 @@ pub fn grouped_schedule_with_cached(
     ws: &mut Workspace,
 ) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
-    let ids: Vec<DataId> = trace.iter_data().map(|(d, _)| d).collect();
+    let ids = crate::flat::datum_ids(trace.num_data());
     let groupings = crate::flat::fan_out(pool, &ids, Workspace::new, |w, d| {
-        greedy_grouping_cached(&grid, cache.datum(d), decide, w)
+        greedy_grouping(&grid, cache.datum(d), decide, w)
     });
-    grouped_place_cached(trace, spec, place, cache, ws, &groupings)
+    grouped_place(trace, spec, place, cache, ws, &groupings)
 }
 
 /// Grouping's capacity replay: resolve capacity for precomputed per-datum
 /// groupings, sequentially in the fixed datum/window order.
-fn grouped_place_cached(
-    trace: &WindowedTrace,
+fn grouped_place<V: FlatView + ?Sized>(
+    trace: &V,
     spec: MemorySpec,
     place: GroupMethod,
     cache: &CostCache,
@@ -553,9 +533,7 @@ fn grouped_place_cached(
         GroupMethod::LocalCenters => {
             // Per-datum unconstrained group centers, used as anchors.
             let desired: Vec<Vec<ProcId>> = (0..nd)
-                .map(|d| {
-                    local_group_centers_cached(cache.datum(DataId(d as u32)), &groupings[d], ws)
-                })
+                .map(|d| local_group_centers(cache.datum(DataId(d as u32)), &groupings[d], ws))
                 .collect();
             // Map window → group index per datum.
             let group_of: Vec<Vec<usize>> = groupings
@@ -585,13 +563,14 @@ fn grouped_place_cached(
                     };
                     if dc.range_is_empty(g.start, g.end) {
                         // preference order: nearest to the anchor
-                        let anchor_refs = WindowRefs::from_pairs([(anchor, 1)]);
-                        crate::cost::cost_table_with(
-                            &grid,
-                            &anchor_refs,
-                            &mut ws.axes,
-                            &mut ws.table,
-                        );
+                        let a = grid.point_of(anchor);
+                        let anchor_ref = FlatRef {
+                            window: 0,
+                            x: a.x,
+                            y: a.y,
+                            count: 1,
+                        };
+                        ws.axes.table_of(&grid, &[anchor_ref], &mut ws.table);
                     } else {
                         dc.range_table(g.start, g.end, &mut ws.axes, &mut ws.table);
                     }
@@ -643,7 +622,10 @@ fn grouped_place_cached(
             // volumes at their optimal centers and lets light data adapt
             // (deterministic: ties broken by ascending id).
             let mut order: Vec<usize> = (0..nd).collect();
-            order.sort_by_key(|&d| (u64::MAX - trace.refs(DataId(d as u32)).total_volume(), d));
+            order.sort_by_key(|&d| {
+                let volume = cache.datum(DataId(d as u32)).range_volume(0, nw);
+                (u64::MAX - volume, d)
+            });
             for d in order {
                 let dc = cache.datum(DataId(d as u32));
                 let groups = &groupings[d];
@@ -678,7 +660,8 @@ fn grouped_place_cached(
                         // group (zero-slack fragmentation): fall back to an
                         // ungrouped masked path for this datum, which only
                         // needs one free slot per individual window.
-                        let path = crate::gomcds::solve_masked_path_cached(&grid, dc, &mems, ws)
+                        let solver = Solver::DistanceTransform;
+                        let path = solve_masked_path(&grid, dc, &mems, solver, ws)
                             .ok_or_else(|| exhausted(DataId(d as u32), None))?;
                         for (wi, &p) in path.iter().enumerate() {
                             mems[wi]
@@ -697,41 +680,52 @@ fn grouped_place_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_trace::flat::FlatTrace;
     use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
     }
 
-    fn rs_of(windows: Vec<WindowRefs>) -> DataRefString {
-        DataRefString::new(windows)
+    /// A one-datum trace over `windows`.
+    fn one(windows: Vec<WindowRefs>) -> FlatTrace {
+        FlatTrace::from_windows(g(), vec![windows]).unwrap()
+    }
+
+    fn greedy(trace: &FlatTrace, method: GroupMethod) -> Vec<Range<usize>> {
+        let cache = CostCache::build_flat(trace);
+        greedy_grouping(&g(), cache.datum(DataId(0)), method, &mut Workspace::new())
+    }
+
+    fn cost(trace: &FlatTrace, groups: &[Range<usize>], method: GroupMethod) -> u64 {
+        let cache = CostCache::build_flat(trace);
+        let datum = cache.datum(DataId(0));
+        cost_of_grouping(&g(), datum, groups, method, &mut Workspace::new())
     }
 
     #[test]
     fn identical_windows_group_into_one() {
         let grid = g();
         let w = || WindowRefs::from_pairs([(grid.proc_xy(2, 2), 1), (grid.proc_xy(3, 2), 1)]);
-        let rs = rs_of(vec![w(), w(), w(), w()]);
-        let groups = greedy_grouping(&grid, &rs, GroupMethod::LocalCenters);
-        assert_eq!(groups, vec![0..4]);
+        let trace = one(vec![w(), w(), w(), w()]);
+        assert_eq!(greedy(&trace, GroupMethod::LocalCenters), vec![0..4]);
     }
 
     #[test]
     fn far_apart_hotspots_stay_separate() {
         let grid = g();
-        let rs = rs_of(vec![
+        let trace = one(vec![
             WindowRefs::from_pairs([(grid.proc_xy(0, 0), 10)]),
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
         ]);
-        let groups = greedy_grouping(&grid, &rs, GroupMethod::LocalCenters);
         // Grouping would cost 10·min-dist ≥ 30; separate costs movement 6.
-        assert_eq!(groups, vec![0..1, 1..2]);
+        assert_eq!(greedy(&trace, GroupMethod::LocalCenters), vec![0..1, 1..2]);
     }
 
     #[test]
     fn grouping_never_increases_cost() {
         let grid = g();
-        let rs = rs_of(vec![
+        let trace = one(vec![
             WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)]),
             WindowRefs::from_pairs([(grid.proc_xy(2, 1), 1)]),
             WindowRefs::from_pairs([(grid.proc_xy(1, 2), 1)]),
@@ -739,9 +733,9 @@ mod tests {
         ]);
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
             let singletons: Vec<Range<usize>> = (0..4).map(|i| i..i + 1).collect();
-            let before = cost_of_grouping(&grid, &rs, &singletons, method);
-            let groups = greedy_grouping(&grid, &rs, method);
-            let after = cost_of_grouping(&grid, &rs, &groups, method);
+            let before = cost(&trace, &singletons, method);
+            let groups = greedy(&trace, method);
+            let after = cost(&trace, &groups, method);
             assert!(after <= before, "{method:?}: {after} > {before}");
         }
     }
@@ -749,19 +743,21 @@ mod tests {
     #[test]
     fn optimal_grouping_never_worse_than_greedy() {
         let grid = g();
-        let rs = rs_of(vec![
+        let trace = one(vec![
             WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3)]),
             WindowRefs::from_pairs([(grid.proc_xy(1, 0), 1)]),
             WindowRefs::from_pairs([(grid.proc_xy(0, 1), 1)]),
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 4)]),
             WindowRefs::from_pairs([(grid.proc_xy(3, 2), 1)]),
         ]);
-        let greedy = greedy_grouping(&grid, &rs, GroupMethod::LocalCenters);
-        let greedy_cost = cost_of_grouping(&grid, &rs, &greedy, GroupMethod::LocalCenters);
-        let (opt_groups, opt_cost) = optimal_grouping(&grid, &rs);
+        let greedy_groups = greedy(&trace, GroupMethod::LocalCenters);
+        let greedy_cost = cost(&trace, &greedy_groups, GroupMethod::LocalCenters);
+        let cache = CostCache::build_flat(&trace);
+        let (opt_groups, opt_cost) =
+            optimal_grouping(&grid, cache.datum(DataId(0)), &mut Workspace::new());
         assert!(opt_cost <= greedy_cost);
         assert_eq!(
-            cost_of_grouping(&grid, &rs, &opt_groups, GroupMethod::LocalCenters),
+            cost(&trace, &opt_groups, GroupMethod::LocalCenters),
             opt_cost,
             "reported optimum must match its own grouping's cost"
         );
@@ -769,14 +765,11 @@ mod tests {
 
     #[test]
     fn groups_partition_windows() {
-        let grid = g();
-        let rs = rs_of(
-            (0..7)
-                .map(|i| WindowRefs::from_pairs([(ProcId(i % 16), 1 + i % 3)]))
-                .collect(),
-        );
+        let trace = one((0..7)
+            .map(|i| WindowRefs::from_pairs([(ProcId(i % 16), 1 + i % 3)]))
+            .collect());
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let groups = greedy_grouping(&grid, &rs, method);
+            let groups = greedy(&trace, method);
             let mut expect = 0;
             for r in &groups {
                 assert_eq!(r.start, expect);
@@ -794,10 +787,9 @@ mod tests {
         // are pure waste; grouping should collapse them.
         let a = grid.proc_xy(1, 1);
         let b = grid.proc_xy(2, 1);
-        let windows: Vec<WindowRefs> = (0..8)
+        let trace = one((0..8)
             .map(|i| WindowRefs::from_pairs([(if i % 2 == 0 { a } else { b }, 1)]))
-            .collect();
-        let trace = WindowedTrace::from_parts(grid, vec![windows]);
+            .collect());
         let total = |m| {
             crate::pipeline::schedule(m, &trace, crate::MemoryPolicy::Unbounded)
                 .evaluate(&trace)
@@ -818,13 +810,14 @@ mod tests {
                 .map(|_| WindowRefs::from_pairs([(p, 2)]))
                 .collect::<Vec<_>>()
         };
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![want(grid.proc_xy(1, 1)), want(grid.proc_xy(1, 1))],
-        );
-        let cache = CostCache::build(&trace);
+        )
+        .unwrap();
+        let cache = CostCache::build_flat(&trace);
         for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let s = grouped_schedule_with_cached(
+            let s = grouped_schedule(
                 &trace,
                 MemorySpec::uniform(1),
                 method,
@@ -841,13 +834,14 @@ mod tests {
     #[test]
     fn local_group_centers_carry_through_empty_groups() {
         let grid = g();
-        let rs = rs_of(vec![
+        let trace = one(vec![
             WindowRefs::from_pairs([(grid.proc_xy(2, 2), 1)]),
             WindowRefs::new(),
             WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
         ]);
         let groups: Vec<Range<usize>> = vec![0..1, 1..2, 2..3];
-        let centers = local_group_centers(&grid, &rs, &groups);
+        let cache = CostCache::build_flat(&trace);
+        let centers = local_group_centers(cache.datum(DataId(0)), &groups, &mut Workspace::new());
         assert_eq!(
             centers,
             vec![grid.proc_xy(2, 2), grid.proc_xy(2, 2), grid.proc_xy(3, 3)]

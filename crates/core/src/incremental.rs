@@ -38,7 +38,7 @@
 use crate::cache::CostCache;
 use crate::error::{ensure_feasible, SchedError};
 use crate::flat::{datum_ids, fan_out};
-use crate::gomcds::{gomcds_path_cached, solve_layered, DpCheckpoint, GomcdsReplay};
+use crate::gomcds::{gomcds_path, solve_layered, DpCheckpoint, GomcdsReplay};
 use crate::gomcds::{NodeSource, Solver};
 use crate::lomcds::{span_first_anchor, span_window_medians};
 use crate::median::{MedianState, PackedMedians};
@@ -55,6 +55,7 @@ use pim_trace::flat::{FlatTrace, FlatTraceError};
 use pim_trace::ids::DataId;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Default memory budget for the SCDS per-datum median checkpoints; above
 /// it dirty medians are recomputed from their spans instead.
@@ -157,18 +158,21 @@ enum MethodState {
     },
     /// LOMCDS: each datum's window-0 anchor (the median of its first
     /// referenced window) — all the sequential replay ever consults
-    /// besides the caches.
+    /// besides the spans.
     Lomcds { anchors: Vec<ProcId> },
-    /// GOMCDS: each datum's unconstrained layered-DP path, plus resumable
-    /// DP checkpoints for recently re-solved data.
+    /// GOMCDS: each datum's unconstrained layered-DP path, resumable DP
+    /// checkpoints for recently re-solved data, and the cost cache its
+    /// node costs come from — the one method that reads one (SCDS and
+    /// LOMCDS project straight off spans), so only its engine builds it.
     Gomcds {
         pure: Vec<Vec<ProcId>>,
         resume: ResumeStore,
+        cache: CostCache<'static>,
     },
 }
 
 impl MethodState {
-    fn init(method: Method) -> MethodState {
+    fn init(method: Method, base: &Arc<FlatTrace>, metrics: &Metrics) -> MethodState {
         match method {
             Method::Scds => MethodState::Scds {
                 medians: Vec::new(),
@@ -177,10 +181,17 @@ impl MethodState {
             Method::Lomcds => MethodState::Lomcds {
                 anchors: Vec::new(),
             },
-            _ => MethodState::Gomcds {
-                pure: Vec::new(),
-                resume: ResumeStore::default(),
-            },
+            _ => {
+                let mut cache = CostCache::build_shared(base);
+                if let Some(stats) = metrics.cache_stats() {
+                    cache.set_stats(&stats);
+                }
+                MethodState::Gomcds {
+                    pure: Vec::new(),
+                    resume: ResumeStore::default(),
+                    cache,
+                }
+            }
         }
     }
 }
@@ -239,7 +250,6 @@ pub struct IncrementalRun {
     pool: Pool,
     metrics: Metrics,
     trace: EditableTrace,
-    cache: CostCache<'static>,
     ws: Workspace,
     schedule: Schedule,
     state: MethodState,
@@ -300,10 +310,7 @@ impl IncrementalRun {
         }
         let grid = flat.grid();
         let trace = EditableTrace::new(flat);
-        let mut cache = CostCache::build_shared(trace.base());
-        if let Some(stats) = metrics.cache_stats() {
-            cache.set_stats(&stats);
-        }
+        let state = MethodState::init(method, trace.base(), &metrics);
         let mut ws = Workspace::new();
         ws.metrics = metrics.clone();
         let mut run = IncrementalRun {
@@ -313,10 +320,9 @@ impl IncrementalRun {
             pool,
             metrics,
             trace,
-            cache,
             ws,
             schedule: Schedule::new(grid, Vec::new()),
-            state: MethodState::init(method),
+            state,
             bounded: None,
             fallbacks: 0,
             scds_ckpt_budget: SCDS_CHECKPOINT_BUDGET,
@@ -483,32 +489,29 @@ impl IncrementalRun {
         // schedules, pure paths and occupancy rows all repeat-last).
         {
             let _t = metrics.phase("incremental/maintain");
-            // SCDS never consults the cost cache — its dirty-solve runs on
-            // checkpoints (or raw spans) and its replay's spill tables on
-            // spans — so maintaining per-datum cache units would be pure
-            // overhead on the churn hot path.
-            let cache_live = !matches!(self.method, Method::Scds);
-            if cache_live {
+            // Only GOMCDS carries a cost cache (SCDS's dirty-solve runs
+            // on checkpoints, LOMCDS's replay on span cursors).
+            if let MethodState::Gomcds { cache, .. } = &mut self.state {
                 for &(d, kind) in &dirty.data {
                     let span = self.trace.shared_span(d);
                     match kind {
-                        DirtyKind::Rewritten => self.cache.datum_mut(d).rebind_span(span, nw),
-                        DirtyKind::Appended => self.cache.datum_mut(d).extend_span(span, nw),
+                        DirtyKind::Rewritten => cache.datum_mut(d).rebind_span(span, nw),
+                        DirtyKind::Appended => cache.datum_mut(d).extend_span(span, nw),
                     }
                 }
-            }
-            if dirty.appended_windows > 0 {
-                if cache_live {
+                if dirty.appended_windows > 0 {
                     let mut touched = vec![false; nd];
                     for &(d, _) in &dirty.data {
                         touched[d.index()] = true;
                     }
                     for (i, &t) in touched.iter().enumerate() {
                         if !t {
-                            self.cache.datum_mut(DataId(i as u32)).extend_windows(nw);
+                            cache.datum_mut(DataId(i as u32)).extend_windows(nw);
                         }
                     }
                 }
+            }
+            if dirty.appended_windows > 0 {
                 for _ in 0..dirty.appended_windows {
                     self.schedule.append_window_repeat_last();
                 }
@@ -616,13 +619,16 @@ impl IncrementalRun {
                     }
                     fallback = !patch_rows(&mut self.bounded, &mut self.schedule, &dirty_ids, rows);
                 }
-                MethodState::Gomcds { pure, resume } => {
+                MethodState::Gomcds {
+                    pure,
+                    resume,
+                    cache,
+                } => {
                     let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
-                    let cache = &self.cache;
+                    let cache = &*cache;
                     let rows: Vec<Vec<ProcId>> = if dirty_count > GOMCDS_RESUME_SEQUENTIAL_MAX {
                         fan_out(self.pool, &dirty_ids, Workspace::new, |ws, d| {
-                            gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws)
-                                .0
+                            gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
                         })
                     } else {
                         dirty_ids
@@ -684,10 +690,10 @@ impl IncrementalRun {
                     span_first_anchor(&grid, trace.span(d), med)
                 });
             }
-            MethodState::Gomcds { pure, .. } => {
-                let cache = &self.cache;
+            MethodState::Gomcds { pure, cache, .. } => {
+                let cache = &*cache;
                 *pure = fan_out(self.pool, &ids, Workspace::new, |ws, d| {
-                    gomcds_path_cached(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
+                    gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
                 });
             }
         }
@@ -701,7 +707,7 @@ impl IncrementalRun {
         let grid = self.grid;
         let nd = self.trace.num_data();
         let nw = self.trace.num_windows();
-        let spec = self.policy.resolve_parts(&grid, nd);
+        let spec = self.policy.resolve(&grid, nd);
         ensure_feasible(&grid, spec, nd)?;
         let (schedule, spilled) = match &self.state {
             MethodState::Scds { medians, .. } => {
@@ -716,20 +722,20 @@ impl IncrementalRun {
             }
             MethodState::Lomcds { .. } if spec.capacity_per_proc == u32::MAX => {
                 let pool = self.pool;
-                let s = crate::flat::lomcds_on(&self.trace, spec, pool, None, &mut self.ws)?;
+                let s = crate::flat::lomcds_on(&self.trace, spec, pool, &mut self.ws)?;
                 (s, 0)
             }
             MethodState::Lomcds { anchors } => {
-                crate::lomcds::replay(grid, nw, spec, &self.cache, anchors, &mut self.ws)?
+                crate::lomcds::replay(&self.trace, spec, anchors, &mut self.ws)?
             }
-            MethodState::Gomcds { pure, .. } => {
+            MethodState::Gomcds { pure, cache, .. } => {
                 let mut replay = GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform);
                 let centers = pure
                     .iter()
                     .enumerate()
                     .map(|(i, row)| {
                         let d = DataId(i as u32);
-                        replay.place_cached(d, Some(row.clone()), self.cache.datum(d), &mut self.ws)
+                        replay.place_cached(d, Some(row.clone()), cache.datum(d), &mut self.ws)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 (Schedule::new(grid, centers), replay.spilled)

@@ -11,12 +11,14 @@
 //! construction, and `k = 2` reproduces [`crate::replicate`] exactly
 //! (tested).
 
-use crate::gomcds::{gomcds_path, Solver};
+use crate::cache::CostCache;
+use crate::gomcds::{gomcds_path, solve_masked_path, Solver};
 use crate::schedule::CostBreakdown;
+use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_trace::flat::{span_window, FlatRef, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
 /// A schedule with up to `k` replicas per datum per window. The first
 /// replica of every window is the primary copy; all windows of a datum
@@ -69,10 +71,10 @@ impl KCopySchedule {
     }
 
     /// Serve cost of one window from a replica set.
-    fn serve(grid: &Grid, refs: &WindowRefs, set: &[ProcId]) -> u64 {
+    fn serve(grid: &Grid, refs: &[FlatRef], set: &[ProcId]) -> u64 {
         refs.iter()
             .map(|r| {
-                let p = grid.point_of(r.proc);
+                let p = grid.point_of(r.proc(grid));
                 let d = set
                     .iter()
                     .map(|&s| grid.point_of(s).l1_dist(p))
@@ -85,16 +87,16 @@ impl KCopySchedule {
 
     /// Evaluate against a trace (nearest-replica reference cost, plus each
     /// replica materialized from the nearest previous-window replica).
-    pub fn evaluate(&self, trace: &WindowedTrace) -> CostBreakdown {
+    pub fn evaluate(&self, trace: &(impl FlatView + ?Sized)) -> CostBreakdown {
         assert_eq!(trace.grid(), self.grid, "grid mismatch");
         assert_eq!(trace.num_data(), self.num_data(), "data count mismatch");
         let grid = &self.grid;
         let mut out = CostBreakdown::default();
-        for (d, rs) in trace.iter_data() {
-            let seq = &self.replicas[d.index()];
-            assert_eq!(seq.len(), rs.num_windows(), "window mismatch for {d}");
-            for (w, refs) in rs.windows().enumerate() {
-                out.reference += Self::serve(grid, refs, &seq[w]);
+        for (d, seq) in self.replicas.iter().enumerate() {
+            let d = DataId(d as u32);
+            assert_eq!(seq.len(), trace.num_windows(), "window mismatch for {d}");
+            for w in 0..seq.len() {
+                out.reference += Self::serve(grid, trace.window_run(d, w), &seq[w]);
                 if w > 0 {
                     for &loc in &seq[w] {
                         out.movement += seq[w - 1]
@@ -112,10 +114,10 @@ impl KCopySchedule {
 
 /// Cost of a fixed replica-trajectory set for one datum (reference plus
 /// materialization movement), matching [`KCopySchedule::evaluate`].
-fn plan_cost(grid: &Grid, rs: &DataRefString, seq: &[Vec<ProcId>]) -> u64 {
+fn plan_cost(grid: &Grid, span: &[FlatRef], seq: &[Vec<ProcId>]) -> u64 {
     let mut total = 0u64;
-    for (w, refs) in rs.windows().enumerate() {
-        total += KCopySchedule::serve(grid, refs, &seq[w]);
+    for w in 0..seq.len() {
+        total += KCopySchedule::serve(grid, span_window(span, w), &seq[w]);
         if w > 0 {
             for &loc in &seq[w] {
                 total += seq[w - 1]
@@ -135,12 +137,12 @@ fn plan_cost(grid: &Grid, rs: &DataRefString, seq: &[Vec<ProcId>]) -> u64 {
 /// total cost including the fixed replicas' costs.
 fn extra_copy_dp(
     grid: &Grid,
-    rs: &DataRefString,
+    span: &[FlatRef],
     fixed: &[Vec<ProcId>],
     masks: Option<&[MemoryMap]>,
 ) -> (Vec<Option<ProcId>>, u64) {
     let m = grid.num_procs();
-    let nw = rs.num_windows();
+    let nw = fixed.len();
 
     // Movement the fixed replicas pay regardless of the new copy.
     let fixed_move = |w: usize| -> u64 {
@@ -162,7 +164,7 @@ fn extra_copy_dp(
         !fixed[w].contains(&p) && masks.is_none_or(|ms| ms[w].has_room(p))
     };
     let node = |w: usize, state: usize| -> u64 {
-        let refs = rs.window(w);
+        let refs = span_window(span, w);
         if state == m {
             KCopySchedule::serve(grid, refs, &fixed[w])
         } else {
@@ -242,7 +244,11 @@ fn extra_copy_dp(
 ///
 /// # Panics
 /// Panics when `k == 0` or the array cannot hold one copy of every datum.
-pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCopySchedule {
+pub fn kcopy_schedule(
+    trace: &(impl FlatView + ?Sized),
+    spec: MemorySpec,
+    k: usize,
+) -> KCopySchedule {
     assert!(k >= 1, "need at least one copy");
     let grid = trace.grid();
     let nd = trace.num_data();
@@ -255,13 +261,17 @@ pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCop
     let mut mems: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
 
     // Primaries, identical to plain GOMCDS ordering.
+    let cache = CostCache::build_flat(trace);
+    let mut ws = Workspace::new();
+    let solver = Solver::DistanceTransform;
     let mut replicas: Vec<Vec<Vec<ProcId>>> = Vec::with_capacity(nd);
-    for (_, rs) in trace.iter_data() {
+    for d in 0..nd {
+        let datum = cache.datum(DataId(d as u32));
         let path = if bounded {
-            crate::gomcds::solve_masked_path(&grid, rs, &mems, Solver::DistanceTransform)
+            solve_masked_path(&grid, datum, &mems, solver, &mut ws)
                 .expect("every window retains a free slot")
         } else {
-            gomcds_path(&grid, rs, Solver::DistanceTransform).0
+            gomcds_path(&grid, datum, solver, &mut ws).0
         };
         if bounded {
             for (w, &p) in path.iter().enumerate() {
@@ -273,13 +283,14 @@ pub fn kcopy_schedule(trace: &WindowedTrace, spec: MemorySpec, k: usize) -> KCop
 
     // Extra copies, one round at a time.
     for _round in 1..k {
-        for (d, rs) in trace.iter_data() {
-            let seq = &replicas[d.index()];
-            let current = plan_cost(&grid, rs, seq);
+        for d in 0..nd {
+            let span = trace.span(DataId(d as u32));
+            let seq = &replicas[d];
+            let current = plan_cost(&grid, span, seq);
             let (extra, with_extra) =
-                extra_copy_dp(&grid, rs, seq, bounded.then_some(mems.as_slice()));
+                extra_copy_dp(&grid, span, seq, bounded.then_some(mems.as_slice()));
             if with_extra < current {
-                let seq = &mut replicas[d.index()];
+                let seq = &mut replicas[d];
                 for (w, slot) in extra.iter().enumerate() {
                     if let Some(p) = slot {
                         if bounded {
@@ -299,13 +310,15 @@ mod tests {
     use super::*;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
     use crate::replicate::replicated_schedule;
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn grid() -> Grid {
         Grid::new(4, 4)
     }
 
     /// Three distant clusters referencing the same datum every window.
-    fn triple_hotspot() -> WindowedTrace {
+    fn triple_hotspot() -> FlatTrace {
         let g = grid();
         let win = || {
             WindowRefs::from_pairs([
@@ -314,7 +327,7 @@ mod tests {
                 (g.proc_xy(0, 3), 4),
             ])
         };
-        WindowedTrace::from_parts(g, vec![vec![win(), win(), win()]])
+        FlatTrace::from_windows(g, vec![vec![win(), win(), win()]]).unwrap()
     }
 
     #[test]
@@ -360,13 +373,14 @@ mod tests {
     fn capacity_respected_per_window() {
         let g = grid();
         let win = |p: ProcId| WindowRefs::from_pairs([(p, 2)]);
-        let t = WindowedTrace::from_parts(
+        let t = FlatTrace::from_windows(
             g,
             vec![
                 vec![win(g.proc_xy(0, 0)), win(g.proc_xy(0, 0))],
                 vec![win(g.proc_xy(3, 3)), win(g.proc_xy(3, 3))],
             ],
-        );
+        )
+        .unwrap();
         let spec = MemorySpec::uniform(1);
         let s = kcopy_schedule(&t, spec, 3);
         for w in 0..t.num_windows() {
@@ -383,7 +397,7 @@ mod tests {
     #[test]
     fn unreferenced_data_stay_single_copy() {
         let g = grid();
-        let t = WindowedTrace::from_parts(g, vec![vec![WindowRefs::new(); 3]]);
+        let t = FlatTrace::from_windows(g, vec![vec![WindowRefs::new(); 3]]).unwrap();
         let s = kcopy_schedule(&t, MemorySpec::unbounded(), 4);
         assert_eq!(s.max_copies(), 1);
         assert_eq!(s.extra_slots(), 0);

@@ -51,8 +51,9 @@
 //! * [`stream`] — out-of-core scheduling: walk a `.pimb` binary trace in
 //!   bounded datum chunks with double-buffered prefetch, folding costs
 //!   instead of materializing schedules, bit-identical to [`flat`].
-//! * [`context`] — the [`SchedContext`] a scheduler runs against: grid,
-//!   policy, shared cost cache, workspace, optional pool.
+//! * [`context`] — the [`SchedContext`] a scheduler runs against: the
+//!   trace (any `FlatView`, read in place), policy, shared cost cache
+//!   (built on first use), workspace, optional pool.
 //! * [`pipeline`] — the [`Run`] builder (one canonical entry point driving
 //!   any registered scheduler) plus the [`compare_methods`] sweep.
 //! * [`precedence`] — precedence-aware scheduling over an optional task

@@ -14,7 +14,9 @@
 //! The module owns LOMCDS's decisions: two per-datum kernels over a flat
 //! span (`span_window_medians`, the unconstrained center row, and
 //! `span_first_anchor`, the window-0 anchor a bounded run starts from)
-//! and the window-major capacity `replay`. With unbounded memory the
+//! and the window-major capacity `replay`, which reads each datum's window
+//! runs straight off its span through a per-datum cursor (no cost cache,
+//! no per-window search). With unbounded memory the
 //! replay's `nearest_free(anchor)` returns the anchor and its
 //! processor-list head is the window median, so the whole replay
 //! degenerates to exactly the kernel's row; drivers (the registry
@@ -22,7 +24,6 @@
 //! incremental engine) therefore run the replay only under a bounded
 //! policy.
 
-use crate::cache::CostCache;
 use crate::capacity::ProcessorList;
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::median::MedianState;
@@ -30,7 +31,7 @@ use crate::schedule::Schedule;
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
-use pim_trace::flat::{span_window_runs, FlatRef};
+use pim_trace::flat::{span_window_runs, FlatRef, FlatView};
 use pim_trace::ids::DataId;
 
 /// Fill `None` slots: carry the previous center forward; leading `None`s
@@ -93,41 +94,51 @@ pub(crate) fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianS
     }
 }
 
-/// LOMCDS's window-major capacity replay over any trace representation
-/// backing `cache`: window by window, data in ascending id order, a
-/// referenced window offers its median first and falls back through its
-/// processor list; an empty window stays nearest its anchor (`anchors[d]`
-/// at window 0, the previous actual center after). Each referenced
-/// placement's list rank is recorded as its capacity displacement.
+/// LOMCDS's window-major capacity replay: window by window, data in
+/// ascending id order, a referenced window offers its median first and
+/// falls back through its processor list; an empty window stays nearest its
+/// anchor (`anchors[d]` at window 0, the previous actual center after).
+/// Each referenced placement's list rank is recorded as its capacity
+/// displacement.
+///
+/// Every datum keeps a cursor into its span; window `w`'s run is the
+/// cursor's prefix of window-`w` records, so the whole replay walks each
+/// span exactly once. A run's axis projection serves both its median (the
+/// processor-list head, see [`crate::median`]) and, only when that median
+/// is full, its cost table.
 ///
 /// Returns the schedule and the number of placements that landed off
 /// their unconstrained desired processor (window median when referenced,
 /// anchor when not) — zero is the incremental engine's patch
 /// precondition.
-pub(crate) fn replay(
-    grid: Grid,
-    nw: usize,
+pub(crate) fn replay<V: FlatView + ?Sized>(
+    flat: &V,
     spec: MemorySpec,
-    cache: &CostCache,
     anchors: &[ProcId],
     ws: &mut Workspace,
 ) -> Result<(Schedule, usize), SchedError> {
-    let nd = cache.num_data();
+    let grid = flat.grid();
+    let nd = flat.num_data();
+    let nw = flat.num_windows();
     ensure_feasible(&grid, spec, nd)?;
     let metrics = ws.metrics.clone();
+    let (width, height) = (grid.width() as usize, grid.height() as usize);
 
     let mut spilled = 0usize;
     let mut centers = vec![vec![ProcId(0); nw]; nd];
+    let mut rest: Vec<&[FlatRef]> = (0..nd).map(|d| flat.span(DataId(d as u32))).collect();
     for w in 0..nw {
         let mut mem = MemoryMap::new(&grid, spec);
-        for d in 0..nd {
-            let dc = cache.datum(DataId(d as u32));
+        for (d, span) in rest.iter_mut().enumerate() {
+            let len = span.iter().take_while(|r| r.window as usize == w).count();
+            let (run, tail) = span.split_at(len);
+            *span = tail;
             let anchor = if w == 0 {
                 anchors[d]
             } else {
                 centers[d][w - 1]
             };
-            let p = if dc.range_is_empty(w, w + 1) {
+            let p = if run.iter().all(|r| r.count == 0) {
                 let p = nearest_free(&grid, anchor, &mut mem)
                     .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?;
                 spilled += usize::from(p != anchor);
@@ -138,13 +149,16 @@ pub(crate) fn replay(
                 // still has room `assign_ranked` would return it at rank 0
                 // — skip building and sorting the full table. Only a full
                 // median (capacity conflict) pays for the list.
-                let m = dc.range_median(w, w + 1, &mut ws.axes);
+                ws.axes.project(&grid, run);
+                let mx = crate::median::dense_weighted_median(&ws.axes.wx[..width]);
+                let my = crate::median::dense_weighted_median(&ws.axes.wy[..height]);
+                let m = grid.proc_xy(mx, my);
                 let (p, rank) = if mem.has_room(m) {
                     mem.allocate(m)
                         .map_err(|_| exhausted(DataId(d as u32), Some(w)))?;
                     (m, 0)
                 } else {
-                    dc.window_table(w, &mut ws.axes, &mut ws.table);
+                    ws.axes.sweep_into(&grid, &mut ws.table);
                     ProcessorList::from_cost_table(&ws.table)
                         .assign_ranked(&mut mem)
                         .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?
@@ -183,7 +197,8 @@ pub(crate) fn nearest_free(grid: &Grid, anchor: ProcId, mem: &mut MemoryMap) -> 
 mod tests {
     use super::*;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -192,13 +207,14 @@ mod tests {
     #[test]
     fn centers_follow_each_window() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
         assert_eq!(s.center(DataId(0), 1), grid.proc_xy(3, 3));
@@ -211,7 +227,7 @@ mod tests {
     #[test]
     fn empty_windows_carry_forward() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::new(),
@@ -219,7 +235,8 @@ mod tests {
                 WindowRefs::new(),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 0), 1)]),
             ]],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         let cs = s.centers_of(DataId(0));
         // leading empty anchors on first referenced center → no pre-move
@@ -235,10 +252,11 @@ mod tests {
     fn capacity_conflict_in_window_spills() {
         let grid = g();
         let want = |p| vec![WindowRefs::from_pairs([(p, 1)])];
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![want(grid.proc_xy(2, 2)), want(grid.proc_xy(2, 2))],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
@@ -260,8 +278,8 @@ mod tests {
     #[test]
     fn never_referenced_datum_costs_nothing() {
         let grid = g();
-        let trace =
-            WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]])
+            .unwrap();
         let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.evaluate(&trace).total(), 0);
         assert!(!s.has_movement());

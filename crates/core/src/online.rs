@@ -18,13 +18,13 @@
 //! never better than offline GOMCDS, and with `threshold = 0` it matches
 //! LOMCDS's reference costs window by window.
 
-use crate::cost::{cost_at, optimal_center};
+use crate::cost::{span_cost_at, span_optimal_center};
 use crate::error::{ensure_feasible, exhausted, SchedError};
 use crate::schedule::Schedule;
 use pim_array::grid::ProcId;
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// Online policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +52,7 @@ impl OnlinePolicy {
 /// Returns [`SchedError::CapacityExhausted`] when the array cannot hold
 /// every datum.
 pub fn online_schedule(
-    trace: &WindowedTrace,
+    trace: &(impl FlatView + ?Sized),
     policy: OnlinePolicy,
 ) -> Result<Schedule, SchedError> {
     let grid = trace.grid();
@@ -68,13 +68,13 @@ pub fn online_schedule(
     for w in 0..nw {
         let mut mem = MemoryMap::new(&grid, policy.spec);
         for d in 0..nd {
-            let refs = trace.refs(DataId(d as u32)).window(w);
+            let refs = trace.window_run(DataId(d as u32), w);
             let here = current[d];
             let target = if refs.is_empty() {
                 here
             } else {
-                let (best, best_cost) = optimal_center(&grid, refs);
-                let here_cost = cost_at(&grid, refs, here);
+                let (best, best_cost) = span_optimal_center(&grid, refs);
+                let here_cost = span_cost_at(&grid, refs, here);
                 let move_cost = grid.dist(here, best) as f64;
                 if here_cost > best_cost
                     && (here_cost - best_cost) as f64 > policy.threshold * move_cost
@@ -108,15 +108,16 @@ mod tests {
     use super::*;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn grid() -> Grid {
         Grid::new(4, 4)
     }
 
-    fn drifting_trace() -> WindowedTrace {
+    fn drifting_trace() -> FlatTrace {
         let g = grid();
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             g,
             vec![vec![
                 WindowRefs::from_pairs([(g.proc_xy(0, 0), 4)]),
@@ -125,6 +126,7 @@ mod tests {
                 WindowRefs::from_pairs([(g.proc_xy(3, 3), 4)]),
             ]],
         )
+        .unwrap()
     }
 
     #[test]
@@ -185,7 +187,8 @@ mod tests {
                 WindowRefs::from_pairs([(p, 2)]),
             ]
         };
-        let t = WindowedTrace::from_parts(g, vec![want(g.proc_xy(2, 2)), want(g.proc_xy(2, 2))]);
+        let t =
+            FlatTrace::from_windows(g, vec![want(g.proc_xy(2, 2)), want(g.proc_xy(2, 2))]).unwrap();
         let s = online_schedule(&t, OnlinePolicy::eager(MemorySpec::uniform(1))).unwrap();
         assert_eq!(s.max_occupancy(), 1);
     }

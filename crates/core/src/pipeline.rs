@@ -31,10 +31,11 @@ use crate::context::{PrecedencePolicy, SchedContext};
 use crate::error::SchedError;
 use crate::registry::{registry, Scheduler};
 use crate::schedule::Schedule;
+use pim_array::grid::Grid;
 use pim_array::memory::MemorySpec;
 use pim_metrics::{Metrics, PoolUsage};
 use pim_par::Pool;
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatView;
 
 /// Which scheduling algorithm to run — the closed enum form of the paper's
 /// method set, kept for exhaustive sweeps ([`Method::ALL`]) and pattern
@@ -121,16 +122,10 @@ pub enum MemoryPolicy {
 }
 
 impl MemoryPolicy {
-    /// Resolve to a concrete [`MemorySpec`] for a trace.
-    pub fn resolve(&self, trace: &WindowedTrace) -> MemorySpec {
-        self.resolve_parts(&trace.grid(), trace.num_data())
-    }
-
-    /// Resolve from the quantities the policy actually depends on — the
-    /// grid and the datum population — so trace representations other than
-    /// [`WindowedTrace`] (e.g. [`pim_trace::flat::FlatTrace`]) resolve
-    /// identically.
-    pub fn resolve_parts(&self, grid: &pim_array::grid::Grid, num_data: usize) -> MemorySpec {
+    /// Resolve to a concrete [`MemorySpec`] from the quantities the policy
+    /// depends on: the grid and the datum population (a trace's
+    /// `grid()` and `num_data()`, or a `.pimb` header's).
+    pub fn resolve(&self, grid: &Grid, num_data: usize) -> MemorySpec {
         match *self {
             MemoryPolicy::Unbounded => MemorySpec::unbounded(),
             MemoryPolicy::Capacity(c) => MemorySpec::uniform(c),
@@ -149,7 +144,7 @@ impl MemoryPolicy {
 /// [`Run::run`] and reused — reconfiguring after that point rebuilds it on
 /// the next run.
 pub struct Run<'t> {
-    trace: &'t WindowedTrace,
+    trace: &'t dyn FlatView,
     policy: MemoryPolicy,
     pool: Option<Pool>,
     metrics: Metrics,
@@ -158,8 +153,10 @@ pub struct Run<'t> {
 }
 
 impl<'t> Run<'t> {
-    /// A sequential, unbounded run over `trace`.
-    pub fn new(trace: &'t WindowedTrace) -> Self {
+    /// A sequential, unbounded run over `trace` — any [`FlatView`]: an
+    /// owned `FlatTrace`, a memory-mapped `BinTrace`, or an
+    /// `EditableTrace`.
+    pub fn new(trace: &'t dyn FlatView) -> Self {
         Run {
             trace,
             policy: MemoryPolicy::Unbounded,
@@ -226,7 +223,6 @@ impl<'t> Run<'t> {
     /// Run one scheduler. Returns [`SchedError::CapacityExhausted`] when
     /// the memory policy cannot hold the working set.
     pub fn run(&mut self, scheduler: &dyn Scheduler) -> Result<Schedule, SchedError> {
-        let trace = self.trace;
         let metrics = self.metrics.clone();
         let pool_before = if metrics.is_enabled() && self.pool.is_some() {
             Some(pim_par::stats::snapshot())
@@ -235,7 +231,7 @@ impl<'t> Run<'t> {
         };
         let result = {
             let _t = metrics.phase(scheduler.name());
-            scheduler.schedule(self.context(), trace)
+            scheduler.schedule(self.context())
         };
         if let Some(before) = pool_before {
             let delta = pim_par::stats::snapshot().since(&before);
@@ -274,7 +270,7 @@ impl<'t> Run<'t> {
 ///
 /// # Panics
 /// Panics when the memory policy cannot hold the working set.
-pub fn schedule(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> Schedule {
+pub fn schedule(method: Method, trace: &dyn FlatView, policy: MemoryPolicy) -> Schedule {
     Run::new(trace)
         .policy(policy)
         .run_method(method)
@@ -285,7 +281,7 @@ pub fn schedule(method: Method, trace: &WindowedTrace, policy: MemoryPolicy) -> 
 /// variants — any registered [`Scheduler`] with
 /// [`in_comparison`](Scheduler::in_comparison)) on one trace, returning
 /// `(name, total cost)` per strategy. One shared cache serves the sweep.
-pub fn compare_methods(trace: &WindowedTrace, policy: MemoryPolicy) -> Vec<(&'static str, u64)> {
+pub fn compare_methods(trace: &dyn FlatView, policy: MemoryPolicy) -> Vec<(&'static str, u64)> {
     let mut run = Run::new(trace).policy(policy);
     registry()
         .comparison_set()
@@ -300,12 +296,12 @@ pub fn compare_methods(trace: &WindowedTrace, policy: MemoryPolicy) -> Vec<(&'st
 mod tests {
     use super::*;
     use crate::registry::schedulers;
-    use pim_array::grid::Grid;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
-    fn sample_trace() -> WindowedTrace {
+    fn sample_trace() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -320,6 +316,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -355,19 +352,12 @@ mod tests {
     #[test]
     fn policy_resolution() {
         let trace = sample_trace();
-        assert_eq!(
-            MemoryPolicy::Unbounded.resolve(&trace).capacity_per_proc,
-            u32::MAX
-        );
-        assert_eq!(
-            MemoryPolicy::Capacity(5).resolve(&trace).capacity_per_proc,
-            5
-        );
+        let resolve = |p: MemoryPolicy| p.resolve(&trace.grid(), trace.num_data());
+        assert_eq!(resolve(MemoryPolicy::Unbounded).capacity_per_proc, u32::MAX);
+        assert_eq!(resolve(MemoryPolicy::Capacity(5)).capacity_per_proc, 5);
         // 2 data / 16 procs → min 1 → factor 2 → 2
         assert_eq!(
-            MemoryPolicy::ScaledMinimum { factor: 2 }
-                .resolve(&trace)
-                .capacity_per_proc,
+            resolve(MemoryPolicy::ScaledMinimum { factor: 2 }).capacity_per_proc,
             2
         );
     }

@@ -42,8 +42,8 @@ use crate::registry::{GomcdsScheduler, Scheduler};
 use crate::schedule::Schedule;
 use pim_array::grid::ProcId;
 use pim_trace::dag::TaskDag;
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// How task priorities are derived from the DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,11 @@ fn weight(pri: u64, pri_max: u64) -> u64 {
 /// completes when its last task finishes, and windows — separated by the
 /// barrier — sum. Cheap enough to score candidate schedules inside a
 /// scheduler; the simulator stays the ground truth.
-pub fn estimate_completion(trace: &WindowedTrace, schedule: &Schedule, dag: &TaskDag) -> u64 {
+pub fn estimate_completion<V: FlatView + ?Sized>(
+    trace: &V,
+    schedule: &Schedule,
+    dag: &TaskDag,
+) -> u64 {
     let grid = trace.grid();
     let nw = trace.num_windows();
     let mut finish = vec![0u64; dag.num_tasks()];
@@ -122,10 +126,10 @@ pub fn estimate_completion(trace: &WindowedTrace, schedule: &Schedule, dag: &Tas
             for &d in &task.data {
                 let center = schedule.center(d, w);
                 let cp = grid.point_of(center);
-                for r in trace.refs(d).window(w).iter() {
-                    if r.proc != center {
-                        let dist = grid.point_of(r.proc).l1_dist(cp);
-                        span = span.max(dist + r.count as u64 - 1);
+                for r in trace.window_run(d, w) {
+                    if r.proc(&grid) != center {
+                        let dist = grid.point_of(r.proc(&grid)).l1_dist(cp);
+                        span = span.max(dist + (r.count as u64).saturating_sub(1));
                     }
                 }
                 if w + 1 < nw {
@@ -145,16 +149,16 @@ pub fn estimate_completion(trace: &WindowedTrace, schedule: &Schedule, dag: &Tas
 
 /// The precedence-aware placement itself: weighted per-datum paths (the
 /// GOMCDS kernel over priority-weighted node costs), capacity replayed by
-/// the GOMCDS replay in task-priority order. Deliberately one sequential,
-/// raw-reference-string code path — sequential and parallel contexts both
-/// land here, so the with-DAG output is bit-identical across execution
-/// modes by construction.
+/// the GOMCDS replay in task-priority order. Deliberately one sequential
+/// code path — sequential and parallel contexts both land here, so the
+/// with-DAG output is bit-identical across execution modes by
+/// construction.
 fn precedence_schedule(
     ctx: &mut SchedContext,
-    trace: &WindowedTrace,
     dag: &TaskDag,
     mode: PriorityMode,
 ) -> Result<Schedule, SchedError> {
+    let trace = ctx.trace();
     let grid = ctx.grid();
     let spec = ctx.spec();
     let nd = trace.num_data();
@@ -165,9 +169,9 @@ fn precedence_schedule(
     let pri_max = pri.iter().copied().max().unwrap_or(0);
 
     // Replay order: most critical owning task first, then datum id.
-    let mut order: Vec<(core::cmp::Reverse<u64>, DataId)> = trace
-        .iter_data()
-        .map(|(d, _)| {
+    let mut order: Vec<(core::cmp::Reverse<u64>, DataId)> = (0..nd as u32)
+        .map(DataId)
+        .map(|d| {
             let key = (0..nw as u32)
                 .filter_map(|w| dag.owner(w, d))
                 .map(|t| pri[t as usize])
@@ -179,7 +183,7 @@ fn precedence_schedule(
     order.sort_unstable();
 
     let mut replay = GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform);
-    let ws = ctx.workspace();
+    let (cache, ws) = ctx.cache_and_ws();
     let mut weights = vec![1u64; nw];
     let mut centers: Vec<Vec<ProcId>> = vec![Vec::new(); nd];
     for (_, d) in order {
@@ -189,7 +193,7 @@ fn precedence_schedule(
                 None => 1,
             };
         }
-        let src = NodeSource::Weighted(trace.refs(d), &weights);
+        let src = NodeSource::Weighted(cache.datum(d), &weights);
         centers[d.index()] = replay.place(d, None, |masks| {
             solve_layered(&grid, &src, masks, Solver::DistanceTransform, 1, None, ws)
                 .map(|(path, _)| path)
@@ -202,18 +206,15 @@ fn precedence_schedule(
 /// without a DAG; with one, validate it, compute both the aware and the
 /// plain schedule, and return the better under [`estimate_completion`]
 /// (ties go to plain GOMCDS, which also minimizes communication volume).
-fn guarded_schedule(
-    ctx: &mut SchedContext,
-    trace: &WindowedTrace,
-    mode: PriorityMode,
-) -> Result<Schedule, SchedError> {
+fn guarded_schedule(ctx: &mut SchedContext, mode: PriorityMode) -> Result<Schedule, SchedError> {
     let Some(dag) = ctx.dag() else {
-        return GomcdsScheduler::fast().schedule(ctx, trace);
+        return GomcdsScheduler::fast().schedule(ctx);
     };
+    let trace = ctx.trace();
     dag.validate_cover(trace)
         .map_err(|e| SchedError::DagMismatch(e.to_string()))?;
-    let aware = precedence_schedule(ctx, trace, dag, mode)?;
-    let plain = match GomcdsScheduler::fast().schedule(ctx, trace) {
+    let aware = precedence_schedule(ctx, dag, mode)?;
+    let plain = match GomcdsScheduler::fast().schedule(ctx) {
         Ok(s) => s,
         // The weighted replay can survive capacity pressure the plain
         // datum-order replay dies on; keep the feasible schedule.
@@ -252,12 +253,8 @@ impl Scheduler for ListScdsScheduler {
         true
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        guarded_schedule(ctx, trace, PriorityMode::CriticalPath)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        guarded_schedule(ctx, PriorityMode::CriticalPath)
     }
 }
 
@@ -284,12 +281,8 @@ impl Scheduler for EdfScdsScheduler {
         true
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        guarded_schedule(ctx, trace, PriorityMode::Deadline)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        guarded_schedule(ctx, PriorityMode::Deadline)
     }
 }
 
@@ -299,7 +292,8 @@ mod tests {
     use crate::pipeline::{MemoryPolicy, Run};
     use pim_array::grid::Grid;
     use pim_trace::dag::Task;
-    use pim_trace::window::{DataRefString, WindowRefs};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -338,7 +332,7 @@ mod tests {
     #[test]
     fn without_dag_both_are_gomcds_bit_identical() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -350,7 +344,8 @@ mod tests {
                     WindowRefs::from_pairs([(grid.proc_xy(1, 0), 3)]),
                 ],
             ],
-        );
+        )
+        .unwrap();
         for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
             let gomcds = Run::new(&trace).policy(policy).run_named("GOMCDS").unwrap();
             for name in ["list-scds", "edf-scds"] {
@@ -363,13 +358,19 @@ mod tests {
     #[test]
     fn weighted_solver_with_unit_weights_matches_gomcds_path() {
         let grid = g();
-        let rs = DataRefString::new(vec![
-            WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
-            WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
-            WindowRefs::new(),
-        ]);
+        let trace = FlatTrace::from_windows(
+            grid,
+            vec![vec![
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
+                WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
+                WindowRefs::new(),
+            ]],
+        )
+        .unwrap();
+        let cache = crate::CostCache::build_flat(&trace);
+        let datum = cache.datum(DataId(0));
         let mut ws = crate::workspace::Workspace::new();
-        let src = NodeSource::Weighted(&rs, &[1, 1, 1]);
+        let src = NodeSource::Weighted(datum, &[1, 1, 1]);
         let weighted = solve_layered(
             &grid,
             &src,
@@ -383,7 +384,7 @@ mod tests {
         // Unit weights leave every node cost unchanged, so the weighted
         // solve is plain GOMCDS (itself pinned to brute-force enumeration
         // in tests/theory_exhaustive.rs).
-        let plain = crate::gomcds::gomcds_path(&grid, &rs, Solver::DistanceTransform);
+        let plain = crate::gomcds::gomcds_path(&grid, datum, Solver::DistanceTransform, &mut ws);
         assert_eq!(weighted, plain);
     }
 
@@ -398,7 +399,7 @@ mod tests {
         // so only leaf tasks pay the displacement.
         let hot = grid.proc_xy(1, 1);
         let refs = || vec![WindowRefs::from_pairs([(hot, 3)])];
-        let trace = WindowedTrace::from_parts(grid, vec![refs(), refs(), refs()]);
+        let trace = FlatTrace::from_windows(grid, vec![refs(), refs(), refs()]).unwrap();
         let dag = TaskDag::new(
             1,
             vec![task(0, &[0], 1), task(0, &[1], 1), task(0, &[2], 1)],
@@ -424,10 +425,11 @@ mod tests {
     #[test]
     fn dag_mismatch_is_a_typed_error() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)])]],
-        );
+        )
+        .unwrap();
         // DAG owns nothing → the referenced (window 0, datum 0) is unowned.
         let dag = TaskDag::new(1, vec![], vec![]).unwrap();
         let mut run = Run::new(&trace).dag(&dag);
@@ -443,20 +445,21 @@ mod tests {
         let far = grid.proc_xy(3, 3);
         let near = grid.proc_xy(0, 0);
         let trace =
-            WindowedTrace::from_parts(grid, vec![vec![WindowRefs::from_pairs([(near, 2)])]]);
+            FlatTrace::from_windows(grid, vec![vec![WindowRefs::from_pairs([(near, 2)])]]).unwrap();
         let dag = TaskDag::new(1, vec![task(0, &[0], 1)], vec![]).unwrap();
         let local = Schedule::new(grid, vec![vec![near]]);
         let remote = Schedule::new(grid, vec![vec![far]]);
         assert_eq!(estimate_completion(&trace, &local, &dag), 0);
         assert_eq!(estimate_completion(&trace, &remote, &dag), 7); // dist 6 + vol 2 − 1
                                                                    // Chained tasks serialize within the window.
-        let trace2 = WindowedTrace::from_parts(
+        let trace2 = FlatTrace::from_windows(
             grid,
             vec![
                 vec![WindowRefs::from_pairs([(near, 2)])],
                 vec![WindowRefs::from_pairs([(near, 2)])],
             ],
-        );
+        )
+        .unwrap();
         let chain =
             TaskDag::new(1, vec![task(0, &[0], 1), task(0, &[1], 1)], vec![(0, 1)]).unwrap();
         let both_remote = Schedule::new(grid, vec![vec![far], vec![far]]);

@@ -15,11 +15,11 @@
 //! Capacity is honoured: a move is only considered when the target
 //! processor has a free slot in that window.
 
-use crate::cost::cost_at;
+use crate::cost::span_cost_at;
 use crate::schedule::Schedule;
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_trace::flat::{span_window, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// Outcome of a refinement pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct RefineStats {
 /// best (then lowest-id) improving processor is taken. `max_sweeps` bounds
 /// the work; a fixed point is usually reached in a handful of sweeps.
 pub fn refine(
-    trace: &WindowedTrace,
+    trace: &(impl FlatView + ?Sized),
     schedule: &mut Schedule,
     spec: MemorySpec,
     max_sweeps: u32,
@@ -71,13 +71,13 @@ pub fn refine(
         stats.sweeps += 1;
         let mut improved = false;
         for d in 0..nd {
-            let refs = trace.refs(DataId(d as u32));
+            let span = trace.span(DataId(d as u32));
             for w in 0..nw {
                 let cur = centers[d][w];
                 let prev = (w > 0).then(|| centers[d][w - 1]);
                 let next = (w + 1 < nw).then(|| centers[d][w + 1]);
                 let local = |p| {
-                    let mut c = cost_at(&grid, refs.window(w), p);
+                    let mut c = span_cost_at(&grid, span_window(span, w), p);
                     if let Some(q) = prev {
                         c += grid.dist(q, p);
                     }
@@ -118,11 +118,12 @@ mod tests {
     use crate::baseline::random_schedule;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
-    fn trace() -> WindowedTrace {
+    fn trace() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -137,6 +138,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]

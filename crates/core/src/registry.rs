@@ -2,9 +2,10 @@
 //! point for every scheduling strategy in the crate.
 //!
 //! A scheduling strategy is a value implementing [`Scheduler`]: it has a
-//! stable name and turns a ([`SchedContext`], trace) pair into a
-//! [`Schedule`]. The [`SchedulerRegistry`] maps names (case-insensitive,
-//! with a small alias table) to registered strategies; [`registry`] exposes
+//! stable name and turns a [`SchedContext`] — which holds the trace, the
+//! memory policy, the cost cache and the pool — into a [`Schedule`]. The
+//! [`SchedulerRegistry`] maps names (case-insensitive, with a small alias
+//! table) to registered strategies; [`registry`] exposes
 //! one process-wide registry holding every built-in strategy:
 //!
 //! | name | strategy |
@@ -38,14 +39,15 @@ use crate::grouping::GroupMethod;
 use crate::schedule::Schedule;
 use pim_array::layout::Layout;
 use pim_par::Pool;
-use pim_trace::window::WindowedTrace;
 use std::sync::OnceLock;
 
 /// A pluggable scheduling strategy.
 ///
-/// Implementations serve cost tables from [`SchedContext::cache_and_ws`]
-/// and use [`SchedContext::pool`] for per-datum parallelism when it
-/// returns a pool. The sequential and parallel runs must be bit-identical
+/// Implementations read the trace's spans from [`SchedContext::trace`]
+/// (any `FlatView`: owned, memory-mapped or editable), serve cost tables
+/// from [`SchedContext::cache_and_ws`] when they need them, and use
+/// [`SchedContext::pool`] for per-datum parallelism when it returns a
+/// pool. The sequential and parallel runs must be bit-identical
 /// (property-tested for every registered strategy in
 /// `tests/cache_equivalence.rs`).
 pub trait Scheduler: Send + Sync {
@@ -53,17 +55,14 @@ pub trait Scheduler: Send + Sync {
     /// case-insensitive.
     fn name(&self) -> &'static str;
 
-    /// Compute the schedule for `trace` under the context's memory policy.
+    /// Compute the schedule for the context's trace under its memory
+    /// policy.
     ///
     /// Every built-in strategy checks feasibility up front and returns
     /// [`SchedError::CapacityExhausted`] — never panics — when the memory
     /// spec cannot hold the working set (uniform contract, property-tested
     /// across the registry in `tests/capacity_compliance.rs`).
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError>;
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError>;
 
     /// One-line human description (shown by `pim-cli list-methods`).
     fn description(&self) -> &'static str {
@@ -86,14 +85,6 @@ pub trait Scheduler: Send + Sync {
     /// flag.
     fn parallelizable(&self) -> bool {
         true
-    }
-
-    /// Whether the big-instance flat fast path ([`crate::flat`], driven
-    /// straight off a [`pim_trace::flat::FlatView`] by `pim-cli run --bin`
-    /// and `pim-cli scale`) implements this strategy. `pim-cli
-    /// list-methods` reports the flag.
-    fn flat_capable(&self) -> bool {
-        false
     }
 
     /// Whether this strategy reads a task DAG off
@@ -134,23 +125,13 @@ impl Scheduler for ScdsScheduler {
         "Algorithm 1: single center per datum, no run-time movement"
     }
 
-    fn flat_capable(&self) -> bool {
-        true
-    }
-
     fn incremental(&self) -> bool {
         true
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        let spec = ctx.spec();
-        let pool = driver_pool(ctx);
-        let (flat, _, ws) = ctx.flat_cache_ws(trace);
-        crate::flat::scds_on(flat, spec, pool, &ws.metrics)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        let (trace, spec, pool) = (ctx.trace(), ctx.spec(), driver_pool(ctx));
+        crate::flat::scds_on(trace, spec, pool, ctx.metrics())
     }
 }
 
@@ -167,23 +148,13 @@ impl Scheduler for LomcdsScheduler {
         "per-window local-optimal centers; movement between windows"
     }
 
-    fn flat_capable(&self) -> bool {
-        true
-    }
-
     fn incremental(&self) -> bool {
         true
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        let spec = ctx.spec();
-        let pool = driver_pool(ctx);
-        let (flat, cache, ws) = ctx.flat_cache_ws(trace);
-        crate::flat::lomcds_on(flat, spec, pool, Some(cache), ws)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        let (trace, spec, pool) = (ctx.trace(), ctx.spec(), driver_pool(ctx));
+        crate::flat::lomcds_on(trace, spec, pool, ctx.workspace())
     }
 }
 
@@ -232,24 +203,14 @@ impl Scheduler for GomcdsScheduler {
         self.solver == Solver::DistanceTransform
     }
 
-    fn flat_capable(&self) -> bool {
-        // The flat fast path only drives the production solver.
-        self.solver == Solver::DistanceTransform
-    }
-
     fn incremental(&self) -> bool {
         // The incremental engine resumes the distance-transform DP only.
         self.solver == Solver::DistanceTransform
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        let spec = ctx.spec();
-        let pool = driver_pool(ctx);
-        let (grid, nw) = (trace.grid(), trace.num_windows());
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        let (spec, pool) = (ctx.spec(), driver_pool(ctx));
+        let (grid, nw) = (ctx.grid(), ctx.trace().num_windows());
         let (cache, ws) = ctx.cache_and_ws();
         crate::flat::gomcds_on(cache, grid, nw, spec, self.solver, pool, ws)
     }
@@ -279,18 +240,11 @@ impl Scheduler for GroupedScheduler {
         }
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        let spec = ctx.spec();
-        let pool = driver_pool(ctx);
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        let (trace, spec, pool) = (ctx.trace(), ctx.spec(), driver_pool(ctx));
         let decide = GroupMethod::LocalCenters;
         let (cache, ws) = ctx.cache_and_ws();
-        crate::grouping::grouped_schedule_with_cached(
-            trace, spec, decide, self.place, cache, pool, ws,
-        )
+        crate::grouping::grouped_schedule(trace, spec, decide, self.place, cache, pool, ws)
     }
 }
 
@@ -332,13 +286,10 @@ impl Scheduler for BaselineScheduler {
         false
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
         // The layout itself ignores capacity, but the uniform registry
         // contract still rejects an array that cannot hold the data.
+        let trace = ctx.trace();
         ensure_feasible(&ctx.grid(), ctx.spec(), trace.num_data())?;
         let nd = trace.num_data() as u32;
         let rows = (nd as f64).sqrt().floor().max(1.0) as u32;
@@ -387,13 +338,9 @@ impl Scheduler for OnlineScheduler {
         false
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
         crate::online::online_schedule(
-            trace,
+            ctx.trace(),
             crate::online::OnlinePolicy {
                 threshold: self.threshold,
                 spec: ctx.spec(),
@@ -432,12 +379,8 @@ impl Scheduler for KCopyScheduler {
         false
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        GomcdsScheduler::fast().schedule(ctx, trace)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        GomcdsScheduler::fast().schedule(ctx)
     }
 }
 
@@ -460,12 +403,8 @@ impl Scheduler for ReplicateScheduler {
         false
     }
 
-    fn schedule(
-        &self,
-        ctx: &mut SchedContext,
-        trace: &WindowedTrace,
-    ) -> Result<Schedule, SchedError> {
-        GomcdsScheduler::fast().schedule(ctx, trace)
+    fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
+        GomcdsScheduler::fast().schedule(ctx)
     }
 }
 
@@ -603,8 +542,9 @@ mod tests {
     use super::*;
     use crate::pipeline::{MemoryPolicy, Method};
     use pim_array::grid::{Grid, ProcId};
+    use pim_trace::flat::FlatTrace;
     use pim_trace::ids::DataId;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::window::WindowRefs;
 
     #[test]
     fn standard_registry_contents() {
@@ -631,12 +571,6 @@ mod tests {
     #[test]
     fn capability_flags() {
         let r = registry();
-        let flat: Vec<_> = r
-            .iter()
-            .filter(|s| s.flat_capable())
-            .map(|s| s.name())
-            .collect();
-        assert_eq!(flat, vec!["SCDS", "LOMCDS", "GOMCDS"]);
         let dag: Vec<_> = r
             .iter()
             .filter(|s| s.precedence_aware())
@@ -703,12 +637,9 @@ mod tests {
             fn name(&self) -> &'static str {
                 "stay-put"
             }
-            fn schedule(
-                &self,
-                ctx: &mut SchedContext,
-                trace: &WindowedTrace,
-            ) -> Result<Schedule, SchedError> {
+            fn schedule(&self, ctx: &mut SchedContext) -> Result<Schedule, SchedError> {
                 let m = ctx.grid().num_procs() as u32;
+                let trace = ctx.trace();
                 let placement = (0..trace.num_data() as u32)
                     .map(|d| ProcId(d % m))
                     .collect();
@@ -722,13 +653,9 @@ mod tests {
         let mut r = SchedulerRegistry::new();
         r.register(Box::new(Stay));
         let grid = Grid::new(2, 2);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 5]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]; 5]).unwrap();
         let mut ctx = SchedContext::new(&trace, MemoryPolicy::Unbounded);
-        let s = r
-            .get("STAY-PUT")
-            .unwrap()
-            .schedule(&mut ctx, &trace)
-            .unwrap();
+        let s = r.get("STAY-PUT").unwrap().schedule(&mut ctx).unwrap();
         assert_eq!(s.center(DataId(4), 0), ProcId(0));
         assert!(r.comparison_set().any(|s| s.name() == "stay-put"));
     }

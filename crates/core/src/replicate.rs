@@ -23,13 +23,15 @@
 //! reductions. The datum keeps the secondary only where it pays for
 //! itself, so the result is never worse than single-copy GOMCDS (tested).
 
-use crate::cost::{cost_at, path_cost};
-use crate::gomcds::{gomcds_path, Solver};
+use crate::cache::CostCache;
+use crate::cost::{path_cost, span_cost_at};
+use crate::gomcds::{gomcds_path, solve_masked_path, Solver};
 use crate::schedule::CostBreakdown;
+use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
+use pim_trace::flat::{span_window, FlatRef, FlatView};
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
 
 /// A replicated schedule: per datum, per window, one or two replica
 /// locations (first entry is the primary copy).
@@ -73,16 +75,16 @@ impl ReplicatedSchedule {
     /// Reference cost of serving `refs` from the replica set.
     fn serve_cost(
         grid: &Grid,
-        refs: &WindowRefs,
+        refs: &[FlatRef],
         primary: ProcId,
         secondary: Option<ProcId>,
     ) -> u64 {
         match secondary {
-            None => cost_at(grid, refs, primary),
+            None => span_cost_at(grid, refs, primary),
             Some(s) => refs
                 .iter()
                 .map(|r| {
-                    let p = grid.point_of(r.proc);
+                    let p = grid.point_of(r.proc(grid));
                     let d = grid
                         .point_of(primary)
                         .l1_dist(p)
@@ -95,17 +97,16 @@ impl ReplicatedSchedule {
 
     /// Evaluate against a trace: nearest-replica reference cost plus
     /// movement/materialization cost between windows.
-    pub fn evaluate(&self, trace: &WindowedTrace) -> CostBreakdown {
+    pub fn evaluate(&self, trace: &(impl FlatView + ?Sized)) -> CostBreakdown {
         assert_eq!(trace.grid(), self.grid, "grid mismatch");
         assert_eq!(trace.num_data(), self.num_data(), "data count mismatch");
         let grid = &self.grid;
         let mut out = CostBreakdown::default();
-        for (d, rs) in trace.iter_data() {
-            let seq = &self.replicas[d.index()];
-            assert_eq!(seq.len(), rs.num_windows(), "window mismatch for {d}");
-            for (w, refs) in rs.windows().enumerate() {
-                let (p, s) = seq[w];
-                out.reference += Self::serve_cost(grid, refs, p, s);
+        for (d, seq) in self.replicas.iter().enumerate() {
+            let d = DataId(d as u32);
+            assert_eq!(seq.len(), trace.num_windows(), "window mismatch for {d}");
+            for (w, &(p, s)) in seq.iter().enumerate() {
+                out.reference += Self::serve_cost(grid, trace.window_run(d, w), p, s);
                 if w > 0 {
                     let (pp, ps) = seq[w - 1];
                     // every current replica is materialized from the
@@ -133,12 +134,12 @@ impl ReplicatedSchedule {
 /// the total cost of the two-copy plan.
 fn secondary_dp(
     grid: &Grid,
-    rs: &DataRefString,
+    span: &[FlatRef],
     primary: &[ProcId],
     masks: Option<&[MemoryMap]>,
 ) -> (Vec<Option<ProcId>>, u64) {
     let m = grid.num_procs();
-    let nw = rs.num_windows();
+    let nw = primary.len();
     const NONE: usize = usize::MAX;
 
     // dp[w][state]: state in 0..m = secondary at proc, state m = none.
@@ -155,9 +156,9 @@ fn secondary_dp(
     };
 
     let node = |w: usize, state: usize| -> u64 {
-        let refs = rs.window(w);
+        let refs = span_window(span, w);
         if state == m {
-            cost_at(grid, refs, primary[w])
+            span_cost_at(grid, refs, primary[w])
         } else {
             ReplicatedSchedule::serve_cost(grid, refs, primary[w], Some(ProcId(state as u32)))
         }
@@ -231,20 +232,24 @@ fn secondary_dp(
 /// ```
 /// use pim_array::grid::Grid;
 /// use pim_array::memory::MemorySpec;
-/// use pim_trace::window::{WindowRefs, WindowedTrace};
+/// use pim_trace::flat::FlatTrace;
+/// use pim_trace::window::WindowRefs;
 /// use pim_sched::replicate::replicated_schedule;
 ///
 /// let grid = Grid::new(4, 4);
 /// // opposite corners both hammer the same datum every window
 /// let win = || WindowRefs::from_pairs([(grid.proc_xy(0, 0), 4), (grid.proc_xy(3, 3), 4)]);
-/// let trace = WindowedTrace::from_parts(grid, vec![vec![win(), win()]]);
+/// let trace = FlatTrace::from_windows(grid, vec![vec![win(), win()]]).unwrap();
 /// let repl = replicated_schedule(&trace, MemorySpec::unbounded());
 /// assert_eq!(repl.evaluate(&trace).total(), 0); // one copy per corner
 /// ```
 ///
 /// # Panics
 /// Panics if the array cannot hold one copy of every datum.
-pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> ReplicatedSchedule {
+pub fn replicated_schedule(
+    trace: &(impl FlatView + ?Sized),
+    spec: MemorySpec,
+) -> ReplicatedSchedule {
     let grid = trace.grid();
     let nd = trace.num_data();
     let nw = trace.num_windows();
@@ -257,12 +262,17 @@ pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Replicate
 
     // First pass: primaries for everyone (they must all fit). Identical to
     // plain GOMCDS: data in ascending id order, masked shortest paths.
+    let cache = CostCache::build_flat(trace);
+    let mut ws = Workspace::new();
+    let solver = Solver::DistanceTransform;
     let mut primaries: Vec<Vec<ProcId>> = Vec::with_capacity(nd);
-    for (_, rs) in trace.iter_data() {
+    for d in 0..nd {
+        let datum = cache.datum(DataId(d as u32));
         let path = if bounded {
-            resolve_masked(&grid, rs, &mems)
+            solve_masked_path(&grid, datum, &mems, solver, &mut ws)
+                .expect("every window retains a free slot for the primary")
         } else {
-            gomcds_path(&grid, rs, Solver::DistanceTransform).0
+            gomcds_path(&grid, datum, solver, &mut ws).0
         };
         if bounded {
             for (w, &p) in path.iter().enumerate() {
@@ -274,11 +284,11 @@ pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Replicate
 
     // Second pass: optional secondaries into the remaining slack.
     let mut replicas = Vec::with_capacity(nd);
-    for (d, rs) in trace.iter_data() {
-        let primary = &primaries[d.index()];
-        let single_cost = path_cost(&grid, rs, primary);
+    for (d, primary) in primaries.iter().enumerate() {
+        let span = trace.span(DataId(d as u32));
+        let single_cost = path_cost(&grid, span, primary);
         let (secondary, dual_cost) =
-            secondary_dp(&grid, rs, primary, bounded.then_some(mems.as_slice()));
+            secondary_dp(&grid, span, primary, bounded.then_some(mems.as_slice()));
         let seq: Vec<(ProcId, Option<ProcId>)> = if dual_cost < single_cost {
             if bounded {
                 for (w, s) in secondary.iter().enumerate() {
@@ -304,32 +314,28 @@ pub fn replicated_schedule(trace: &WindowedTrace, spec: MemorySpec) -> Replicate
 
 /// Masked single-copy fallback used when the unconstrained primary path
 /// collides with occupancy.
-fn resolve_masked(grid: &Grid, rs: &DataRefString, mems: &[MemoryMap]) -> Vec<ProcId> {
-    crate::gomcds::solve_masked_path(grid, rs, mems, Solver::DistanceTransform)
-        .expect("every window retains a free slot for the primary")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_trace::window::WindowedTrace;
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn grid() -> Grid {
         Grid::new(4, 4)
     }
 
     /// Total cost of the single-copy GOMCDS schedule, unbounded memory.
-    fn gomcds_total(trace: &WindowedTrace) -> u64 {
+    fn gomcds_total(trace: &FlatTrace) -> u64 {
         let gomcds = crate::schedule(crate::Method::Gomcds, trace, crate::MemoryPolicy::Unbounded);
         gomcds.evaluate(trace).total()
     }
 
     /// Two distant clusters hammer the same datum every window — the case
     /// replication exists for.
-    fn twin_hotspot_trace() -> WindowedTrace {
+    fn twin_hotspot_trace() -> FlatTrace {
         let g = grid();
         let win = || WindowRefs::from_pairs([(g.proc_xy(0, 0), 4), (g.proc_xy(3, 3), 4)]);
-        WindowedTrace::from_parts(g, vec![vec![win(), win(), win()]])
+        FlatTrace::from_windows(g, vec![vec![win(), win(), win()]]).unwrap()
     }
 
     #[test]
@@ -352,14 +358,15 @@ mod tests {
         let g = grid();
         let traces = vec![
             twin_hotspot_trace(),
-            WindowedTrace::from_parts(
+            FlatTrace::from_windows(
                 g,
                 vec![vec![
                     WindowRefs::from_pairs([(g.proc_xy(1, 1), 2)]),
                     WindowRefs::from_pairs([(g.proc_xy(2, 2), 1)]),
                 ]],
-            ),
-            WindowedTrace::from_parts(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]),
+            )
+            .unwrap(),
+            FlatTrace::from_windows(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]).unwrap(),
         ];
         for trace in traces {
             let single = gomcds_total(&trace);
@@ -373,13 +380,14 @@ mod tests {
     #[test]
     fn single_ref_pattern_gets_no_secondary() {
         let g = grid();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             g,
             vec![vec![
                 WindowRefs::from_pairs([(g.proc_xy(1, 1), 3)]),
                 WindowRefs::from_pairs([(g.proc_xy(1, 1), 3)]),
             ]],
-        );
+        )
+        .unwrap();
         let repl = replicated_schedule(&trace, MemorySpec::unbounded());
         assert_eq!(repl.secondary_slots(), 0);
         assert_eq!(repl.evaluate(&trace).total(), 0);
@@ -390,7 +398,7 @@ mod tests {
         let g = Grid::new(2, 1);
         // two data, capacity 1: no slack for secondaries at all
         let win = || WindowRefs::from_pairs([(g.proc_xy(0, 0), 1), (g.proc_xy(1, 0), 1)]);
-        let trace = WindowedTrace::from_parts(g, vec![vec![win()], vec![win()]]);
+        let trace = FlatTrace::from_windows(g, vec![vec![win()], vec![win()]]).unwrap();
         let repl = replicated_schedule(&trace, MemorySpec::uniform(1));
         assert_eq!(repl.secondary_slots(), 0);
         // occupancy: each proc holds exactly one datum
@@ -411,7 +419,8 @@ mod tests {
                 (g.proc_xy(0, 0), Some(g.proc_xy(3, 3))),
             ]],
         };
-        let trace = WindowedTrace::from_parts(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]);
+        let trace =
+            FlatTrace::from_windows(g, vec![vec![WindowRefs::new(), WindowRefs::new()]]).unwrap();
         let cost = sched.evaluate(&trace);
         assert_eq!(cost.movement, 6); // copy from (0,0) to (3,3)
         assert_eq!(cost.reference, 0);

@@ -95,8 +95,9 @@ mod tests {
     use super::*;
     use crate::pipeline::{schedule, MemoryPolicy, Method};
     use pim_array::grid::Grid;
+    use pim_trace::flat::FlatTrace;
     use pim_trace::ids::DataId;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
@@ -106,13 +107,14 @@ mod tests {
     fn single_datum_goes_to_merged_median() {
         let grid = g();
         // window 0: heavy at (0,0); window 1: light at (3,3)
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
-        );
+        )
+        .unwrap();
         let s = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(0, 0));
         assert_eq!(s.center(DataId(0), 1), grid.proc_xy(0, 0));
@@ -125,7 +127,7 @@ mod tests {
         let grid = g();
         // two data both want (1,1)
         let refs = || vec![WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)])];
-        let trace = WindowedTrace::from_parts(grid, vec![refs(), refs()]);
+        let trace = FlatTrace::from_windows(grid, vec![refs(), refs()]).unwrap();
         let s = schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(1, 1));
         // datum 1 spills to the distance-1 neighbour with lowest id: (1,0)
@@ -137,7 +139,8 @@ mod tests {
     fn unreferenced_data_parks_deterministically() {
         let grid = g();
         let trace =
-            WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()], vec![WindowRefs::new()]]);
+            FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()], vec![WindowRefs::new()]])
+                .unwrap();
         let s = schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
         // zero cost everywhere → list sorted by id → data scatter over
         // lowest-id processors
@@ -150,14 +153,14 @@ mod tests {
     #[should_panic(expected = "cannot hold")]
     fn infeasible_capacity_panics() {
         let grid = Grid::new(2, 1);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 3]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]; 3]).unwrap();
         schedule(Method::Scds, &trace, MemoryPolicy::Capacity(1));
     }
 
     #[test]
     fn infeasible_capacity_errors_through_cached_entry() {
         let grid = Grid::new(2, 1);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]; 3]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]; 3]).unwrap();
         let err = crate::Run::new(&trace)
             .policy(MemoryPolicy::Capacity(1))
             .run_method(Method::Scds)

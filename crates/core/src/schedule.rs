@@ -12,10 +12,10 @@
 //! Initial placement (the center of window 0) is free: it happens during
 //! the pre-execution distribution phase.
 
-use crate::cost::cost_at;
+use crate::flat::{datum_cost, flat_total_cost};
 use pim_array::grid::{Grid, ProcId};
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// Total communication cost split into its two components.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -149,71 +149,41 @@ impl Schedule {
             .sum()
     }
 
-    /// Evaluate one datum's cost against its reference string.
-    pub fn evaluate_data(&self, trace: &WindowedTrace, d: DataId) -> CostBreakdown {
-        self.evaluate_data_weighted(trace, d, 1)
-    }
-
-    /// Like [`Self::evaluate_data`] with `move_weight` charged per hop of
-    /// movement (the datum's transfer volume; the paper's model is 1).
-    pub fn evaluate_data_weighted(
-        &self,
-        trace: &WindowedTrace,
-        d: DataId,
-        move_weight: u64,
-    ) -> CostBreakdown {
-        let refs = trace.refs(d);
-        let centers = &self.centers[d.index()];
-        assert_eq!(
-            refs.num_windows(),
-            centers.len(),
-            "schedule/trace window mismatch for {d}"
-        );
-        let mut cost = CostBreakdown::default();
-        for (w, window_refs) in refs.windows().enumerate() {
-            cost.reference += cost_at(&self.grid, window_refs, centers[w]);
-        }
-        for pair in centers.windows(2) {
-            cost.movement += move_weight * self.grid.dist(pair[0], pair[1]);
-        }
-        cost
-    }
-
-    /// Evaluate with a per-datum movement volume (`volumes[d]` = units
-    /// moved per hop when datum `d` migrates) — the paper's "weighted by
-    /// the data volume transferred" with heterogeneous data sizes.
-    ///
-    /// # Panics
-    /// Panics when `volumes.len() != num_data` or shapes mismatch.
-    pub fn evaluate_volumes(&self, trace: &WindowedTrace, volumes: &[u64]) -> CostBreakdown {
-        assert_eq!(trace.grid(), self.grid, "schedule/trace grid mismatch");
-        assert_eq!(trace.num_data(), self.num_data(), "data count mismatch");
-        assert_eq!(volumes.len(), self.num_data(), "volumes length mismatch");
-        let mut total = CostBreakdown::default();
-        for d in 0..self.num_data() {
-            total.add(self.evaluate_data_weighted(trace, DataId(d as u32), volumes[d]));
-        }
-        total
-    }
-
-    /// Evaluate the whole schedule charging `move_weight` per movement hop.
-    pub fn evaluate_weighted(&self, trace: &WindowedTrace, move_weight: u64) -> CostBreakdown {
-        assert_eq!(trace.grid(), self.grid, "schedule/trace grid mismatch");
-        assert_eq!(trace.num_data(), self.num_data(), "data count mismatch");
-        let mut total = CostBreakdown::default();
-        for d in 0..self.num_data() {
-            total.add(self.evaluate_data_weighted(trace, DataId(d as u32), move_weight));
-        }
-        total
-    }
-
-    /// Evaluate the whole schedule against a trace.
+    /// Evaluate the whole schedule against a trace: [`flat_total_cost`].
     ///
     /// # Panics
     /// Panics if the trace shape (data count, window count, grid) does not
     /// match the schedule.
-    pub fn evaluate(&self, trace: &WindowedTrace) -> CostBreakdown {
-        self.evaluate_weighted(trace, 1)
+    pub fn evaluate<V: FlatView + ?Sized>(&self, trace: &V) -> CostBreakdown {
+        flat_total_cost(trace, self)
+    }
+
+    /// Evaluate with a per-datum movement volume (`volumes[d]` = units
+    /// moved per hop when datum `d` migrates) — the paper's "weighted by
+    /// the data volume transferred" with heterogeneous data sizes; a
+    /// uniform `volumes` charges one movement weight for every datum.
+    ///
+    /// # Panics
+    /// Panics when `volumes.len() != num_data` or shapes mismatch.
+    pub fn evaluate_volumes<V: FlatView + ?Sized>(
+        &self,
+        trace: &V,
+        volumes: &[u64],
+    ) -> CostBreakdown {
+        assert_eq!(trace.grid(), self.grid, "schedule/trace grid mismatch");
+        assert_eq!(trace.num_data(), self.num_data(), "data count mismatch");
+        assert_eq!(volumes.len(), self.num_data(), "volumes length mismatch");
+        let mut total = CostBreakdown::default();
+        for (d, &volume) in volumes.iter().enumerate() {
+            let d = DataId(d as u32);
+            total.add(datum_cost(
+                &self.grid,
+                trace.span(d),
+                self.centers_of(d),
+                volume,
+            ));
+        }
+        total
     }
 
     /// Per-window occupancy: `out[w][p]` = number of data stored on `p`
@@ -253,20 +223,22 @@ pub fn improvement_pct(baseline: u64, ours: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
     }
 
-    fn two_window_trace(grid: Grid) -> WindowedTrace {
-        WindowedTrace::from_parts(
+    fn two_window_trace(grid: Grid) -> FlatTrace {
+        FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 3), 1)]),
             ]],
         )
+        .unwrap()
     }
 
     #[test]

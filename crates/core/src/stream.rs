@@ -46,7 +46,7 @@
 
 use crate::cache::DatumCostCache;
 use crate::error::{ensure_feasible, SchedError};
-use crate::flat::{fan_out, fold_datum};
+use crate::flat::{datum_cost, fan_out};
 use crate::gomcds::{GomcdsReplay, Solver};
 use crate::median::MedianState;
 use crate::pipeline::{MemoryPolicy, Method};
@@ -369,7 +369,7 @@ pub fn stream_schedule_with(
     let grid = header.grid;
     let nd = header.num_data;
     let nw = header.num_windows;
-    let spec = policy.resolve_parts(&grid, nd);
+    let spec = policy.resolve(&grid, nd);
     ensure_feasible(&grid, spec, nd).map_err(StreamError::Sched)?;
 
     let mut scds = ScdsReplay::new(&grid, spec, &Metrics::disabled());
@@ -395,7 +395,7 @@ pub fn stream_schedule_with(
             validate_span(&grid, nw, spans.span(d))?;
         }
         let mut emit = |d: DataId, centers: &[ProcId]| {
-            fold_datum(&grid, spans.span(d), centers, &mut cost);
+            cost.add(datum_cost(&grid, spans.span(d), centers, 1));
             sink(d, centers);
         };
         match method {

@@ -6,19 +6,23 @@
 //! really is the per-datum optimum, independent of the DP's correctness
 //! arguments.
 
-use pim_array::grid::{Grid, ProcId};
+use crate::windows_of;
+use pim_array::grid::ProcId;
 use pim_sched::Schedule;
-use pim_trace::window::{DataRefString, WindowedTrace};
+use pim_trace::flat::FlatView;
+use pim_trace::ids::DataId;
 
 /// The minimum achievable cost (reference plus movement, unconstrained
-/// memory) of one datum and one sequence achieving it — the
+/// memory) of datum `d` of `trace` and one sequence achieving it — the
 /// lexicographically smallest among minimizers, for determinism.
 ///
 /// # Panics
 /// Panics when the search space exceeds `5·10⁷` sequences.
-pub fn optimal_path_exhaustive(grid: &Grid, rs: &DataRefString) -> (Vec<ProcId>, u64) {
+pub fn optimal_path_exhaustive<V: FlatView + ?Sized>(trace: &V, d: DataId) -> (Vec<ProcId>, u64) {
+    let grid = &trace.grid();
+    let rs = windows_of(trace, d);
     let m = grid.num_procs();
-    let nw = rs.num_windows();
+    let nw = rs.len();
     assert!(
         (m as f64).powi(nw as i32) <= 5e7,
         "exhaustive search infeasible: {m}^{nw} sequences"
@@ -27,7 +31,7 @@ pub fn optimal_path_exhaustive(grid: &Grid, rs: &DataRefString) -> (Vec<ProcId>,
     let tables: Vec<Vec<u64>> = (0..nw)
         .map(|w| {
             let mut t = Vec::new();
-            pim_sched::cost::cost_table(grid, rs.window(w), &mut t);
+            pim_sched::cost::cost_table(grid, &rs[w], &mut t);
             t
         })
         .collect();
@@ -70,11 +74,9 @@ pub fn optimal_path_exhaustive(grid: &Grid, rs: &DataRefString) -> (Vec<ProcId>,
 
 /// Brute-force optimal schedule for a whole (tiny) trace, unconstrained
 /// memory: [`optimal_path_exhaustive`] per datum.
-pub fn exhaustive_schedule(trace: &WindowedTrace) -> Schedule {
-    let grid = trace.grid();
-    let centers = trace
-        .iter_data()
-        .map(|(_, rs)| optimal_path_exhaustive(&grid, rs).0)
+pub fn exhaustive_schedule<V: FlatView + ?Sized>(trace: &V) -> Schedule {
+    let centers = (0..trace.num_data())
+        .map(|d| optimal_path_exhaustive(trace, DataId(d as u32)).0)
         .collect();
-    Schedule::new(grid, centers)
+    Schedule::new(trace.grid(), centers)
 }

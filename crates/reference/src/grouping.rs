@@ -2,19 +2,36 @@
 //! DP, which `pim_sched::grouping`'s cached, incremental versions are
 //! pinned bit-identical against.
 
+use crate::schedulers::resolve_gaps;
+use crate::{layered_path, windows_of};
 use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
-use pim_sched::cost::optimal_center;
-use pim_sched::grouping::{cost_of_grouping, GroupMethod};
-use pim_trace::window::{DataRefString, WindowRefs};
+use pim_sched::cost::{cost_at, optimal_center};
+use pim_sched::grouping::GroupMethod;
+use pim_trace::flat::FlatView;
+use pim_trace::ids::DataId;
+use pim_trace::window::WindowRefs;
 
-/// The literal Algorithm 3 loop: re-assemble and fully re-cost both
-/// candidate partitions at every step with
-/// [`pim_sched::grouping::cost_of_grouping`] — `O(n)` group evaluations
-/// per extension decision, `O(n²)` overall. Returns the grouping as
-/// consecutive half-open ranges partitioning `0..num_windows`.
-pub fn greedy_grouping(grid: &Grid, rs: &DataRefString, method: GroupMethod) -> Vec<Range<usize>> {
-    let n = rs.num_windows();
+/// The literal Algorithm 3 loop over datum `d` of `trace`: re-assemble and
+/// fully re-cost both candidate partitions at every step — `O(n)` group
+/// evaluations per extension decision, `O(n²)` overall. Returns the
+/// grouping as consecutive half-open ranges partitioning
+/// `0..num_windows`.
+pub fn greedy_grouping<V: FlatView + ?Sized>(
+    trace: &V,
+    d: DataId,
+    method: GroupMethod,
+) -> Vec<Range<usize>> {
+    greedy_windows(&trace.grid(), &windows_of(trace, d), method)
+}
+
+/// [`greedy_grouping`] over one datum's per-window lists.
+pub(crate) fn greedy_windows(
+    grid: &Grid,
+    rs: &[WindowRefs],
+    method: GroupMethod,
+) -> Vec<Range<usize>> {
+    let n = rs.len();
     let mut confirmed: Vec<Range<usize>> = Vec::new();
     let mut start = 0usize;
     for j in 1..n {
@@ -48,14 +65,16 @@ fn assemble(
     v
 }
 
-/// The exact minimum-cost grouping for the
+/// The exact minimum-cost grouping of datum `d` of `trace` for the
 /// [`GroupMethod::LocalCenters`] model and its cost: the original
 /// `O(t³)` DP over group boundaries of the `t` referenced windows, with
 /// incremental reference-list merging. Empty windows attach to the
 /// preceding group.
-pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, u64) {
-    let n = rs.num_windows();
-    let refd: Vec<usize> = (0..n).filter(|&w| !rs.window(w).is_empty()).collect();
+pub fn optimal_grouping<V: FlatView + ?Sized>(trace: &V, d: DataId) -> (Vec<Range<usize>>, u64) {
+    let grid = &trace.grid();
+    let rs = windows_of(trace, d);
+    let n = rs.len();
+    let refd: Vec<usize> = (0..n).filter(|&w| !rs[w].is_empty()).collect();
     let t = refd.len();
     if t == 0 {
         #[allow(clippy::single_range_in_vec_init)] // one group covering 0..n is the intent
@@ -68,7 +87,7 @@ pub fn optimal_grouping(grid: &Grid, rs: &DataRefString) -> (Vec<Range<usize>>, 
     for a in 0..t {
         let mut merged = WindowRefs::new();
         for b in a..t {
-            merged.merge(rs.window(refd[b]));
+            merged.merge(&rs[refd[b]]);
             let (c, cost) = optimal_center(grid, &merged);
             centers[a][b] = c;
             costs[a][b] = cost;
@@ -146,4 +165,53 @@ fn attach_empty_windows(runs: &[(usize, usize)], refd: &[usize], n: usize) -> Ve
         start = end;
     }
     groups
+}
+
+/// The local-center sequence for a grouping: each group's optimal center
+/// of merged refs; empty groups keep the previous group's center.
+pub(crate) fn local_group_centers(
+    grid: &Grid,
+    rs: &[WindowRefs],
+    groups: &[Range<usize>],
+) -> Vec<ProcId> {
+    let centers: Vec<Option<ProcId>> = groups
+        .iter()
+        .map(|g| {
+            let merged = WindowRefs::merged(&rs[g.clone()]);
+            (!merged.is_empty()).then(|| optimal_center(grid, &merged).0)
+        })
+        .collect();
+    resolve_gaps(centers)
+}
+
+/// The paper's `COST(T)` of a grouping, re-merging every group's
+/// reference lists.
+fn cost_of_grouping(
+    grid: &Grid,
+    rs: &[WindowRefs],
+    groups: &[Range<usize>],
+    method: GroupMethod,
+) -> u64 {
+    match method {
+        GroupMethod::LocalCenters => {
+            let centers = local_group_centers(grid, rs, groups);
+            let mut total = 0u64;
+            for (g, &c) in groups.iter().zip(&centers) {
+                total += cost_at(grid, &WindowRefs::merged(&rs[g.clone()]), c);
+            }
+            for pair in centers.windows(2) {
+                total += grid.dist(pair[0], pair[1]);
+            }
+            total
+        }
+        GroupMethod::GomcdsCenters => {
+            let regrouped: Vec<WindowRefs> = groups
+                .iter()
+                .map(|g| WindowRefs::merged(&rs[g.clone()]))
+                .collect();
+            layered_path(grid, &regrouped, None)
+                .expect("unconstrained path always feasible")
+                .1
+        }
+    }
 }

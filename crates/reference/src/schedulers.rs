@@ -1,45 +1,54 @@
-//! The pre-cache schedulers: every method re-walks the raw reference
-//! strings, as the first implementation of each algorithm did.
+//! The pre-cache schedulers: every method re-walks per-window reference
+//! lists, as the first implementation of each algorithm did.
 
-use crate::grouping::greedy_grouping;
+use crate::grouping::{greedy_windows, local_group_centers};
+use crate::{layered_path, windows_of};
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::{MemoryMap, MemorySpec};
 use pim_sched::capacity::ProcessorList;
 use pim_sched::cost::{cost_table, optimal_center};
-use pim_sched::gomcds::{gomcds_path, solve_masked_path, Solver};
-use pim_sched::grouping::local_group_centers;
 use pim_sched::grouping::GroupMethod::{self, GomcdsCenters, LocalCenters};
 use pim_sched::{MemoryPolicy, Method, SchedError, Schedule};
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
+use pim_trace::window::WindowRefs;
+
+/// Every datum's per-window reference lists: `trace[d][w]`.
+type Windows = Vec<Vec<WindowRefs>>;
 
 /// Schedule `trace` under `policy` with the reference implementation of
 /// `method`. Bit-identical to `pim_sched::Run` with the method's
 /// registered scheduler, and to the `pim_sched::flat_*` drivers for the
 /// methods they cover; returns [`SchedError::CapacityExhausted`] when the
 /// policy cannot hold the working set.
-pub fn schedule(
+pub fn schedule<V: FlatView + ?Sized>(
     method: Method,
-    trace: &WindowedTrace,
+    trace: &V,
     policy: MemoryPolicy,
 ) -> Result<Schedule, SchedError> {
-    let spec = policy.resolve(trace);
+    let grid = trace.grid();
+    let spec = policy.resolve(&grid, trace.num_data());
     // Upfront feasibility gate: total slots must hold every datum at once.
-    if !spec.feasible(&trace.grid(), trace.num_data()) {
+    if !spec.feasible(&grid, trace.num_data()) {
         return Err(SchedError::CapacityExhausted {
             datum: None,
             window: None,
         });
     }
+    let windows: Windows = (0..trace.num_data())
+        .map(|d| windows_of(trace, DataId(d as u32)))
+        .collect();
+    let nw = trace.num_windows();
     match method {
-        Method::Scds => scds(trace, spec),
-        Method::Lomcds => lomcds(trace, spec),
-        Method::Gomcds => gomcds(trace, spec, Solver::DistanceTransform),
-        Method::GomcdsNaive => gomcds(trace, spec, Solver::Naive),
+        Method::Scds => scds(grid, nw, &windows, spec),
+        Method::Lomcds => lomcds(grid, nw, &windows, spec),
+        // Both solvers compute the same exact relaxation minima; the
+        // oracle runs the literal one for both.
+        Method::Gomcds | Method::GomcdsNaive => gomcds(grid, nw, &windows, spec),
         // Group decisions always use LOMCDS costs, as in the paper's
         // Table 2; the variant chooses the placement across groups.
-        Method::GroupedLocal => grouped(trace, spec, LocalCenters, LocalCenters),
-        Method::GroupedGomcds => grouped(trace, spec, LocalCenters, GomcdsCenters),
+        Method::GroupedLocal => grouped(grid, nw, &windows, spec, LocalCenters, LocalCenters),
+        Method::GroupedGomcds => grouped(grid, nw, &windows, spec, LocalCenters, GomcdsCenters),
     }
 }
 
@@ -52,32 +61,28 @@ fn exhausted(datum: DataId, window: Option<usize>) -> SchedError {
 }
 
 /// SCDS: merge each reference string and run [`cost_table`] directly.
-fn scds(trace: &WindowedTrace, spec: MemorySpec) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
+fn scds(grid: Grid, nw: usize, trace: &Windows, spec: MemorySpec) -> Result<Schedule, SchedError> {
     let mut mem = MemoryMap::new(&grid, spec);
     let mut table = Vec::new();
-    let mut placement = Vec::with_capacity(trace.num_data());
-    for (d, rs) in trace.iter_data() {
-        let merged = rs.merged_all();
+    let mut placement = Vec::with_capacity(trace.len());
+    for (d, rs) in trace.iter().enumerate() {
+        let merged = WindowRefs::merged(rs);
         cost_table(&grid, &merged, &mut table);
         let list = ProcessorList::from_cost_table(&table);
-        let p = list.assign(&mut mem).ok_or_else(|| exhausted(d, None))?;
+        let p = list
+            .assign(&mut mem)
+            .ok_or_else(|| exhausted(DataId(d as u32), None))?;
         placement.push(p);
     }
-    Ok(Schedule::static_placement(
-        grid,
-        placement,
-        trace.num_windows(),
-    ))
+    Ok(Schedule::static_placement(grid, placement, nw))
 }
 
 /// The unconstrained LOMCDS center sequence for one datum: the local
 /// optimal center of every window, with empty windows resolved by
 /// carry-forward (and backward fill for leading empties).
-fn lomcds_centers_unconstrained(grid: &Grid, rs: &DataRefString) -> Vec<ProcId> {
-    let nw = rs.num_windows();
-    let mut centers: Vec<Option<ProcId>> = vec![None; nw];
-    for (w, refs) in rs.windows().enumerate() {
+fn lomcds_centers_unconstrained(grid: &Grid, rs: &[WindowRefs]) -> Vec<ProcId> {
+    let mut centers: Vec<Option<ProcId>> = vec![None; rs.len()];
+    for (w, refs) in rs.iter().enumerate() {
         if !refs.is_empty() {
             centers[w] = Some(optimal_center(grid, refs).0);
         }
@@ -87,7 +92,7 @@ fn lomcds_centers_unconstrained(grid: &Grid, rs: &DataRefString) -> Vec<ProcId> 
 
 /// Fill `None` slots: carry the previous center forward; leading `None`s
 /// take the first known center; an all-`None` sequence defaults to `P0`.
-fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
+pub(crate) fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
     let first_known = centers.iter().flatten().next().copied();
     let mut prev = first_known;
     for slot in centers.iter_mut() {
@@ -104,13 +109,16 @@ fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
 
 /// LOMCDS: walk every window's reference list directly, window-major, data
 /// in ascending id order.
-fn lomcds(trace: &WindowedTrace, spec: MemorySpec) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-
-    let desired: Vec<Vec<ProcId>> = (0..nd)
-        .map(|d| lomcds_centers_unconstrained(&grid, trace.refs(DataId(d as u32))))
+fn lomcds(
+    grid: Grid,
+    nw: usize,
+    trace: &Windows,
+    spec: MemorySpec,
+) -> Result<Schedule, SchedError> {
+    let nd = trace.len();
+    let desired: Vec<Vec<ProcId>> = trace
+        .iter()
+        .map(|rs| lomcds_centers_unconstrained(&grid, rs))
         .collect();
 
     let mut centers = vec![vec![ProcId(0); nw]; nd];
@@ -118,7 +126,7 @@ fn lomcds(trace: &WindowedTrace, spec: MemorySpec) -> Result<Schedule, SchedErro
     for w in 0..nw {
         let mut mem = MemoryMap::new(&grid, spec);
         for d in 0..nd {
-            let refs = trace.refs(DataId(d as u32)).window(w);
+            let refs = &trace[d][w];
             let anchor = if w == 0 {
                 desired[d][0]
             } else {
@@ -157,10 +165,13 @@ fn nearest_free(grid: &Grid, anchor: ProcId, mem: &mut MemoryMap) -> Option<Proc
 
 /// GOMCDS: each datum's layered shortest path with node costs walked from
 /// its raw reference string, masked by the slots earlier data claimed.
-fn gomcds(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
+fn gomcds(
+    grid: Grid,
+    nw: usize,
+    trace: &Windows,
+    spec: MemorySpec,
+) -> Result<Schedule, SchedError> {
+    let nd = trace.len();
 
     let bounded = spec.capacity_per_proc != u32::MAX;
     let mut masks: Vec<MemoryMap> = if bounded {
@@ -170,12 +181,12 @@ fn gomcds(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Result<Sch
     };
 
     let mut centers = Vec::with_capacity(nd);
-    for (d, rs) in trace.iter_data() {
-        let path = if bounded {
-            solve_masked_path(&grid, rs, &masks, solver).ok_or_else(|| exhausted(d, None))?
-        } else {
-            gomcds_path(&grid, rs, solver).0
-        };
+    for (d, rs) in trace.iter().enumerate() {
+        let d = DataId(d as u32);
+        let masked = bounded.then_some(masks.as_slice());
+        let path = layered_path(&grid, rs, masked)
+            .ok_or_else(|| exhausted(d, None))?
+            .0;
         if bounded {
             for (w, &p) in path.iter().enumerate() {
                 masks[w].allocate(p).map_err(|_| exhausted(d, Some(w)))?;
@@ -190,17 +201,17 @@ fn gomcds(trace: &WindowedTrace, spec: MemorySpec, solver: Solver) -> Result<Sch
 /// decisions costed by `decide`, then every merged range re-walks the
 /// reference lists while `place` resolves capacity.
 fn grouped(
-    trace: &WindowedTrace,
+    grid: Grid,
+    nw: usize,
+    trace: &Windows,
     spec: MemorySpec,
     decide: GroupMethod,
     place: GroupMethod,
 ) -> Result<Schedule, SchedError> {
-    let grid = trace.grid();
-    let nd = trace.num_data();
-    let nw = trace.num_windows();
-
-    let groupings: Vec<Vec<core::ops::Range<usize>>> = (0..nd)
-        .map(|d| greedy_grouping(&grid, trace.refs(DataId(d as u32)), decide))
+    let nd = trace.len();
+    let groupings: Vec<Vec<core::ops::Range<usize>>> = trace
+        .iter()
+        .map(|rs| greedy_windows(&grid, rs, decide))
         .collect();
     let mut mems: Vec<MemoryMap> = (0..nw).map(|_| MemoryMap::new(&grid, spec)).collect();
     let mut centers = vec![vec![ProcId(0); nw]; nd];
@@ -209,7 +220,7 @@ fn grouped(
         LocalCenters => {
             // Per-datum unconstrained group centers, used as anchors.
             let desired: Vec<Vec<ProcId>> = (0..nd)
-                .map(|d| local_group_centers(&grid, trace.refs(DataId(d as u32)), &groupings[d]))
+                .map(|d| local_group_centers(&grid, &trace[d], &groupings[d]))
                 .collect();
             // Map window → group index per datum.
             let group_of: Vec<Vec<usize>> = groupings
@@ -231,8 +242,7 @@ fn grouped(
                     if g.start != w {
                         continue; // group already placed at its first window
                     }
-                    let rs = trace.refs(DataId(d as u32));
-                    let merged = rs.merged_range(g.start, g.end);
+                    let merged = WindowRefs::merged(&trace[d][g.clone()]);
                     let anchor = if w == 0 {
                         desired[d][gi]
                     } else {
@@ -286,11 +296,15 @@ fn grouped(
             // Heaviest data first (ties by ascending id): whole-path
             // allocation is greedy across every window at once.
             let mut order: Vec<usize> = (0..nd).collect();
-            order.sort_by_key(|&d| (u64::MAX - trace.refs(DataId(d as u32)).total_volume(), d));
+            let volume = |rs: &[WindowRefs]| rs.iter().map(WindowRefs::total_volume).sum::<u64>();
+            order.sort_by_key(|&d| (u64::MAX - volume(&trace[d]), d));
             for d in order {
-                let rs = trace.refs(DataId(d as u32));
+                let rs = &trace[d];
                 let groups = &groupings[d];
-                let regrouped = rs.regrouped(groups);
+                let regrouped: Vec<WindowRefs> = groups
+                    .iter()
+                    .map(|g| WindowRefs::merged(&rs[g.clone()]))
+                    .collect();
                 // Build group-level masks: a group slot is full when any of
                 // its windows lacks room.
                 let group_mems: Vec<MemoryMap> = groups
@@ -306,9 +320,8 @@ fn grouped(
                         m
                     })
                     .collect();
-                let solver = Solver::DistanceTransform;
-                match solve_masked_path(&grid, &regrouped, &group_mems, solver) {
-                    Some(path) => {
+                match layered_path(&grid, &regrouped, Some(&group_mems)) {
+                    Some((path, _)) => {
                         for (gi, g) in groups.iter().enumerate() {
                             for wi in g.clone() {
                                 mems[wi]
@@ -322,8 +335,9 @@ fn grouped(
                         // No processor is free across every window of some
                         // group (zero-slack fragmentation): fall back to an
                         // ungrouped masked path for this datum.
-                        let path = solve_masked_path(&grid, rs, &mems, solver)
-                            .ok_or_else(|| exhausted(DataId(d as u32), None))?;
+                        let path = layered_path(&grid, rs, Some(&mems))
+                            .ok_or_else(|| exhausted(DataId(d as u32), None))?
+                            .0;
                         for (wi, &p) in path.iter().enumerate() {
                             mems[wi]
                                 .allocate(p)

@@ -244,9 +244,8 @@ impl ServeCore {
             return Err(ServeError::NoSchedule(store::key_hex(key)));
         }
         let flat = entry.current_flat();
-        let windowed = flat.to_windowed();
         let engine = entry.engine.as_ref().expect("checked above");
-        let report = pim_sim::simulate(&windowed, engine.schedule(), self.pool);
+        let report = pim_sim::simulate(&*flat, engine.schedule(), self.pool);
         let fields = format!(
             "\"trace\":\"{}\",\"version\":{},\"hop_volume\":{},\"fetch_hop_volume\":{},\
              \"move_hop_volume\":{},\"completion_time\":{}",

@@ -57,6 +57,7 @@ use pim_array::grid::Grid;
 use pim_array::routing::{visit_xy_links, LinkIndex};
 use pim_sched::Metrics;
 use pim_trace::dag::TaskDag;
+use pim_trace::flat::FlatView;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -606,7 +607,7 @@ pub fn run_window(grid: &Grid, messages: &[Message]) -> Result<CycleResult, SimE
 /// [`CycleResult`] per window, bit-identical regardless of thread count;
 /// the first failing window (in window order) short-circuits the result.
 pub fn simulate_cycles(
-    trace: &pim_trace::window::WindowedTrace,
+    trace: &dyn FlatView,
     schedule: &pim_sched::schedule::Schedule,
     pool: pim_par::Pool,
 ) -> Result<Vec<CycleResult>, SimError> {
@@ -618,7 +619,7 @@ pub fn simulate_cycles(
 /// `metrics` (no-ops on a disabled handle; the results are bit-identical
 /// either way).
 pub fn simulate_cycles_observed(
-    trace: &pim_trace::window::WindowedTrace,
+    trace: &dyn FlatView,
     schedule: &pim_sched::schedule::Schedule,
     pool: pim_par::Pool,
     metrics: &Metrics,
@@ -647,7 +648,7 @@ pub fn simulate_cycles_observed(
 /// DAG this is bit-identical to [`simulate_cycles`]. Parallel across
 /// windows; the first failing window (in window order) short-circuits.
 pub fn simulate_cycles_dag(
-    trace: &pim_trace::window::WindowedTrace,
+    trace: &dyn FlatView,
     schedule: &pim_sched::schedule::Schedule,
     dag: &TaskDag,
     pool: pim_par::Pool,
@@ -934,8 +935,9 @@ mod tests {
         // One task per (window, referenced datum), covering the trace.
         let mut tasks = Vec::new();
         for w in 0..trace.num_windows() {
-            for (did, rs) in trace.iter_data() {
-                if !rs.window(w).is_empty() {
+            for d in 0..trace.num_data() {
+                let did = DataId(d as u32);
+                if !trace.window_run(did, w).is_empty() {
                     tasks.push(pim_trace::dag::Task {
                         window: w as u32,
                         data: vec![did],

@@ -13,28 +13,29 @@ use pim_array::grid::Grid;
 use pim_array::routing::{visit_xy_links, LinkIndex};
 use pim_par::Pool;
 use pim_sched::schedule::Schedule;
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// Expand the messages of one window: fetches of every remote reference,
 /// plus the moves *leaving* this window (for `w < nw − 1`).
-pub fn window_messages(trace: &WindowedTrace, schedule: &Schedule, w: usize) -> Vec<Message> {
+pub fn window_messages(trace: &dyn FlatView, schedule: &Schedule, w: usize) -> Vec<Message> {
+    let grid = trace.grid();
     let last = trace.num_windows() - 1;
     // Exact fetch count, plus one potential move per datum when a next
     // window exists: one allocation instead of a realloc-per-doubling in
     // the per-window hot loop.
     let fetches: usize = (0..trace.num_data())
-        .map(|d| trace.refs(DataId(d as u32)).window(w).num_procs())
+        .map(|d| trace.window_run(DataId(d as u32), w).len())
         .sum();
     let moves = if w < last { trace.num_data() } else { 0 };
     let mut msgs = Vec::with_capacity(fetches + moves);
     for d in 0..trace.num_data() {
         let data = DataId(d as u32);
         let center = schedule.center(data, w);
-        for r in trace.refs(data).window(w).iter() {
+        for r in trace.window_run(data, w).iter().filter(|r| r.count > 0) {
             msgs.push(Message {
                 src: center,
-                dst: r.proc,
+                dst: r.proc(&grid),
                 volume: r.count,
                 data,
                 window: w as u32,
@@ -67,7 +68,7 @@ struct WindowPartial {
 fn simulate_window(
     grid: &Grid,
     links: &LinkIndex,
-    trace: &WindowedTrace,
+    trace: &dyn FlatView,
     schedule: &Schedule,
     w: usize,
 ) -> WindowPartial {
@@ -111,13 +112,14 @@ fn simulate_window(
 /// use pim_array::grid::Grid;
 /// use pim_par::Pool;
 /// use pim_sched::schedule::Schedule;
-/// use pim_trace::window::{WindowRefs, WindowedTrace};
+/// use pim_trace::flat::FlatTrace;
+/// use pim_trace::window::WindowRefs;
 ///
 /// let grid = Grid::new(4, 4);
-/// let trace = WindowedTrace::from_parts(
+/// let trace = FlatTrace::from_windows(
 ///     grid,
 ///     vec![vec![WindowRefs::from_pairs([(grid.proc_xy(3, 0), 2)])]],
-/// );
+/// ).unwrap();
 /// let sched = Schedule::static_placement(grid, vec![grid.proc_xy(0, 0)], 1);
 /// let report = pim_sim::simulate(&trace, &sched, Pool::serial());
 /// // 2 units over 3 hops — and it must equal the analytic model
@@ -128,7 +130,7 @@ fn simulate_window(
 /// # Panics
 /// Panics if trace and schedule shapes disagree (same conditions as
 /// [`Schedule::evaluate`]).
-pub fn simulate(trace: &WindowedTrace, schedule: &Schedule, pool: Pool) -> SimReport {
+pub fn simulate(trace: &dyn FlatView, schedule: &Schedule, pool: Pool) -> SimReport {
     assert_eq!(trace.grid(), schedule.grid(), "grid mismatch");
     assert_eq!(trace.num_data(), schedule.num_data(), "data count mismatch");
     assert_eq!(
@@ -165,7 +167,7 @@ pub fn simulate(trace: &WindowedTrace, schedule: &Schedule, pool: Pool) -> SimRe
 /// as the typed error — nothing panics on an infeasible policy.
 pub fn simulate_scheduler(
     scheduler: &dyn pim_sched::Scheduler,
-    trace: &WindowedTrace,
+    trace: &dyn FlatView,
     policy: pim_sched::MemoryPolicy,
     pool: Pool,
 ) -> Result<(Schedule, SimReport), pim_sched::SchedError> {
@@ -182,7 +184,7 @@ pub fn simulate_scheduler(
 /// scheduler is registered under `name`.
 pub fn simulate_named(
     name: &str,
-    trace: &WindowedTrace,
+    trace: &dyn FlatView,
     policy: pim_sched::MemoryPolicy,
     pool: Pool,
 ) -> Result<(Schedule, SimReport), pim_sched::SchedError> {
@@ -196,21 +198,23 @@ pub fn simulate_named(
 mod tests {
     use super::*;
     use pim_array::grid::ProcId;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     fn g() -> Grid {
         Grid::new(4, 4)
     }
 
-    fn simple_case() -> (WindowedTrace, Schedule) {
+    fn simple_case() -> (FlatTrace, Schedule) {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::from_pairs([(grid.proc_xy(2, 0), 3)]),
                 WindowRefs::from_pairs([(grid.proc_xy(0, 2), 1)]),
             ]],
-        );
+        )
+        .unwrap();
         let schedule = Schedule::new(grid, vec![vec![grid.proc_xy(0, 0), grid.proc_xy(0, 2)]]);
         (trace, schedule)
     }
@@ -251,10 +255,11 @@ mod tests {
     #[test]
     fn link_volumes_route_xy() {
         let grid = g();
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(1, 1), 2)])]],
-        );
+        )
+        .unwrap();
         let schedule = Schedule::static_placement(grid, vec![grid.proc_xy(0, 0)], 1);
         let report = simulate(&trace, &schedule, Pool::serial());
         let links = LinkIndex::new(grid);

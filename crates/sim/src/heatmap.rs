@@ -95,15 +95,17 @@ mod tests {
     use crate::traffic::traffic_map;
     use pim_par::Pool;
     use pim_sched::schedule::Schedule;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     #[test]
     fn renders_expected_shape() {
         let grid = Grid::new(3, 2);
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(2, 0), 4)])]],
-        );
+        )
+        .unwrap();
         let s = Schedule::static_placement(grid, vec![grid.proc_xy(0, 0)], 1);
         let report = simulate(&trace, &s, Pool::serial());
         let t = traffic_map(&trace, &s);
@@ -126,7 +128,7 @@ mod tests {
     #[test]
     fn idle_network_has_no_glyphs() {
         let grid = Grid::new(2, 2);
-        let trace = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new()]]).unwrap();
         let s = Schedule::static_placement(grid, vec![grid.proc_xy(0, 0)], 1);
         let report = simulate(&trace, &s, Pool::serial());
         let t = traffic_map(&trace, &s);

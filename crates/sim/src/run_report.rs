@@ -17,8 +17,8 @@ use crate::report::SimReport;
 use pim_par::Pool;
 use pim_sched::schedule::{CostBreakdown, Schedule};
 use pim_sched::{MemoryPolicy, Metrics, MetricsReport, Run};
+use pim_trace::flat::FlatView;
 use pim_trace::json;
-use pim_trace::window::WindowedTrace;
 
 /// Everything one run produced, in export order.
 #[derive(Debug, Clone)]
@@ -185,7 +185,7 @@ impl RunReport {
 /// fail, hence the combined [`RunError`].
 pub fn collect_run_report(
     name: &str,
-    trace: &WindowedTrace,
+    trace: &dyn FlatView,
     policy: MemoryPolicy,
     pool: Pool,
     metrics: Metrics,
@@ -213,12 +213,13 @@ pub fn collect_run_report(
 mod tests {
     use super::*;
     use pim_array::grid::Grid;
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     /// The paper's running example shape: a 4×4 array.
-    fn paper_trace() -> WindowedTrace {
+    fn paper_trace() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -231,6 +232,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -356,8 +358,9 @@ mod tests {
         // Edge-free cover DAG: gated cycles equal the plain ones.
         let mut tasks = Vec::new();
         for w in 0..trace.num_windows() {
-            for (d, rs) in trace.iter_data() {
-                if !rs.window(w).is_empty() {
+            for d in 0..trace.num_data() {
+                let d = pim_trace::ids::DataId(d as u32);
+                if !trace.window_run(d, w).is_empty() {
                     tasks.push(pim_trace::dag::Task {
                         window: w as u32,
                         data: vec![d],

@@ -13,7 +13,7 @@ use crate::engine::window_messages;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::routing::visit_xy_route;
 use pim_sched::schedule::Schedule;
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatView;
 
 /// Volume totals for one processor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl TrafficMap {
 }
 
 /// Route every transfer and accumulate per-node traffic.
-pub fn traffic_map(trace: &WindowedTrace, schedule: &Schedule) -> TrafficMap {
+pub fn traffic_map(trace: &dyn FlatView, schedule: &Schedule) -> TrafficMap {
     let grid: Grid = trace.grid();
     let mut nodes = vec![NodeTraffic::default(); grid.num_procs()];
     for w in 0..trace.num_windows() {
@@ -92,16 +92,18 @@ pub fn traffic_map(trace: &WindowedTrace, schedule: &Schedule) -> TrafficMap {
 mod tests {
     use super::*;
 
-    use pim_trace::window::{WindowRefs, WindowedTrace};
+    use pim_trace::flat::FlatTrace;
+    use pim_trace::window::WindowRefs;
 
     #[test]
     fn single_transfer_accounting() {
         let grid = Grid::new(4, 4);
         // datum at (0,0), referenced 3 times from (2,0): route crosses (1,0)
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(2, 0), 3)])]],
-        );
+        )
+        .unwrap();
         let s = Schedule::static_placement(grid, vec![grid.proc_xy(0, 0)], 1);
         let t = traffic_map(&trace, &s);
         assert_eq!(t.node(grid.proc_xy(0, 0)).injected, 3);
@@ -117,10 +119,11 @@ mod tests {
     #[test]
     fn local_references_produce_no_traffic() {
         let grid = Grid::new(2, 2);
-        let trace = WindowedTrace::from_parts(
+        let trace = FlatTrace::from_windows(
             grid,
             vec![vec![WindowRefs::from_pairs([(grid.proc_xy(1, 1), 9)])]],
-        );
+        )
+        .unwrap();
         let s = Schedule::static_placement(grid, vec![grid.proc_xy(1, 1)], 1);
         let t = traffic_map(&trace, &s);
         assert!(t.iter().all(|(_, n)| n.total() == 0));
@@ -129,8 +132,8 @@ mod tests {
     #[test]
     fn moves_counted_as_injected_and_received() {
         let grid = Grid::new(4, 4);
-        let trace =
-            WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]]);
+        let trace = FlatTrace::from_windows(grid, vec![vec![WindowRefs::new(), WindowRefs::new()]])
+            .unwrap();
         let s = Schedule::new(grid, vec![vec![grid.proc_xy(0, 0), grid.proc_xy(0, 2)]]);
         let t = traffic_map(&trace, &s);
         assert_eq!(t.node(grid.proc_xy(0, 0)).injected, 1);

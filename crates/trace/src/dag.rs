@@ -4,7 +4,7 @@
 //! the instant the window opens. Real PIM workloads are dependence graphs:
 //! an LU pivot's scaling step must finish before the trailing update that
 //! consumes it may start. [`TaskDag`] makes that structure a first-class,
-//! *optional* layer on top of [`WindowedTrace`]:
+//! *optional* layer on top of a windowed trace ([`crate::flat::FlatView`]):
 //!
 //! * every [`Task`] lives in one execution window and **owns** a slice of
 //!   that window's references — the set of data whose window-`w` reference
@@ -28,9 +28,9 @@
 //! ([`TaskDag::to_json`] / [`TaskDag::from_json`]) so DAGs can ride next to
 //! the binary trace encoding without a new container format.
 
+use crate::flat::{span_window_runs, FlatView};
 use crate::ids::DataId;
 use crate::json;
-use crate::window::WindowedTrace;
 
 /// One node of the precedence graph: a task in execution window `window`
 /// owning the window-`window` reference strings of every datum in `data`.
@@ -292,18 +292,19 @@ impl TaskDag {
     /// Check the ownership partition exactly covers `trace`: every
     /// `(window, datum)` with a non-empty reference string is owned, and
     /// nothing owned is unreferenced.
-    pub fn validate_cover(&self, trace: &WindowedTrace) -> Result<(), DagError> {
+    pub fn validate_cover<V: FlatView + ?Sized>(&self, trace: &V) -> Result<(), DagError> {
         if self.num_windows != trace.num_windows() {
             return Err(DagError::WindowCountMismatch {
                 dag: self.num_windows,
                 trace: trace.num_windows(),
             });
         }
-        for (d, rs) in trace.iter_data() {
-            for (w, refs) in rs.windows().enumerate() {
-                if !refs.is_empty() && self.owner(w as u32, d).is_none() {
+        for d in 0..trace.num_data() {
+            let d = DataId(d as u32);
+            for (w, _) in span_window_runs(trace.span(d)) {
+                if self.owner(w, d).is_none() {
                     return Err(DagError::Unowned {
-                        window: w as u32,
+                        window: w,
                         datum: d,
                     });
                 }
@@ -312,7 +313,7 @@ impl TaskDag {
         for (i, t) in self.tasks.iter().enumerate() {
             for &d in &t.data {
                 let referenced = d.index() < trace.num_data()
-                    && !trace.refs(d).window(t.window as usize).is_empty();
+                    && !trace.window_run(d, t.window as usize).is_empty();
                 if !referenced {
                     return Err(DagError::OwnsUnreferenced {
                         task: i,
@@ -543,6 +544,7 @@ fn csr(n: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> (Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatTrace;
     use crate::window::WindowRefs;
     use pim_array::grid::Grid;
 
@@ -565,9 +567,9 @@ mod tests {
         .unwrap()
     }
 
-    fn sample_trace() -> WindowedTrace {
+    fn sample_trace() -> FlatTrace {
         let grid = Grid::new(4, 4);
-        WindowedTrace::from_parts(
+        FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -580,6 +582,7 @@ mod tests {
                 ],
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -605,7 +608,7 @@ mod tests {
 
         // A trace referencing a datum the dag does not own.
         let grid = Grid::new(4, 4);
-        let extra = WindowedTrace::from_parts(
+        let extra = FlatTrace::from_windows(
             grid,
             vec![
                 vec![
@@ -621,7 +624,8 @@ mod tests {
                     WindowRefs::new(),
                 ],
             ],
-        );
+        )
+        .unwrap();
         assert!(matches!(
             sample_dag().validate_cover(&extra),
             Err(DagError::Unowned {
@@ -696,14 +700,15 @@ mod tests {
         assert_eq!(dag.topo_order(), &[] as &[u32]);
         // ...but covers only an unreferenced trace.
         let grid = Grid::new(2, 2);
-        let empty = WindowedTrace::from_parts(
+        let empty = FlatTrace::from_windows(
             grid,
             vec![vec![
                 WindowRefs::new(),
                 WindowRefs::new(),
                 WindowRefs::new(),
             ]],
-        );
+        )
+        .unwrap();
         dag.validate_cover(&empty).unwrap();
     }
 

@@ -1,10 +1,7 @@
-//! Flat structure-of-arrays (SoA) trace layout for big instances.
+//! Flat structure-of-arrays (SoA) trace layout — the one in-memory trace
+//! representation.
 //!
-//! [`crate::window::WindowedTrace`] is a `Vec`-of-`Vec`s: every datum owns
-//! one heap-allocated [`crate::window::WindowRefs`] per window, so a
-//! million-datum trace scatters tens of millions of tiny allocations across
-//! the heap and every scheduler walk chases two levels of pointers per
-//! window. [`FlatTrace`] stores the same reference strings datum-major in
+//! [`FlatTrace`] stores every datum's reference strings datum-major in
 //! **one** contiguous `refs` array (CSR layout): per datum an
 //! `(offset, len)` span of [`FlatRef`] records carrying the window id, the
 //! axis-projected processor coordinates, and the access count. Schedulers
@@ -18,18 +15,17 @@
 //!   ascending processor id (`id = y·width + x`), matching the iteration
 //!   order of [`crate::window::WindowRefs::iter`];
 //! * at most one record per `(datum, window, processor)` triple (duplicate
-//!   input records aggregate their counts);
+//!   input records aggregate their counts, saturating at `u32::MAX`);
 //! * every record's window is `< num_windows` and its coordinates are on
 //!   the grid.
 //!
-//! Round trip: [`FlatTrace::from_trace`] / [`FlatTrace::to_windowed`]
-//! convert losslessly in both directions (property-tested in
-//! `tests/cache_equivalence.rs`). [`FlatTrace::from_reader`] streams a
-//! simple line-oriented text format so big traces never need the nested
-//! representation at all.
+//! [`FlatTrace::from_records`] is the one validating constructor: step
+//! windowing ([`crate::step::StepTrace::window_fixed`]), the text loader
+//! ([`FlatTrace::from_reader`]) and hand-written traces
+//! ([`FlatTrace::from_windows`]) all route through it.
 
 use crate::ids::DataId;
-use crate::window::{WindowRefs, WindowedTrace};
+use crate::window::WindowRefs;
 use pim_array::grid::{Grid, ProcId};
 use std::io::BufRead;
 
@@ -185,27 +181,35 @@ pub trait FlatView: Sync {
     /// Datum `d`'s references in window `w` (possibly empty), found by
     /// binary search within the span.
     fn window_run(&self, d: DataId, w: usize) -> &[FlatRef] {
-        let span = self.span(d);
-        let lo = span.partition_point(|r| (r.window as usize) < w);
-        let hi = span.partition_point(|r| (r.window as usize) <= w);
-        &span[lo..hi]
+        span_window(self.span(d), w)
     }
 
     /// A contiguous chunk size for sharding per-datum work over `threads`
-    /// workers — see [`FlatTrace::suggested_chunk`].
+    /// workers: targets several chunks per worker (for load balancing)
+    /// while keeping each chunk's reference footprint large enough that
+    /// workers stream cache-friendly runs of `refs` instead of ping-ponging
+    /// over single data.
     fn suggested_chunk(&self, threads: usize) -> usize {
         let nd = self.num_data();
         if nd == 0 {
             return 1;
         }
         let per_thread = nd.div_ceil(threads.max(1));
+        // ~8 chunks per worker, each at least one datum.
         per_thread.div_ceil(8).clamp(1, per_thread.max(1))
     }
 }
 
+/// A span's references in window `w` (possibly empty), found by binary
+/// search on the sorted window ids.
+pub fn span_window(span: &[FlatRef], w: usize) -> &[FlatRef] {
+    let lo = span.partition_point(|r| (r.window as usize) < w);
+    let hi = span.partition_point(|r| (r.window as usize) <= w);
+    &span[lo..hi]
+}
+
 /// Iterate a span's non-empty windows as `(window, run)` pairs in
-/// ascending window order. Works for any [`FlatView`] span; this is the
-/// free-function form of [`FlatTrace::window_runs`].
+/// ascending window order. Works for any [`FlatView`] span.
 pub fn span_window_runs(span: &[FlatRef]) -> impl Iterator<Item = (u32, &[FlatRef])> {
     span.chunk_by(|a, b| a.window == b.window)
         .map(|run| (run[0].window, run))
@@ -222,39 +226,10 @@ pub struct FlatTrace {
 }
 
 impl FlatTrace {
-    /// Flatten an existing windowed trace. One pass; the nested trace
-    /// stays untouched and both views describe identical reference strings.
-    pub fn from_trace(trace: &WindowedTrace) -> FlatTrace {
-        let grid = trace.grid();
-        let mut offsets = Vec::with_capacity(trace.num_data() + 1);
-        offsets.push(0usize);
-        let mut refs = Vec::new();
-        for (_, rs) in trace.iter_data() {
-            for (w, window) in rs.windows().enumerate() {
-                for r in window.iter() {
-                    let p = grid.point_of(r.proc);
-                    refs.push(FlatRef {
-                        window: w as u32,
-                        x: p.x,
-                        y: p.y,
-                        count: r.count,
-                    });
-                }
-            }
-            offsets.push(refs.len());
-        }
-        FlatTrace {
-            grid,
-            num_windows: trace.num_windows(),
-            offsets,
-            refs,
-        }
-    }
-
     /// Build from raw records in any order. `num_data` fixes the datum
-    /// population (trailing never-referenced data are legal, exactly as in
-    /// [`WindowedTrace`]); duplicate `(datum, window, proc)` records
-    /// aggregate their counts. Beyond the output arrays, peak memory is one
+    /// population (trailing never-referenced data are legal); duplicate
+    /// `(datum, window, proc)` records aggregate their counts, saturating
+    /// at `u32::MAX`. Beyond the output arrays, peak memory is one
     /// `(DataId, FlatRef)` pair per input record.
     pub fn from_records(
         grid: Grid,
@@ -331,6 +306,37 @@ impl FlatTrace {
         })
     }
 
+    /// Assemble a hand-written trace from per-datum, per-window reference
+    /// strings (`per_data[d][w]`), for tests and examples. Every datum must
+    /// list the same number of windows; a datum with none is padded to one
+    /// empty window. Routed through [`FlatTrace::from_records`], so a
+    /// processor off the grid is rejected.
+    ///
+    /// # Panics
+    /// Panics when data list different window counts.
+    pub fn from_windows(
+        grid: Grid,
+        per_data: Vec<Vec<WindowRefs>>,
+    ) -> Result<FlatTrace, FlatTraceError> {
+        let num_windows = per_data.first().map_or(1, Vec::len).max(1);
+        let mut records = Vec::new();
+        for (d, windows) in per_data.iter().enumerate() {
+            assert!(
+                windows.len() == num_windows || windows.is_empty(),
+                "ragged window counts"
+            );
+            for (w, refs) in windows.iter().enumerate() {
+                records.extend(refs.iter().map(|r| FlatRecord {
+                    datum: DataId(d as u32),
+                    window: w as u32,
+                    proc: r.proc,
+                    count: r.count,
+                }));
+            }
+        }
+        FlatTrace::from_records(grid, num_windows, per_data.len(), records)
+    }
+
     /// Assemble from already-canonical CSR parts: `offsets[d]..offsets[d+1]`
     /// spans `refs`, every span sorted by `(window, y, x)` with duplicates
     /// pre-aggregated. Used by [`crate::edit::EditableTrace::materialize`],
@@ -369,7 +375,7 @@ impl FlatTrace {
     /// ```
     ///
     /// Blank lines and `#` comments are skipped. Records may arrive in any
-    /// order; the loader never materializes a nested trace.
+    /// order.
     pub fn from_reader(reader: impl BufRead) -> Result<FlatTrace, FlatTraceError> {
         let parse = |line: usize, field: &str, what: &str| -> Result<u64, FlatTraceError> {
             field.parse::<u64>().map_err(|_| FlatTraceError::Parse {
@@ -459,23 +465,6 @@ impl FlatTrace {
         out
     }
 
-    /// Expand back into the nested per-window representation (tests and
-    /// small instances; defeats the point at scale).
-    pub fn to_windowed(&self) -> WindowedTrace {
-        let data = (0..self.num_data())
-            .map(|d| {
-                let mut windows = vec![WindowRefs::new(); self.num_windows];
-                for (w, run) in self.window_runs(DataId(d as u32)) {
-                    windows[w as usize] = WindowRefs::from_pairs(
-                        run.iter().map(|r| (self.grid.proc_xy(r.x, r.y), r.count)),
-                    );
-                }
-                windows
-            })
-            .collect();
-        WindowedTrace::from_parts(self.grid, data)
-    }
-
     /// The processor grid.
     #[inline]
     pub fn grid(&self) -> Grid {
@@ -514,16 +503,7 @@ impl FlatTrace {
     /// Datum `d`'s references in window `w` (possibly empty), found by
     /// binary search within the span.
     pub fn window_run(&self, d: DataId, w: usize) -> &[FlatRef] {
-        let span = self.span(d);
-        let lo = span.partition_point(|r| (r.window as usize) < w);
-        let hi = span.partition_point(|r| (r.window as usize) <= w);
-        &span[lo..hi]
-    }
-
-    /// Iterate datum `d`'s non-empty windows as `(window, run)` pairs, in
-    /// ascending window order.
-    pub fn window_runs(&self, d: DataId) -> impl Iterator<Item = (u32, &[FlatRef])> {
-        span_window_runs(self.span(d))
+        span_window(self.span(d), w)
     }
 
     /// The raw CSR offset array (`num_data + 1` entries, first `0`, last
@@ -536,21 +516,6 @@ impl FlatTrace {
     /// Used by [`crate::binfmt`]'s writer.
     pub(crate) fn refs(&self) -> &[FlatRef] {
         &self.refs
-    }
-
-    /// A contiguous chunk size for sharding per-datum work over `threads`
-    /// workers: targets several chunks per worker (for load balancing)
-    /// while keeping each chunk's reference footprint large enough that
-    /// workers stream cache-friendly runs of `refs` instead of ping-ponging
-    /// over single data.
-    pub fn suggested_chunk(&self, threads: usize) -> usize {
-        let nd = self.num_data();
-        if nd == 0 {
-            return 1;
-        }
-        let per_thread = nd.div_ceil(threads.max(1));
-        // ~8 chunks per worker, each at least one datum.
-        per_thread.div_ceil(8).clamp(1, per_thread.max(1))
     }
 }
 
@@ -603,51 +568,78 @@ impl FlatView for FlatTrace {
 mod tests {
     use super::*;
 
-    fn sample_trace() -> WindowedTrace {
-        let grid = Grid::new(4, 3);
-        WindowedTrace::from_parts(
-            grid,
+    fn sample_windows(grid: Grid) -> Vec<Vec<WindowRefs>> {
+        vec![
             vec![
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3), (grid.proc_xy(3, 2), 1)]),
-                    WindowRefs::new(),
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 1), 5)]),
-                ],
-                vec![
-                    WindowRefs::new(),
-                    WindowRefs::from_pairs([(grid.proc_xy(1, 2), 2)]),
-                    WindowRefs::new(),
-                ],
-                vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
+                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3), (grid.proc_xy(3, 2), 1)]),
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(2, 1), 5)]),
             ],
+            vec![
+                WindowRefs::new(),
+                WindowRefs::from_pairs([(grid.proc_xy(1, 2), 2)]),
+                WindowRefs::new(),
+            ],
+            vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
+        ]
+    }
+
+    fn sample_trace() -> FlatTrace {
+        let grid = Grid::new(4, 3);
+        FlatTrace::from_windows(grid, sample_windows(grid)).unwrap()
+    }
+
+    /// Datum `d`'s window `w` re-aggregated as a one-window value.
+    fn window_refs(flat: &FlatTrace, d: usize, w: usize) -> WindowRefs {
+        let grid = flat.grid();
+        WindowRefs::from_pairs(
+            flat.window_run(DataId(d as u32), w)
+                .iter()
+                .map(|r| (r.proc(&grid), r.count)),
         )
     }
 
     #[test]
     fn round_trips_through_windowed() {
-        let trace = sample_trace();
-        let flat = FlatTrace::from_trace(&trace);
+        let grid = Grid::new(4, 3);
+        let windows = sample_windows(grid);
+        let flat = FlatTrace::from_windows(grid, windows.clone()).unwrap();
         assert_eq!(flat.num_data(), 3);
         assert_eq!(flat.num_windows(), 3);
         assert_eq!(flat.num_refs(), 4);
-        assert_eq!(flat.total_volume(), trace.total_volume());
-        assert_eq!(flat.to_windowed(), trace);
+        assert_eq!(flat.total_volume(), 11);
+        for (d, ws) in windows.iter().enumerate() {
+            for (w, refs) in ws.iter().enumerate() {
+                assert_eq!(&window_refs(&flat, d, w), refs, "datum {d} window {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_windows_rejects_off_grid_procs() {
+        let g = Grid::new(2, 2);
+        let ok = FlatTrace::from_windows(g, vec![vec![WindowRefs::from_pairs([(ProcId(3), 1)])]]);
+        assert_eq!(ok.unwrap().num_refs(), 1);
+        let bad = FlatTrace::from_windows(g, vec![vec![WindowRefs::from_pairs([(ProcId(9), 1)])]]);
+        assert!(matches!(
+            bad,
+            Err(FlatTraceError::ProcOutOfRange { proc: 9, .. })
+        ));
     }
 
     #[test]
     fn spans_and_window_runs() {
-        let flat = FlatTrace::from_trace(&sample_trace());
+        let flat = sample_trace();
         assert_eq!(flat.span(DataId(0)).len(), 3);
         assert_eq!(flat.span(DataId(2)).len(), 0);
         assert_eq!(flat.window_run(DataId(0), 0).len(), 2);
         assert_eq!(flat.window_run(DataId(0), 1).len(), 0);
         assert_eq!(flat.window_run(DataId(0), 2).len(), 1);
-        let runs: Vec<(u32, usize)> = flat
-            .window_runs(DataId(0))
+        let runs: Vec<(u32, usize)> = span_window_runs(flat.span(DataId(0)))
             .map(|(w, run)| (w, run.len()))
             .collect();
         assert_eq!(runs, vec![(0, 2), (2, 1)]);
-        assert!(flat.window_runs(DataId(2)).next().is_none());
+        assert!(span_window_runs(flat.span(DataId(2))).next().is_none());
     }
 
     #[test]
@@ -677,9 +669,20 @@ mod tests {
         let d0: Vec<u32> = flat.span(DataId(0)).iter().map(|r| r.window).collect();
         assert_eq!(d0, vec![0, 1]);
         assert_eq!(flat.span(DataId(2)).len(), 0);
-        // equivalent nested trace agrees
-        let trace = flat.to_windowed();
-        assert_eq!(FlatTrace::from_trace(&trace), flat);
+        // the same references written per window agree
+        let by_windows = FlatTrace::from_windows(
+            grid,
+            vec![
+                vec![
+                    WindowRefs::from_pairs([(ProcId(9), 7)]),
+                    WindowRefs::from_pairs([(ProcId(3), 1)]),
+                ],
+                vec![WindowRefs::from_pairs([(ProcId(5), 6)]), WindowRefs::new()],
+                vec![WindowRefs::new(), WindowRefs::new()],
+            ],
+        )
+        .unwrap();
+        assert_eq!(by_windows, flat);
     }
 
     #[test]
@@ -707,7 +710,7 @@ mod tests {
 
     #[test]
     fn text_round_trip() {
-        let flat = FlatTrace::from_trace(&sample_trace());
+        let flat = sample_trace();
         let text = flat.to_text();
         let back = FlatTrace::from_reader(text.as_bytes()).unwrap();
         assert_eq!(back, flat);
@@ -734,7 +737,7 @@ mod tests {
 
     #[test]
     fn suggested_chunk_shapes() {
-        let flat = FlatTrace::from_trace(&sample_trace());
+        let flat = sample_trace();
         assert_eq!(flat.suggested_chunk(8), 1);
         let grid = Grid::new(2, 2);
         let many = FlatTrace::from_records(grid, 1, 100_000, vec![]).unwrap();
@@ -747,30 +750,29 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Traces biased toward the degenerate corners: windows are empty
-        /// more often than not, so zero-reference datums, all-empty
-        /// windows and single-window traces (`nw == 1`) all occur.
-        fn arb_degenerate_trace() -> impl Strategy<Value = WindowedTrace> {
+        /// Per-window reference lists biased toward the degenerate corners:
+        /// windows are empty more often than not, so zero-reference datums,
+        /// all-empty windows and single-window traces (`nw == 1`) all occur.
+        fn arb_degenerate_windows() -> impl Strategy<Value = (Grid, Vec<Vec<WindowRefs>>)> {
             (2u32..5, 2u32..5, 1usize..4, 1usize..5).prop_flat_map(|(wd, ht, nw, nd)| {
                 let grid = Grid::new(wd, ht);
                 let m = grid.num_procs() as u32;
                 let window = proptest::collection::vec((0..m, 1u32..6), 0..3);
                 proptest::collection::vec(proptest::collection::vec(window, nw..=nw), nd..=nd)
                     .prop_map(move |data| {
-                        WindowedTrace::from_parts(
-                            grid,
-                            data.into_iter()
-                                .map(|ws| {
-                                    ws.into_iter()
-                                        .map(|pairs| {
-                                            WindowRefs::from_pairs(
-                                                pairs.into_iter().map(|(p, c)| (ProcId(p), c)),
-                                            )
-                                        })
-                                        .collect()
-                                })
-                                .collect(),
-                        )
+                        let per_data = data
+                            .into_iter()
+                            .map(|ws| {
+                                ws.into_iter()
+                                    .map(|pairs| {
+                                        WindowRefs::from_pairs(
+                                            pairs.into_iter().map(|(p, c)| (ProcId(p), c)),
+                                        )
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        (grid, per_data)
                     })
             })
         }
@@ -779,20 +781,24 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             #[test]
-            fn degenerate_traces_round_trip(trace in arb_degenerate_trace()) {
-                let flat = FlatTrace::from_trace(&trace);
-                prop_assert_eq!(flat.num_windows(), trace.num_windows());
-                prop_assert_eq!(flat.total_volume(), trace.total_volume());
-                prop_assert_eq!(&flat.to_windowed(), &trace);
-                prop_assert_eq!(FlatTrace::from_trace(&flat.to_windowed()), flat);
+            fn degenerate_traces_round_trip((grid, windows) in arb_degenerate_windows()) {
+                let flat = FlatTrace::from_windows(grid, windows.clone()).unwrap();
+                prop_assert_eq!(flat.num_windows(), windows[0].len());
+                let volume: u64 = windows.iter().flatten().map(WindowRefs::total_volume).sum();
+                prop_assert_eq!(flat.total_volume(), volume);
+                for (d, ws) in windows.iter().enumerate() {
+                    for (w, refs) in ws.iter().enumerate() {
+                        prop_assert_eq!(&window_refs(&flat, d, w), refs);
+                    }
+                }
+                prop_assert_eq!(FlatTrace::from_reader(flat.to_text().as_bytes()).unwrap(), flat);
             }
 
             #[test]
-            fn from_records_agrees_with_from_trace(trace in arb_degenerate_trace()) {
-                let flat = FlatTrace::from_trace(&trace);
+            fn from_records_agrees_with_from_trace((grid, windows) in arb_degenerate_windows()) {
+                let flat = FlatTrace::from_windows(grid, windows).unwrap();
                 // Re-feed the flattened refs as raw records, reversed so
                 // the canonical sort actually has work to do.
-                let grid = flat.grid();
                 let mut records = Vec::new();
                 for d in 0..flat.num_data() {
                     for r in flat.span(DataId(d as u32)) {

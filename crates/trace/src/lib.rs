@@ -9,12 +9,14 @@
 //! parallel execution steps). This crate owns that data model:
 //!
 //! * [`ids`] — dense datum identifiers.
-//! * [`step`] — raw per-step access traces as emitted by workload kernels.
-//! * [`window`] — windowed (bucketed) reference strings: the canonical
-//!   scheduler input, plus re-windowing utilities for window-size studies.
-//! * [`flat`] — flat structure-of-arrays (CSR) trace layout for big
-//!   instances, plus a streaming text loader and the [`flat::FlatView`]
-//!   accessor trait every flat scheduler consumes.
+//! * [`step`] — raw per-step access traces as emitted by workload kernels,
+//!   bucketed into execution windows as a [`FlatTrace`].
+//! * [`flat`] — the trace representation: a flat structure-of-arrays
+//!   (CSR) layout with one window-major span per datum, a streaming text
+//!   loader, and the [`flat::FlatView`] accessor trait every scheduler,
+//!   cost cache and simulator consumes.
+//! * [`window`] — one execution window's reference string
+//!   ([`WindowRefs`]), the value hand-written traces are assembled from.
 //! * [`binfmt`] — versioned little-endian binary container (`.pimb`) for
 //!   flat traces: whole-file encode/decode plus a zero-copy memory-mapped
 //!   view, with checksum and structural validation.
@@ -44,6 +46,7 @@
 //! let trace = b.finish();
 //! let windowed = trace.window_fixed(1); // one step per window
 //! assert_eq!(windowed.num_windows(), 2);
+//! assert_eq!(windowed.span(DataId(0)).len(), 2);
 //! ```
 
 pub mod adaptive;
@@ -66,4 +69,4 @@ pub use edit::{DeltaJsonError, DirtyKind, DirtySummary, EditOp, EditableTrace, T
 pub use flat::{FlatRecord, FlatRef, FlatTrace, FlatTraceError, FlatView};
 pub use ids::DataId;
 pub use step::{Access, ExecStep, StepTrace};
-pub use window::{DataRefString, Ref, WindowRefs, WindowedTrace};
+pub use window::{Ref, WindowRefs};

@@ -5,9 +5,8 @@
 //! quantify "complicated": how many distinct processors touch a datum, how
 //! spread-out they are, and how much the hot set shifts between windows.
 
+use crate::flat::{span_window_runs, FlatRef, FlatView};
 use crate::ids::DataId;
-use crate::window::{WindowRefs, WindowedTrace};
-use pim_array::grid::Grid;
 
 /// Summary statistics of one windowed trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,39 +31,37 @@ pub struct TraceStats {
     pub mean_drift: f64,
 }
 
-/// Volume-weighted centroid of a reference string in continuous grid
-/// coordinates, or `None` when empty.
-pub fn centroid(grid: &Grid, refs: &WindowRefs) -> Option<(f64, f64)> {
-    let vol = refs.total_volume();
+/// Volume-weighted centroid of one window's references (a window run of a
+/// flat span) in continuous grid coordinates, or `None` when empty.
+pub fn centroid(run: &[FlatRef]) -> Option<(f64, f64)> {
+    let vol: u64 = run.iter().map(|r| r.count as u64).sum();
     if vol == 0 {
         return None;
     }
     let (mut sx, mut sy) = (0f64, 0f64);
-    for r in refs.iter() {
-        let p = grid.point_of(r.proc);
-        sx += r.count as f64 * p.x as f64;
-        sy += r.count as f64 * p.y as f64;
+    for r in run {
+        sx += r.count as f64 * r.x as f64;
+        sy += r.count as f64 * r.y as f64;
     }
     Some((sx / vol as f64, sy / vol as f64))
 }
 
-/// Mean volume-weighted L1 distance of references from the centroid.
-pub fn spread(grid: &Grid, refs: &WindowRefs) -> f64 {
-    let Some((cx, cy)) = centroid(grid, refs) else {
+/// Mean volume-weighted L1 distance of one window's references from their
+/// centroid.
+pub fn spread(run: &[FlatRef]) -> f64 {
+    let Some((cx, cy)) = centroid(run) else {
         return 0.0;
     };
-    let vol = refs.total_volume() as f64;
+    let vol: u64 = run.iter().map(|r| r.count as u64).sum();
     let mut acc = 0f64;
-    for r in refs.iter() {
-        let p = grid.point_of(r.proc);
-        acc += r.count as f64 * ((p.x as f64 - cx).abs() + (p.y as f64 - cy).abs());
+    for r in run {
+        acc += r.count as f64 * ((r.x as f64 - cx).abs() + (r.y as f64 - cy).abs());
     }
-    acc / vol
+    acc / vol as f64
 }
 
 /// Compute [`TraceStats`] for a trace.
-pub fn trace_stats(trace: &WindowedTrace) -> TraceStats {
-    let grid = trace.grid();
+pub fn trace_stats<V: FlatView + ?Sized>(trace: &V) -> TraceStats {
     let mut never = 0usize;
     let mut windows_with_refs = 0u64;
     let mut procs_acc = 0u64;
@@ -72,20 +69,18 @@ pub fn trace_stats(trace: &WindowedTrace) -> TraceStats {
     let mut drift_acc = 0f64;
     let mut drift_n = 0u64;
 
-    for (_, rs) in trace.iter_data() {
-        if rs.is_never_referenced() {
+    for d in 0..trace.num_data() {
+        let span = trace.span(DataId(d as u32));
+        if span.is_empty() {
             never += 1;
             continue;
         }
         let mut prev_centroid: Option<(f64, f64)> = None;
-        for w in rs.windows() {
-            if w.is_empty() {
-                continue;
-            }
+        for (_, run) in span_window_runs(span) {
             windows_with_refs += 1;
-            procs_acc += w.num_procs() as u64;
-            spread_acc += spread(&grid, w);
-            let c = centroid(&grid, w).expect("non-empty window has centroid");
+            procs_acc += run.len() as u64;
+            spread_acc += spread(run);
+            let c = centroid(run).expect("non-empty window has centroid");
             if let Some(pc) = prev_centroid {
                 drift_acc += (c.0 - pc.0).abs() + (c.1 - pc.1).abs();
                 drift_n += 1;
@@ -118,16 +113,21 @@ pub fn trace_stats(trace: &WindowedTrace) -> TraceStats {
 }
 
 /// Per-datum reference volume histogram (index = datum id).
-pub fn volume_per_data(trace: &WindowedTrace) -> Vec<u64> {
-    trace.iter_data().map(|(_, rs)| rs.total_volume()).collect()
+pub fn volume_per_data<V: FlatView + ?Sized>(trace: &V) -> Vec<u64> {
+    (0..trace.num_data())
+        .map(|d| {
+            let span = trace.span(DataId(d as u32));
+            span.iter().map(|r| r.count as u64).sum()
+        })
+        .collect()
 }
 
 /// Per-window total reference volume (the application's activity series).
-pub fn volume_per_window(trace: &WindowedTrace) -> Vec<u64> {
+pub fn volume_per_window<V: FlatView + ?Sized>(trace: &V) -> Vec<u64> {
     let mut out = vec![0u64; trace.num_windows()];
-    for (_, rs) in trace.iter_data() {
-        for (w, refs) in rs.windows().enumerate() {
-            out[w] += refs.total_volume();
+    for d in 0..trace.num_data() {
+        for r in trace.span(DataId(d as u32)) {
+            out[r.window as usize] += r.count as u64;
         }
     }
     out
@@ -137,7 +137,7 @@ pub fn volume_per_window(trace: &WindowedTrace) -> Vec<u64> {
 /// entropy = a few hot data dominate (the regime where good placement of
 /// a handful of items wins); the maximum is `log2(num_data)` for a
 /// perfectly uniform trace.
-pub fn volume_entropy(trace: &WindowedTrace) -> f64 {
+pub fn volume_entropy<V: FlatView + ?Sized>(trace: &V) -> f64 {
     let vols = volume_per_data(trace);
     let total: u64 = vols.iter().sum();
     if total == 0 {
@@ -155,7 +155,7 @@ pub fn volume_entropy(trace: &WindowedTrace) -> f64 {
 
 /// Gini coefficient of the per-datum volume distribution: 0 = perfectly
 /// uniform, → 1 = all references on one datum.
-pub fn volume_gini(trace: &WindowedTrace) -> f64 {
+pub fn volume_gini<V: FlatView + ?Sized>(trace: &V) -> f64 {
     let mut vols = volume_per_data(trace);
     let total: u64 = vols.iter().sum();
     let n = vols.len();
@@ -173,10 +173,11 @@ pub fn volume_gini(trace: &WindowedTrace) -> f64 {
 }
 
 /// The most referenced datum and its volume, or `None` for an empty trace.
-pub fn hottest_data(trace: &WindowedTrace) -> Option<(DataId, u64)> {
-    trace
-        .iter_data()
-        .map(|(d, rs)| (d, rs.total_volume()))
+pub fn hottest_data<V: FlatView + ?Sized>(trace: &V) -> Option<(DataId, u64)> {
+    volume_per_data(trace)
+        .into_iter()
+        .enumerate()
+        .map(|(d, v)| (DataId(d as u32), v))
         .max_by_key(|&(_, v)| v)
         .filter(|&(_, v)| v > 0)
 }
@@ -184,42 +185,60 @@ pub fn hottest_data(trace: &WindowedTrace) -> Option<(DataId, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatTrace;
     use crate::window::WindowRefs;
-    use pim_array::grid::ProcId;
+    use pim_array::grid::{Grid, ProcId};
 
     fn g() -> Grid {
         Grid::new(4, 4)
     }
 
+    fn trace(per_data: Vec<Vec<WindowRefs>>) -> FlatTrace {
+        FlatTrace::from_windows(g(), per_data).unwrap()
+    }
+
+    /// One window's references as a flat run.
+    fn run(pairs: &[((u32, u32), u32)]) -> Vec<FlatRef> {
+        pairs
+            .iter()
+            .map(|&((x, y), count)| FlatRef {
+                window: 0,
+                x,
+                y,
+                count,
+            })
+            .collect()
+    }
+
     #[test]
     fn centroid_weighted() {
-        let grid = g();
-        let refs = WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1), (grid.proc_xy(2, 0), 1)]);
-        assert_eq!(centroid(&grid, &refs), Some((1.0, 0.0)));
-        let refs = WindowRefs::from_pairs([(grid.proc_xy(0, 0), 3), (grid.proc_xy(2, 0), 1)]);
-        assert_eq!(centroid(&grid, &refs), Some((0.5, 0.0)));
-        assert_eq!(centroid(&grid, &WindowRefs::new()), None);
+        assert_eq!(
+            centroid(&run(&[((0, 0), 1), ((2, 0), 1)])),
+            Some((1.0, 0.0))
+        );
+        assert_eq!(
+            centroid(&run(&[((0, 0), 3), ((2, 0), 1)])),
+            Some((0.5, 0.0))
+        );
+        assert_eq!(centroid(&[]), None);
     }
 
     #[test]
     fn spread_zero_for_point_mass() {
-        let grid = g();
-        let refs = WindowRefs::from_pairs([(grid.proc_xy(2, 2), 9)]);
-        assert_eq!(spread(&grid, &refs), 0.0);
-        assert_eq!(spread(&grid, &WindowRefs::new()), 0.0);
+        assert_eq!(spread(&run(&[((2, 2), 9)])), 0.0);
+        assert_eq!(spread(&[]), 0.0);
     }
 
     #[test]
     fn stats_on_small_trace() {
         let grid = g();
-        let per_data = vec![
+        let t = trace(vec![
             vec![
                 WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
                 WindowRefs::from_pairs([(grid.proc_xy(3, 0), 1)]),
             ],
             vec![WindowRefs::new(), WindowRefs::new()],
-        ];
-        let t = WindowedTrace::from_parts(grid, per_data);
+        ]);
         let s = trace_stats(&t);
         assert_eq!(s.num_data, 2);
         assert_eq!(s.num_windows, 2);
@@ -232,84 +251,70 @@ mod tests {
 
     #[test]
     fn hottest_and_histogram() {
-        let grid = g();
-        let per_data = vec![
+        let t = trace(vec![
             vec![WindowRefs::from_pairs([(ProcId(0), 2)])],
             vec![WindowRefs::from_pairs([(ProcId(1), 7)])],
             vec![WindowRefs::new()],
-        ];
-        let t = WindowedTrace::from_parts(grid, per_data);
+        ]);
         assert_eq!(volume_per_data(&t), vec![2, 7, 0]);
         assert_eq!(hottest_data(&t), Some((DataId(1), 7)));
     }
 
     #[test]
     fn activity_series() {
-        let grid = g();
-        let per_data = vec![
+        let t = trace(vec![
             vec![
                 WindowRefs::from_pairs([(ProcId(0), 2)]),
                 WindowRefs::from_pairs([(ProcId(1), 1)]),
             ],
             vec![WindowRefs::from_pairs([(ProcId(2), 3)]), WindowRefs::new()],
-        ];
-        let t = WindowedTrace::from_parts(grid, per_data);
+        ]);
         assert_eq!(volume_per_window(&t), vec![5, 1]);
     }
 
     #[test]
     fn entropy_bounds() {
-        let grid = g();
         // uniform over 4 data → entropy = 2 bits
-        let uniform = WindowedTrace::from_parts(
-            grid,
+        let uniform = trace(
             (0..4)
                 .map(|i| vec![WindowRefs::from_pairs([(ProcId(i), 5)])])
                 .collect(),
         );
         assert!((volume_entropy(&uniform) - 2.0).abs() < 1e-9);
         // one hot datum → entropy 0
-        let hot = WindowedTrace::from_parts(
-            grid,
-            vec![
-                vec![WindowRefs::from_pairs([(ProcId(0), 9)])],
-                vec![WindowRefs::new()],
-            ],
-        );
+        let hot = trace(vec![
+            vec![WindowRefs::from_pairs([(ProcId(0), 9)])],
+            vec![WindowRefs::new()],
+        ]);
         assert_eq!(volume_entropy(&hot), 0.0);
         // empty trace → 0
-        let empty = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]]);
+        let empty = trace(vec![vec![WindowRefs::new()]]);
         assert_eq!(volume_entropy(&empty), 0.0);
     }
 
     #[test]
     fn gini_bounds() {
-        let grid = g();
-        let uniform = WindowedTrace::from_parts(
-            grid,
+        let uniform = trace(
             (0..4)
                 .map(|i| vec![WindowRefs::from_pairs([(ProcId(i), 5)])])
                 .collect(),
         );
         assert!(volume_gini(&uniform).abs() < 1e-9);
-        let skewed = WindowedTrace::from_parts(
-            grid,
-            vec![
-                vec![WindowRefs::from_pairs([(ProcId(0), 100)])],
-                vec![WindowRefs::new()],
-                vec![WindowRefs::new()],
-                vec![WindowRefs::new()],
-            ],
-        );
+        let skewed = trace(vec![
+            vec![WindowRefs::from_pairs([(ProcId(0), 100)])],
+            vec![WindowRefs::new()],
+            vec![WindowRefs::new()],
+            vec![WindowRefs::new()],
+        ]);
         // one of four data holds everything → Gini = (n−1)/n = 0.75
         assert!((volume_gini(&skewed) - 0.75).abs() < 1e-9);
-        let empty = WindowedTrace::from_parts(grid, vec![vec![WindowRefs::new()]]);
+        let empty = trace(vec![vec![WindowRefs::new()]]);
         assert_eq!(volume_gini(&empty), 0.0);
     }
 
     #[test]
     fn hottest_none_when_empty() {
-        let t = WindowedTrace::from_parts(g(), vec![vec![WindowRefs::new()]]);
+        let t = trace(vec![vec![WindowRefs::new()]]);
         assert_eq!(hottest_data(&t), None);
         let s = trace_stats(&t);
         assert_eq!(s.mean_drift, 0.0);

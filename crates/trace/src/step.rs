@@ -2,11 +2,11 @@
 //!
 //! Workload kernels emit a sequence of *execution steps*; each step records
 //! which processor touched which datum, and how many times. Steps are later
-//! bucketed into execution windows ([`crate::window`]), which is the
+//! bucketed into execution windows (a [`FlatTrace`]), which is the
 //! granularity the paper's schedulers operate at.
 
+use crate::flat::{FlatRecord, FlatTrace};
 use crate::ids::DataId;
-use crate::window::{WindowRefs, WindowedTrace};
 use pim_array::grid::{Grid, ProcId};
 
 /// One access: processor `proc` references datum `data` `count` times
@@ -76,7 +76,7 @@ impl StepTrace {
     ///
     /// # Panics
     /// Panics if `steps_per_window == 0`.
-    pub fn window_fixed(&self, steps_per_window: usize) -> WindowedTrace {
+    pub fn window_fixed(&self, steps_per_window: usize) -> FlatTrace {
         assert!(steps_per_window > 0, "window size must be positive");
         let num_windows = self.steps.len().div_ceil(steps_per_window).max(1);
         self.window_by(
@@ -88,30 +88,31 @@ impl StepTrace {
     /// Bucket steps into windows with an arbitrary assignment
     /// `step index → window index`. Window indices must cover
     /// `0..num_windows` monotonically (non-decreasing), matching the
-    /// paper's definition of windows as *consecutive* step groups.
+    /// paper's definition of windows as *consecutive* step groups. Repeated
+    /// references of one processor in one window aggregate through
+    /// [`FlatTrace::from_records`], saturating at `u32::MAX`.
     ///
     /// # Panics
-    /// Panics if the assignment is non-monotone or out of range.
-    pub fn window_by(&self, assign: impl Fn(usize) -> usize, num_windows: usize) -> WindowedTrace {
+    /// Panics if the assignment is non-monotone or out of range, or an
+    /// access names a datum or processor outside the trace.
+    pub fn window_by(&self, assign: impl Fn(usize) -> usize, num_windows: usize) -> FlatTrace {
         assert!(num_windows > 0, "need at least one window");
-        let mut per_data: Vec<Vec<WindowRefs>> =
-            vec![vec![WindowRefs::default(); num_windows]; self.num_data as usize];
+        let mut records = Vec::new();
         let mut prev_w = 0usize;
         for (i, step) in self.steps.iter().enumerate() {
             let w = assign(i);
             assert!(w < num_windows, "window index {w} out of range");
             assert!(w >= prev_w, "window assignment must be monotone");
             prev_w = w;
-            for a in &step.accesses {
-                assert!(
-                    a.data.index() < self.num_data as usize,
-                    "datum {} out of range",
-                    a.data
-                );
-                per_data[a.data.index()][w].add(a.proc, a.count);
-            }
+            records.extend(step.accesses.iter().map(|a| FlatRecord {
+                datum: a.data,
+                window: w as u32,
+                proc: a.proc,
+                count: a.count,
+            }));
         }
-        WindowedTrace::from_parts(self.grid, per_data)
+        FlatTrace::from_records(self.grid, num_windows, self.num_data as usize, records)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Concatenate another trace after this one (the paper's combined
@@ -191,10 +192,10 @@ mod tests {
         };
         let w = t.window_fixed(2);
         assert_eq!(w.num_windows(), 3);
-        let rs = w.refs(DataId(0));
-        assert_eq!(rs.window(0).total_volume(), 2);
-        assert_eq!(rs.window(1).total_volume(), 2);
-        assert_eq!(rs.window(2).total_volume(), 1);
+        let volumes: Vec<u32> = (0..3)
+            .map(|i| w.window_run(DataId(0), i).iter().map(|r| r.count).sum())
+            .collect();
+        assert_eq!(volumes, vec![2, 2, 1]);
     }
 
     #[test]
@@ -205,9 +206,20 @@ mod tests {
             steps: vec![mk(&[(5, 0, 2)]), mk(&[(5, 0, 3)])],
         };
         let w = t.window_fixed(2);
-        let refs = w.refs(DataId(0)).window(0);
-        assert_eq!(refs.iter().count(), 1);
-        assert_eq!(refs.volume_at(ProcId(5)), 5);
+        let refs = w.window_run(DataId(0), 0);
+        assert_eq!(refs.len(), 1);
+        assert_eq!((refs[0].proc(&g()), refs[0].count), (ProcId(5), 5));
+        // The aggregate saturates at `u32::MAX`, the rule every trace
+        // constructor shares, instead of overflowing.
+        let t = StepTrace {
+            grid: g(),
+            num_data: 1,
+            steps: vec![mk(&[(5, 0, u32::MAX - 1)]), mk(&[(5, 0, 5)])],
+        };
+        assert_eq!(
+            t.window_fixed(2).window_run(DataId(0), 0)[0].count,
+            u32::MAX
+        );
     }
 
     #[test]
@@ -216,7 +228,7 @@ mod tests {
         let w = t.window_fixed(4);
         assert_eq!(w.num_windows(), 1);
         assert_eq!(w.num_data(), 3);
-        assert!(w.refs(DataId(1)).window(0).is_empty());
+        assert!(w.span(DataId(1)).is_empty());
     }
 
     #[test]

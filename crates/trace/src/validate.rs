@@ -1,45 +1,41 @@
-//! Structural validation of traces at crate boundaries.
+//! Structural validation of raw step traces at crate boundaries.
 //!
 //! Schedulers index flat vectors by processor and datum ids; a malformed
 //! trace would turn into a panic deep inside a DP loop. Validating once at
-//! the boundary gives a precise error instead.
+//! the boundary gives a precise error instead. Windowed traces need no
+//! separate check: [`crate::flat::FlatTrace::from_records`], which every
+//! trace constructor routes through, rejects out-of-range ids itself.
 
 use crate::step::StepTrace;
-use crate::window::WindowedTrace;
 
 /// A structural problem found in a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
     /// A processor id `≥ grid.num_procs()` appeared.
     ProcOutOfRange {
-        /// Step index where it appeared (`None` for windowed traces).
-        step: Option<usize>,
+        /// Step index where it appeared.
+        step: usize,
         /// The offending processor id.
         proc: u32,
     },
     /// A datum id `≥ num_data` appeared.
     DataOutOfRange {
-        /// Step index where it appeared (`None` for windowed traces).
-        step: Option<usize>,
+        /// Step index where it appeared.
+        step: usize,
         /// The offending datum id.
         data: u32,
     },
-    /// The trace has no windows.
-    NoWindows,
 }
 
 impl core::fmt::Display for TraceError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            TraceError::ProcOutOfRange { step, proc } => match step {
-                Some(s) => write!(f, "step {s}: processor P{proc} out of range"),
-                None => write!(f, "processor P{proc} out of range"),
-            },
-            TraceError::DataOutOfRange { step, data } => match step {
-                Some(s) => write!(f, "step {s}: datum D{data} out of range"),
-                None => write!(f, "datum D{data} out of range"),
-            },
-            TraceError::NoWindows => write!(f, "trace has no execution windows"),
+            TraceError::ProcOutOfRange { step, proc } => {
+                write!(f, "step {step}: processor P{proc} out of range")
+            }
+            TraceError::DataOutOfRange { step, data } => {
+                write!(f, "step {step}: datum D{data} out of range")
+            }
         }
     }
 }
@@ -53,36 +49,15 @@ pub fn validate_steps(trace: &StepTrace) -> Result<(), TraceError> {
         for a in &step.accesses {
             if a.proc.index() >= nprocs {
                 return Err(TraceError::ProcOutOfRange {
-                    step: Some(i),
+                    step: i,
                     proc: a.proc.0,
                 });
             }
             if a.data.0 >= trace.num_data {
                 return Err(TraceError::DataOutOfRange {
-                    step: Some(i),
+                    step: i,
                     data: a.data.0,
                 });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validate a windowed trace.
-pub fn validate_windowed(trace: &WindowedTrace) -> Result<(), TraceError> {
-    if trace.num_windows() == 0 {
-        return Err(TraceError::NoWindows);
-    }
-    let nprocs = trace.grid().num_procs();
-    for (_, rs) in trace.iter_data() {
-        for w in rs.windows() {
-            for r in w.iter() {
-                if r.proc.index() >= nprocs {
-                    return Err(TraceError::ProcOutOfRange {
-                        step: None,
-                        proc: r.proc.0,
-                    });
-                }
             }
         }
     }
@@ -94,7 +69,6 @@ mod tests {
     use super::*;
     use crate::ids::DataId;
     use crate::step::{Access, ExecStep};
-    use crate::window::WindowRefs;
     use pim_array::grid::{Grid, ProcId};
 
     #[test]
@@ -130,10 +104,7 @@ mod tests {
         };
         assert_eq!(
             validate_steps(&t),
-            Err(TraceError::ProcOutOfRange {
-                step: Some(0),
-                proc: 4
-            })
+            Err(TraceError::ProcOutOfRange { step: 0, proc: 4 })
         );
     }
 
@@ -158,31 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn windowed_validation() {
-        let g = Grid::new(2, 2);
-        let ok = WindowedTrace::from_parts(g, vec![vec![WindowRefs::from_pairs([(ProcId(3), 1)])]]);
-        assert_eq!(validate_windowed(&ok), Ok(()));
-        let bad =
-            WindowedTrace::from_parts(g, vec![vec![WindowRefs::from_pairs([(ProcId(9), 1)])]]);
-        assert!(matches!(
-            validate_windowed(&bad),
-            Err(TraceError::ProcOutOfRange {
-                step: None,
-                proc: 9
-            })
-        ));
-    }
-
-    #[test]
     fn error_messages() {
-        let e = TraceError::ProcOutOfRange {
-            step: Some(3),
-            proc: 7,
-        };
+        let e = TraceError::ProcOutOfRange { step: 3, proc: 7 };
         assert_eq!(e.to_string(), "step 3: processor P7 out of range");
-        assert_eq!(
-            TraceError::NoWindows.to_string(),
-            "trace has no execution windows"
-        );
+        let e = TraceError::DataOutOfRange { step: 1, data: 2 };
+        assert_eq!(e.to_string(), "step 1: datum D2 out of range");
     }
 }

@@ -10,10 +10,10 @@ use pim_trace::binfmt::{encode_flat, read_flat};
 use pim_trace::edit::{EditableTrace, TraceDelta};
 use pim_trace::flat::{FlatRecord, FlatTrace};
 use pim_trace::ids::DataId;
-use pim_trace::window::{WindowRefs, WindowedTrace};
+use pim_trace::window::WindowRefs;
 use proptest::prelude::*;
 
-fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
+fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     (1u32..=6, 1u32..=6).prop_flat_map(|(w, h)| {
         let grid = Grid::new(w, h);
         let m = grid.num_procs() as u32;
@@ -39,7 +39,7 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
                             .collect()
                     })
                     .collect();
-                WindowedTrace::from_parts(grid, per_data)
+                FlatTrace::from_windows(grid, per_data).expect("procs are on the grid")
             })
         })
     })
@@ -48,9 +48,9 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
 proptest! {
     #[test]
     fn roundtrip(trace in arb_trace()) {
-        let bytes = encode_flat(&FlatTrace::from_trace(&trace));
+        let bytes = encode_flat(&trace);
         let back = read_flat(&bytes).expect("well-formed encoding decodes");
-        prop_assert_eq!(back.to_windowed(), trace);
+        prop_assert_eq!(back, trace);
     }
 }
 

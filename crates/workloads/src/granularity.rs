@@ -84,6 +84,7 @@ mod tests {
     use super::*;
     use crate::lu::{lu_trace, LuParams};
     use crate::matmul::{matmul_trace, MatMulParams};
+    use pim_trace::stats::volume_per_data;
     use pim_trace::validate::validate_steps;
 
     #[test]
@@ -119,13 +120,10 @@ mod tests {
             .map(|c| {
                 let mut sp = DataSpace::new();
                 let a = sp.add_array("A", 8, 8);
-                w_elem.refs(sp.elem(a, 0, c)).merged_all().total_volume()
+                volume_per_data(&w_elem)[sp.elem(a, 0, c).index()]
             })
             .sum();
-        let row_total = w_rows
-            .refs(row_id(&rt.space, 0, 0))
-            .merged_all()
-            .total_volume();
+        let row_total = volume_per_data(&w_rows)[row_id(&rt.space, 0, 0).index()];
         assert_eq!(row_total, elem_total);
     }
 }

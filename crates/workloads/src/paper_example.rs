@@ -25,7 +25,8 @@
 
 use crate::space::DataSpace;
 use pim_array::grid::Grid;
-use pim_trace::window::{WindowRefs, WindowedTrace};
+use pim_trace::flat::FlatTrace;
+use pim_trace::window::WindowRefs;
 
 /// Expected totals and centers of the reconstructed example.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +64,7 @@ pub fn grid() -> Grid {
 }
 
 /// Build the single-datum, four-window trace of Figure 1.
-pub fn figure1_trace() -> (WindowedTrace, DataSpace) {
+pub fn figure1_trace() -> (FlatTrace, DataSpace) {
     let g = grid();
     let windows = vec![
         WindowRefs::from_pairs([
@@ -76,7 +77,8 @@ pub fn figure1_trace() -> (WindowedTrace, DataSpace) {
         WindowRefs::from_pairs([(g.proc_xy(1, 1), 3), (g.proc_xy(2, 1), 2)]),
     ];
     let (space, _) = DataSpace::single(1);
-    (WindowedTrace::from_parts(g, vec![windows]), space)
+    let trace = FlatTrace::from_windows(g, vec![windows]).expect("example is on the grid");
+    (trace, space)
 }
 
 #[cfg(test)]

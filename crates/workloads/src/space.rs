@@ -10,8 +10,8 @@
 use pim_array::grid::{Grid, ProcId};
 use pim_array::layout::Layout;
 use pim_sched::schedule::Schedule;
+use pim_trace::flat::FlatView;
 use pim_trace::ids::DataId;
-use pim_trace::window::WindowedTrace;
 
 /// Handle to one array registered in a [`DataSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl DataSpace {
     ///
     /// # Panics
     /// Panics if the trace's datum count does not match the space.
-    pub fn straightforward(&self, trace: &WindowedTrace, layout: Layout) -> Schedule {
+    pub fn straightforward<V: FlatView + ?Sized>(&self, trace: &V, layout: Layout) -> Schedule {
         assert_eq!(
             trace.num_data(),
             self.total_data() as usize,

@@ -33,7 +33,7 @@ fn main() {
     ] {
         let (trace, _) = windowed(bench, grid, n, 2, 1998);
         let policy = MemoryPolicy::ScaledMinimum { factor: 2 };
-        let spec = policy.resolve(&trace);
+        let spec = policy.resolve(&trace.grid(), trace.num_data());
         let single = schedule(Method::Gomcds, &trace, policy)
             .evaluate(&trace)
             .total();
@@ -51,7 +51,7 @@ fn main() {
 
     // Inspect a single datum with a genuinely split audience.
     let (trace, _) = windowed(Benchmark::MatMul, grid, n, 2, 1998);
-    let spec = MemoryPolicy::ScaledMinimum { factor: 2 }.resolve(&trace);
+    let spec = MemoryPolicy::ScaledMinimum { factor: 2 }.resolve(&trace.grid(), trace.num_data());
     let repl = replicated_schedule(&trace, spec);
     println!("\nexample replica placements (first window, first data with a secondary):");
     let mut shown = 0;

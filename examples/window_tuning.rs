@@ -11,7 +11,7 @@
 
 use pim_array::grid::Grid;
 use pim_sched::grouping::{greedy_grouping, GroupMethod};
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{schedule, CostCache, MemoryPolicy, Method, Workspace};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 
@@ -45,12 +45,14 @@ fn main() {
         trace.num_windows()
     );
     let mut shown = 0;
+    let cache = CostCache::build_flat(&trace);
+    let mut ws = Workspace::new();
     for d in 0..trace.num_data() {
-        let rs = trace.refs(DataId(d as u32));
-        if rs.total_volume() == 0 {
+        let datum = cache.datum(DataId(d as u32));
+        if datum.range_is_empty(0, trace.num_windows()) {
             continue;
         }
-        let groups = greedy_grouping(&grid, rs, GroupMethod::LocalCenters);
+        let groups = greedy_grouping(&grid, datum, GroupMethod::LocalCenters, &mut ws);
         if groups.len() > 1 && groups.len() < trace.num_windows() {
             let pretty: Vec<String> = groups
                 .iter()

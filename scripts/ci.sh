@@ -377,6 +377,19 @@ gomcds_stream="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
   "$metrics_tmp/gomcds_stream.txt" | head -n 1)"
 [ -n "$gomcds_mmap" ] && [ "$gomcds_mmap" = "$gomcds_stream" ] \
   || { echo "bounded GOMCDS: mmap cost '$gomcds_mmap' != streamed cost '$gomcds_stream'"; exit 1; }
+# `run --bin` reaches every registered method, not only the three the
+# stream walk supports: bounded grouping on the mapped file must cost what
+# the same method costs on the file loaded with `run --trace`.
+./target/release/pim-cli run --bin --trace "$metrics_tmp/stream_gomcds.pimb" \
+  --method grouped --memory 2x > "$metrics_tmp/grouped_mmap.txt"
+./target/release/pim-cli run --trace "$metrics_tmp/stream_gomcds.pimb" \
+  --method grouped --memory 2x > "$metrics_tmp/grouped_loaded.txt"
+grouped_mmap="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
+  "$metrics_tmp/grouped_mmap.txt" | head -n 1)"
+grouped_loaded="$(sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' \
+  "$metrics_tmp/grouped_loaded.txt" | head -n 1)"
+[ -n "$grouped_mmap" ] && [ "$grouped_mmap" = "$grouped_loaded" ] \
+  || { echo "grouped run --bin: mmap cost '$grouped_mmap' != loaded cost '$grouped_loaded'"; exit 1; }
 ./target/release/pim-cli unpack --trace "$metrics_tmp/stream_smoke.pimb" \
   --out "$metrics_tmp/stream_smoke.txt"
 grep -q "^flat v1 16 16 " "$metrics_tmp/stream_smoke.txt" \

@@ -15,16 +15,19 @@
 //! and parallel execution wrappers of [`pim_sched::Run`] and requires the
 //! two to agree exactly. The same discipline covers the observability
 //! layer: `metrics_never_change_a_schedule_bit` proves that attaching an
-//! enabled [`pim_sched::Metrics`] sink is pure observation.
+//! enabled [`pim_sched::Metrics`] sink is pure observation, and
+//! `flat_backed_cache_bit_identical` runs the registry straight off a
+//! memory-mapped `.pimb` ([`pim_trace::BinTrace`]).
 
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::{
-    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, CostCache, MemoryPolicy,
-    Method, Run, SchedContext,
+    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, MemoryPolicy, Method, Run,
 };
-use pim_trace::flat::FlatTrace;
-use pim_trace::window::{WindowRefs, WindowedTrace};
+use pim_trace::flat::{span_window, FlatTrace};
+use pim_trace::ids::DataId;
+use pim_trace::window::WindowRefs;
+use pim_trace::BinTrace;
 use proptest::prelude::*;
 
 /// Grids the cache must handle: degenerate 1×n row, the paper's square
@@ -48,20 +51,20 @@ fn arb_refs(grid: Grid) -> impl Strategy<Value = WindowRefs> {
 }
 
 /// Random windowed trace: up to 4 data × up to 6 windows.
-fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
+fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     arb_grid().prop_flat_map(|grid| {
         (1usize..=4, 1usize..=6).prop_flat_map(move |(nd, nw)| {
             proptest::collection::vec(proptest::collection::vec(arb_refs(grid), nw..=nw), nd..=nd)
-                .prop_map(move |per_data| WindowedTrace::from_parts(grid, per_data))
+                .prop_map(move |per_data| FlatTrace::from_windows(grid, per_data).unwrap())
         })
     })
 }
 
 /// Three data over three windows on a 4×4 grid: two referenced data with
 /// an interior empty window, and one never-referenced datum.
-fn sample_trace() -> WindowedTrace {
+fn sample_trace() -> FlatTrace {
     let grid = Grid::new(4, 4);
-    WindowedTrace::from_parts(
+    FlatTrace::from_windows(
         grid,
         vec![
             vec![
@@ -77,14 +80,14 @@ fn sample_trace() -> WindowedTrace {
             vec![WindowRefs::new(), WindowRefs::new(), WindowRefs::new()],
         ],
     )
+    .unwrap()
 }
 
 /// The flat drivers, on one and two threads, equal the pre-cache
 /// reference schedulers on a fixed trace under every policy shape.
 #[test]
 fn flat_paths_match_classic_schedulers() {
-    let trace = sample_trace();
-    let flat = FlatTrace::from_trace(&trace);
+    let flat = sample_trace();
     for (pool, policy) in [
         (Pool::with_threads(2), MemoryPolicy::Unbounded),
         (
@@ -103,7 +106,7 @@ fn flat_paths_match_classic_schedulers() {
             (Method::Gomcds, flat_gomcds),
         ] {
             // The pre-cache reference schedulers are the oracle.
-            let classic = pim_reference::schedule(method, &trace, policy).unwrap();
+            let classic = pim_reference::schedule(method, &flat, policy).unwrap();
             assert_eq!(
                 fast(&flat, policy, pool).unwrap(),
                 classic,
@@ -118,7 +121,7 @@ fn flat_paths_match_classic_schedulers() {
 #[test]
 fn cached_matches_uncached() {
     let grid = Grid::new(5, 4);
-    let trace = WindowedTrace::from_parts(
+    let trace = FlatTrace::from_windows(
         grid,
         vec![
             vec![
@@ -132,7 +135,8 @@ fn cached_matches_uncached() {
                 WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
             ],
         ],
-    );
+    )
+    .unwrap();
     for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
         for method in [Method::GomcdsNaive, Method::Gomcds] {
             assert_eq!(
@@ -144,10 +148,25 @@ fn cached_matches_uncached() {
     }
 }
 
+/// `trace` packed into a `.pimb` and memory-mapped back. The file is
+/// unlinked at once; the mapping keeps its bytes alive.
+fn mapped(trace: &FlatTrace) -> BinTrace {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "pim-cache-equivalence-{}-{n}.pimb",
+        std::process::id()
+    ));
+    pim_trace::binfmt::pack_file(trace, &path).expect("pack to the temp dir");
+    let bin = BinTrace::open(&path).expect("reopen the packed trace");
+    let _ = std::fs::remove_file(&path);
+    bin
+}
+
 /// Memory policies to cross with every method: unconstrained, the paper's
 /// doubled balanced minimum, and the tightest uniform capacity that still
 /// fits every datum.
-fn policies(trace: &WindowedTrace) -> [MemoryPolicy; 3] {
+fn policies(trace: &FlatTrace) -> [MemoryPolicy; 3] {
     let tight = (trace.num_data() as u32).div_ceil(trace.grid().num_procs() as u32);
     [
         MemoryPolicy::Unbounded,
@@ -293,21 +312,37 @@ proptest! {
         }
     }
 
-    /// The SoA trace layout is a pure representation change: a cost cache
-    /// built from the flat CSR refs drives every registered scheduler ×
-    /// policy to exactly the schedule the nested-trace cache produces.
+    /// Where the spans live never matters: every registered scheduler run
+    /// through [`Run`] on a memory-mapped `.pimb` packed from the trace
+    /// returns exactly what the run on the owned trace returns — the same
+    /// schedule or the same typed error — and every [`Method`] on the
+    /// mapped file equals the reference oracle.
     #[test]
     fn flat_backed_cache_bit_identical(trace in arb_trace()) {
-        let flat = FlatTrace::from_trace(&trace);
+        let bin = mapped(&trace);
+        prop_assert!(bin.is_mapped());
+        let policies = [
+            MemoryPolicy::Unbounded,
+            MemoryPolicy::Capacity(1),
+            MemoryPolicy::ScaledMinimum { factor: 2 },
+        ];
         for scheduler in pim_sched::registry().iter() {
-            for policy in policies(&trace) {
-                let classic = Run::new(&trace).policy(policy).run(scheduler);
-                let cache = CostCache::build_flat(&flat);
-                let mut ctx = SchedContext::with_cache(&trace, policy, cache);
-                let flat_backed = scheduler.schedule(&mut ctx, &trace);
+            for policy in policies {
+                let owned = Run::new(&trace).policy(policy).run(scheduler);
+                let mapped = Run::new(&bin).policy(policy).run(scheduler);
                 prop_assert_eq!(
-                    &classic, &flat_backed,
-                    "{} under {:?}: flat-backed cache diverged", scheduler.name(), policy
+                    &owned, &mapped,
+                    "{} under {:?}: the mapped run diverged", scheduler.name(), policy
+                );
+            }
+        }
+        for method in Method::ALL {
+            for policy in policies {
+                let mapped = Run::new(&bin).policy(policy).run_method(method);
+                let oracle = pim_reference::schedule(method, &bin, policy);
+                prop_assert_eq!(
+                    &mapped, &oracle,
+                    "{} under {:?}: the mapped run diverged from the oracle", method, policy
                 );
             }
         }
@@ -318,16 +353,16 @@ proptest! {
     /// schedulers (`pim_reference::schedule`) for every policy, and
     /// `flat_total_cost` charges exactly what `Schedule::evaluate` does.
     #[test]
-    fn flat_fast_paths_bit_identical(trace in arb_trace(), threads in 1usize..=4) {
-        let flat = FlatTrace::from_trace(&trace);
+    fn flat_fast_paths_bit_identical(flat in arb_trace(), threads in 1usize..=4) {
+        let trace = &flat;
         let pool = Pool::with_threads(threads);
-        for policy in policies(&trace) {
+        for policy in policies(trace) {
             for (method, fast) in [
                 (Method::Scds, flat_scds as fn(&FlatTrace, MemoryPolicy, Pool) -> _),
                 (Method::Lomcds, flat_lomcds),
                 (Method::Gomcds, flat_gomcds),
             ] {
-                let classic = pim_reference::schedule(method, &trace, policy).unwrap();
+                let classic = pim_reference::schedule(method, trace, policy).unwrap();
                 let fast = fast(&flat, policy, pool)
                     .unwrap_or_else(|e| panic!("{method} {policy:?}: {e}"));
                 prop_assert_eq!(
@@ -336,7 +371,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     flat_total_cost(&flat, &fast),
-                    classic.evaluate(&trace),
+                    classic.evaluate(trace),
                     "flat cost model diverged for {} under {:?}", method, policy
                 );
             }
@@ -345,21 +380,22 @@ proptest! {
 
     /// Incremental window medians equal the scan-based center selection on
     /// random traces: sliding per-window sweeps and extending merged
-    /// prefixes both match `median_center`, and the cache's table-free
-    /// `range_median` matches the cost-table argmin it replaces.
+    /// prefixes both match `median_center`.
     #[test]
     fn incremental_medians_match_scan_selection(trace in arb_trace()) {
         let grid = trace.grid();
-        let cache = CostCache::build(&trace);
         let mut st = pim_sched::median::MedianState::default();
-        let mut axes = Default::default();
-        let mut table = Vec::new();
-        for (d, rs) in trace.iter_data() {
-            let dc = cache.datum(d);
+        for d in 0..trace.num_data() {
+            let d = DataId(d as u32);
+            let rs: Vec<WindowRefs> = (0..trace.num_windows())
+                .map(|w| {
+                    let run = span_window(trace.span(d), w);
+                    WindowRefs::from_pairs(run.iter().map(|r| (r.proc(&grid), r.count)))
+                })
+                .collect();
             // Sliding single-window sweep.
             st.reset(&grid);
-            for w in 0..trace.num_windows() {
-                let refs = rs.window(w);
+            for (w, refs) in rs.iter().enumerate() {
                 for r in refs.iter() {
                     let p = grid.point_of(r.proc);
                     st.add(p.x, p.y, r.count as u64);
@@ -369,11 +405,6 @@ proptest! {
                     pim_sched::median::median_center(&grid, refs),
                     "datum {:?} window {}: sliding median diverged", d, w
                 );
-                prop_assert_eq!(
-                    dc.range_median(w, w + 1, &mut axes),
-                    dc.optimal_center_range(w, w + 1, &mut axes, &mut table).0,
-                    "datum {:?} window {}: range_median != table argmin", d, w
-                );
                 for r in refs.iter() {
                     let p = grid.point_of(r.proc);
                     st.remove(p.x, p.y, r.count as u64);
@@ -382,13 +413,13 @@ proptest! {
             // Extending merged prefix (the SCDS shape).
             st.reset(&grid);
             for hi in 1..=trace.num_windows() {
-                for r in rs.window(hi - 1).iter() {
+                for r in rs[hi - 1].iter() {
                     let p = grid.point_of(r.proc);
                     st.add(p.x, p.y, r.count as u64);
                 }
                 prop_assert_eq!(
                     st.center(&grid),
-                    pim_sched::median::median_center(&grid, &rs.merged_range(0, hi)),
+                    pim_sched::median::median_center(&grid, &WindowRefs::merged(&rs[..hi])),
                     "datum {:?} prefix 0..{}: extending median diverged", d, hi
                 );
             }

@@ -7,7 +7,7 @@
 use pim_array::grid::Grid;
 use pim_par::Pool;
 use pim_sched::{schedule, MemoryPolicy, Method, Run, SchedError};
-use pim_trace::window::WindowedTrace;
+use pim_trace::flat::FlatTrace;
 use pim_workloads::{windowed, Benchmark};
 
 #[test]
@@ -17,7 +17,9 @@ fn occupancy_never_exceeds_capacity() {
         let (trace, _) = windowed(bench, grid, 8, 2, 1998);
         for factor in [1u32, 2, 3] {
             let policy = MemoryPolicy::ScaledMinimum { factor };
-            let cap = policy.resolve(&trace).capacity_per_proc;
+            let cap = policy
+                .resolve(&trace.grid(), trace.num_data())
+                .capacity_per_proc;
             for method in Method::ALL {
                 let s = schedule(method, &trace, policy);
                 assert!(
@@ -37,7 +39,12 @@ fn tightest_memory_forces_perfect_balance() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::Lu, grid, 8, 2, 0); // 64 data, 16 procs
     let policy = MemoryPolicy::ScaledMinimum { factor: 1 };
-    assert_eq!(policy.resolve(&trace).capacity_per_proc, 4);
+    assert_eq!(
+        policy
+            .resolve(&trace.grid(), trace.num_data())
+            .capacity_per_proc,
+        4
+    );
     for method in [Method::Scds, Method::Lomcds, Method::Gomcds] {
         let s = schedule(method, &trace, policy);
         for (w, occ) in s.occupancy().iter().enumerate() {
@@ -140,7 +147,7 @@ fn capacity_exhaustion_is_a_typed_error_for_every_scheduler() {
 /// implementation — never a panic.
 #[test]
 fn zero_data_trace_schedules_empty_for_every_scheduler() {
-    let trace = WindowedTrace::from_parts(Grid::new(4, 4), Vec::new());
+    let trace = FlatTrace::from_windows(Grid::new(4, 4), Vec::new()).unwrap();
     assert_eq!(trace.num_data(), 0);
     for policy in [
         MemoryPolicy::Unbounded,

@@ -5,7 +5,6 @@
 use pim_array::grid::Grid;
 use pim_array::layout::Layout;
 use pim_sched::{schedule, MemoryPolicy, Method};
-use pim_trace::validate::validate_windowed;
 use pim_workloads::{windowed, Benchmark};
 
 const MEMORY: MemoryPolicy = MemoryPolicy::ScaledMinimum { factor: 2 };
@@ -15,7 +14,6 @@ fn every_benchmark_schedules_under_every_method() {
     let grid = Grid::new(4, 4);
     for bench in Benchmark::paper_set() {
         let (trace, space) = windowed(bench, grid, 8, 2, 1998);
-        validate_windowed(&trace).unwrap();
         let sf = space
             .straightforward(&trace, Layout::RowWise)
             .evaluate(&trace)
@@ -99,7 +97,6 @@ fn extra_benchmarks_round_trip() {
     let grid = Grid::new(4, 4);
     for bench in [Benchmark::Jacobi, Benchmark::Transpose, Benchmark::Sor] {
         let (trace, space) = windowed(bench, grid, 8, 2, 3);
-        validate_windowed(&trace).unwrap();
         let sf = space
             .straightforward(&trace, Layout::RowWise)
             .evaluate(&trace)

@@ -10,7 +10,7 @@ use pim_sched::gomcds::{gomcds_path, Solver};
 use pim_sched::online::{online_schedule, OnlinePolicy};
 use pim_sched::refine::refine;
 use pim_sched::replicate::replicated_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method};
+use pim_sched::{schedule, CostCache, MemoryPolicy, Method, Workspace};
 use pim_trace::ids::DataId;
 use pim_workloads::{windowed, Benchmark};
 use proptest::prelude::*;
@@ -23,10 +23,12 @@ fn gomcds_certified_optimal_on_tiny_machines() {
         let grid = Grid::new(w, h);
         let (trace, _) = windowed(Benchmark::Lu, grid, n, 2, 0);
         assert!(trace.num_windows() <= 7, "keep exhaustive search feasible");
+        let cache = CostCache::build_flat(&trace);
+        let mut ws = Workspace::new();
         for d in 0..trace.num_data() {
-            let rs = trace.refs(DataId(d as u32));
-            let (_, ex) = optimal_path_exhaustive(&grid, rs);
-            let (_, go) = gomcds_path(&grid, rs, Solver::DistanceTransform);
+            let d = DataId(d as u32);
+            let (_, ex) = optimal_path_exhaustive(&trace, d);
+            let (_, go) = gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, &mut ws);
             assert_eq!(go, ex, "datum {d} on {w}x{h}");
         }
     }
@@ -82,7 +84,7 @@ fn replication_respects_memory() {
     let grid = Grid::new(4, 4);
     let (trace, _) = windowed(Benchmark::MatMul, grid, 8, 2, 0);
     let policy = MemoryPolicy::ScaledMinimum { factor: 2 };
-    let spec = policy.resolve(&trace);
+    let spec = policy.resolve(&trace.grid(), trace.num_data());
     let repl = replicated_schedule(&trace, spec);
     // count per-window occupancy including secondaries
     for w in 0..trace.num_windows() {
@@ -166,9 +168,11 @@ proptest! {
             windows.push(pim_trace::window::WindowRefs::from_pairs(refs));
             s = s.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
         }
-        let rs = pim_trace::window::DataRefString::new(windows);
-        let (_, ex) = optimal_path_exhaustive(&grid, &rs);
-        let (_, go) = gomcds_path(&grid, &rs, Solver::DistanceTransform);
+        let rs = pim_trace::flat::FlatTrace::from_windows(grid, vec![windows]).unwrap();
+        let (_, ex) = optimal_path_exhaustive(&rs, DataId(0));
+        let cache = CostCache::build_flat(&rs);
+        let datum = cache.datum(DataId(0));
+        let (_, go) = gomcds_path(&grid, datum, Solver::DistanceTransform, &mut Workspace::new());
         prop_assert_eq!(go, ex);
     }
 }

@@ -1,15 +1,15 @@
 //! Property tests for the grouping machinery and the paper's theory
 //! (Lemma 1, Theorems 2 and 3).
 
+use core::ops::Range;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::line::Line;
-use pim_sched::grouping::{
-    cost_of_grouping, greedy_grouping, greedy_grouping_cached, optimal_grouping,
-    optimal_grouping_cached, GroupMethod,
-};
+use pim_sched::grouping::{cost_of_grouping, greedy_grouping, optimal_grouping, GroupMethod};
 use pim_sched::theory::{closest_optimal_pair, lemma1_holds, theorem2_holds, theorem3_holds};
-use pim_sched::{DatumCostCache, Workspace};
-use pim_trace::window::{DataRefString, WindowRefs};
+use pim_sched::{CostCache, Workspace};
+use pim_trace::flat::FlatTrace;
+use pim_trace::ids::DataId;
+use pim_trace::window::WindowRefs;
 use proptest::prelude::*;
 
 fn arb_grid() -> impl Strategy<Value = Grid> {
@@ -24,20 +24,45 @@ fn arb_refs(grid: Grid, allow_empty: bool) -> impl Strategy<Value = WindowRefs> 
     })
 }
 
-fn arb_ref_string() -> impl Strategy<Value = (Grid, DataRefString)> {
+/// A random one-datum trace (its reference string over 1..8 windows).
+fn arb_ref_string() -> impl Strategy<Value = FlatTrace> {
     arb_grid().prop_flat_map(|grid| {
         proptest::collection::vec(arb_refs(grid, true), 1..8)
-            .prop_map(move |ws| (grid, DataRefString::new(ws)))
+            .prop_map(move |ws| FlatTrace::from_windows(grid, vec![ws]).expect("procs on the grid"))
     })
+}
+
+/// Production greedy grouping of datum 0.
+fn greedy(rs: &FlatTrace, method: GroupMethod) -> Vec<Range<usize>> {
+    let cache = CostCache::build_flat(rs);
+    greedy_grouping(
+        &rs.grid(),
+        cache.datum(DataId(0)),
+        method,
+        &mut Workspace::new(),
+    )
+}
+
+/// Production optimal grouping of datum 0.
+fn optimal(rs: &FlatTrace) -> (Vec<Range<usize>>, u64) {
+    let cache = CostCache::build_flat(rs);
+    optimal_grouping(&rs.grid(), cache.datum(DataId(0)), &mut Workspace::new())
+}
+
+/// Production `COST(T)` of a grouping of datum 0.
+fn cost(rs: &FlatTrace, groups: &[Range<usize>], method: GroupMethod) -> u64 {
+    let cache = CostCache::build_flat(rs);
+    let datum = cache.datum(DataId(0));
+    cost_of_grouping(&rs.grid(), datum, groups, method, &mut Workspace::new())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn greedy_groups_partition_and_never_regress((grid, rs) in arb_ref_string()) {
-        for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let groups = greedy_grouping(&grid, &rs, method);
+    fn greedy_groups_partition_and_never_regress(rs in arb_ref_string()) {
+                for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
+            let groups = greedy(&rs, method);
             // partition structure
             let mut expect = 0usize;
             for g in &groups {
@@ -48,23 +73,17 @@ proptest! {
             prop_assert_eq!(expect, rs.num_windows());
             // never worse than no grouping
             let singles: Vec<_> = (0..rs.num_windows()).map(|i| i..i + 1).collect();
-            prop_assert!(
-                cost_of_grouping(&grid, &rs, &groups, method)
-                    <= cost_of_grouping(&grid, &rs, &singles, method)
-            );
+            prop_assert!(cost(&rs, &groups, method) <= cost(&rs, &singles, method));
         }
     }
 
     #[test]
-    fn optimal_grouping_is_a_lower_bound((grid, rs) in arb_ref_string()) {
-        let greedy = greedy_grouping(&grid, &rs, GroupMethod::LocalCenters);
-        let greedy_cost = cost_of_grouping(&grid, &rs, &greedy, GroupMethod::LocalCenters);
-        let (opt_groups, opt_cost) = optimal_grouping(&grid, &rs);
+    fn optimal_grouping_is_a_lower_bound(rs in arb_ref_string()) {
+                let greedy = greedy(&rs, GroupMethod::LocalCenters);
+        let greedy_cost = cost(&rs, &greedy, GroupMethod::LocalCenters);
+        let (opt_groups, opt_cost) = optimal(&rs);
         prop_assert!(opt_cost <= greedy_cost, "optimal {opt_cost} > greedy {greedy_cost}");
-        prop_assert_eq!(
-            cost_of_grouping(&grid, &rs, &opt_groups, GroupMethod::LocalCenters),
-            opt_cost
-        );
+        prop_assert_eq!(cost(&rs, &opt_groups, GroupMethod::LocalCenters), opt_cost);
         // exhaustively verify optimality on short strings
         if rs.num_windows() <= 5 {
             let n = rs.num_windows();
@@ -78,7 +97,7 @@ proptest! {
                     }
                 }
                 groups.push(start..n);
-                let c = cost_of_grouping(&grid, &rs, &groups, GroupMethod::LocalCenters);
+                let c = cost(&rs, &groups, GroupMethod::LocalCenters);
                 prop_assert!(
                     opt_cost <= c,
                     "optimal {opt_cost} beaten by {groups:?} at {c}"
@@ -91,12 +110,10 @@ proptest! {
     /// the literal O(n²) re-evaluation oracle for both placement methods:
     /// same cut positions, not merely the same cost.
     #[test]
-    fn incremental_greedy_matches_oracle((grid, rs) in arb_ref_string()) {
-        let cache = DatumCostCache::build(&grid, &rs);
-        let mut ws = Workspace::new();
-        for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
-            let oracle = pim_reference::greedy_grouping(&grid, &rs, method);
-            let incremental = greedy_grouping_cached(&grid, &cache, method, &mut ws);
+    fn incremental_greedy_matches_oracle(rs in arb_ref_string()) {
+                for method in [GroupMethod::LocalCenters, GroupMethod::GomcdsCenters] {
+            let oracle = pim_reference::greedy_grouping(&rs, DataId(0), method);
+            let incremental = greedy(&rs, method);
             prop_assert_eq!(
                 &incremental, &oracle,
                 "incremental greedy diverged from oracle under {:?}", method
@@ -107,11 +124,9 @@ proptest! {
     /// The O(t²) grouping DP is pinned bit-identical to the O(t³) oracle:
     /// same partition (lowest-index tie-breaking preserved) and same cost.
     #[test]
-    fn quadratic_grouping_dp_matches_oracle((grid, rs) in arb_ref_string()) {
-        let cache = DatumCostCache::build(&grid, &rs);
-        let mut ws = Workspace::new();
-        let (oracle_groups, oracle_cost) = pim_reference::optimal_grouping(&grid, &rs);
-        let (fast_groups, fast_cost) = optimal_grouping_cached(&grid, &cache, &mut ws);
+    fn quadratic_grouping_dp_matches_oracle(rs in arb_ref_string()) {
+        let (oracle_groups, oracle_cost) = pim_reference::optimal_grouping(&rs, DataId(0));
+        let (fast_groups, fast_cost) = optimal(&rs);
         prop_assert_eq!(fast_cost, oracle_cost);
         prop_assert_eq!(&fast_groups, &oracle_groups, "O(t^2) DP picked a different partition");
     }

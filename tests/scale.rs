@@ -25,7 +25,12 @@ fn big_lu_end_to_end() {
     let go = schedule(Method::Gomcds, &trace, policy);
     let cost = go.evaluate(&trace).total();
     assert!(cost < sf, "GOMCDS {cost} must beat S.F. {sf} at scale");
-    assert!(go.max_occupancy() <= policy.resolve(&trace).capacity_per_proc);
+    assert!(
+        go.max_occupancy()
+            <= policy
+                .resolve(&trace.grid(), trace.num_data())
+                .capacity_per_proc
+    );
 
     // lower-bound sandwich also holds at scale
     let lb = pim_sched::bounds::reference_lower_bound(&trace);

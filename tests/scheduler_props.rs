@@ -6,7 +6,8 @@ use pim_par::Pool;
 use pim_sched::cost::{cost_at, cost_table, cost_table_naive, optimal_center};
 use pim_sched::median::median_center;
 use pim_sched::{schedule, MemoryPolicy, Method, Run};
-use pim_trace::window::{WindowRefs, WindowedTrace};
+use pim_trace::flat::FlatTrace;
+use pim_trace::window::WindowRefs;
 use proptest::prelude::*;
 
 /// Random grid up to 6×6.
@@ -23,11 +24,11 @@ fn arb_refs(grid: Grid) -> impl Strategy<Value = WindowRefs> {
 }
 
 /// Random windowed trace: up to 4 data × up to 6 windows.
-fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
+fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     arb_grid().prop_flat_map(|grid| {
         (1usize..=4, 1usize..=6).prop_flat_map(move |(nd, nw)| {
             proptest::collection::vec(proptest::collection::vec(arb_refs(grid), nw..=nw), nd..=nd)
-                .prop_map(move |per_data| WindowedTrace::from_parts(grid, per_data))
+                .prop_map(move |per_data| FlatTrace::from_windows(grid, per_data).unwrap())
         })
     })
 }
@@ -79,7 +80,19 @@ proptest! {
     fn scds_is_single_window_optimal(trace in arb_trace()) {
         // SCDS cost equals the optimum of the collapsed (single-window)
         // problem, which is GOMCDS on the collapsed trace.
-        let collapsed = trace.collapsed();
+        let grid = trace.grid();
+        let mut records = Vec::new();
+        for d in 0..trace.num_data() {
+            let datum = pim_trace::ids::DataId(d as u32);
+            records.extend(trace.span(datum).iter().map(|r| pim_trace::flat::FlatRecord {
+                datum,
+                window: 0,
+                proc: r.proc(&grid),
+                count: r.count,
+            }));
+        }
+        let collapsed = FlatTrace::from_records(trace.grid(), 1, trace.num_data(), records)
+            .expect("records come from a valid trace");
         let scds = schedule(Method::Scds, &trace, MemoryPolicy::Unbounded)
             .evaluate(&trace).total();
         let collapsed_opt = schedule(Method::Gomcds, &collapsed, MemoryPolicy::Unbounded)
@@ -118,7 +131,8 @@ proptest! {
         let total = s.evaluate(&trace);
         let mut sum = pim_sched::CostBreakdown::default();
         for d in 0..trace.num_data() {
-            sum.add(s.evaluate_data(&trace, pim_trace::ids::DataId(d as u32)));
+            let d = pim_trace::ids::DataId(d as u32);
+            sum.add(pim_sched::flat::datum_cost(&trace.grid(), trace.span(d), s.centers_of(d), 1));
         }
         prop_assert_eq!(total, sum);
     }

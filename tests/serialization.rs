@@ -4,14 +4,11 @@
 use pim_array::grid::Grid;
 use pim_trace::binfmt::{encode_flat, read_flat};
 use pim_trace::flat::FlatTrace;
-use pim_trace::window::WindowedTrace;
 use pim_workloads::{windowed, Benchmark};
 
-fn roundtrip(trace: &WindowedTrace) -> WindowedTrace {
-    let bytes = encode_flat(&FlatTrace::from_trace(trace));
-    read_flat(&bytes)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .to_windowed()
+fn roundtrip(trace: &FlatTrace) -> FlatTrace {
+    let bytes = encode_flat(trace);
+    read_flat(&bytes).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]

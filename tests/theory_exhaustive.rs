@@ -9,8 +9,27 @@ use pim_reference::{exhaustive_schedule, optimal_path_exhaustive};
 use pim_sched::cost::path_cost;
 use pim_sched::gomcds::{gomcds_path, Solver};
 use pim_sched::theory::{closest_optimal_pair, theorem2_holds, theorem3_holds};
-use pim_sched::{schedule, MemoryPolicy, Method};
-use pim_trace::window::{DataRefString, WindowRefs, WindowedTrace};
+use pim_sched::{schedule, CostCache, MemoryPolicy, Method, Workspace};
+use pim_trace::flat::FlatTrace;
+use pim_trace::ids::DataId;
+use pim_trace::window::WindowRefs;
+
+/// A one-datum trace over `windows`.
+fn one(grid: Grid, windows: Vec<WindowRefs>) -> FlatTrace {
+    FlatTrace::from_windows(grid, vec![windows]).unwrap()
+}
+
+/// GOMCDS's path and cost for datum 0 of `trace`.
+fn gomcds_of(trace: &FlatTrace) -> (Vec<ProcId>, u64) {
+    let cache = CostCache::build_flat(trace);
+    let datum = cache.datum(DataId(0));
+    gomcds_path(
+        &trace.grid(),
+        datum,
+        Solver::DistanceTransform,
+        &mut Workspace::new(),
+    )
+}
 
 /// Every reference string on `grid` with at most `max_procs` distinct
 /// referencing processors and counts in `1..=max_count`, including the
@@ -94,9 +113,9 @@ fn gomcds_exhaustively_optimal_on_2x2() {
     for a in &options {
         for b in &options {
             for c in &options {
-                let rs = DataRefString::new(vec![a.clone(), b.clone(), c.clone()]);
-                let (_, ex) = optimal_path_exhaustive(&grid, &rs);
-                let (_, go) = gomcds_path(&grid, &rs, Solver::DistanceTransform);
+                let rs = one(grid, vec![a.clone(), b.clone(), c.clone()]);
+                let (_, ex) = optimal_path_exhaustive(&rs, DataId(0));
+                let (_, go) = gomcds_of(&rs);
                 assert_eq!(go, ex, "DP suboptimal on {a:?}/{b:?}/{c:?}");
                 checked += 1;
             }
@@ -146,19 +165,20 @@ fn gomcds_matches_exhaustive_on_small_grids() {
         vec![WindowRefs::new(), WindowRefs::new()],
     ];
     for windows in cases {
-        let rs = DataRefString::new(windows);
-        let (ex_path, ex_cost) = optimal_path_exhaustive(&grid, &rs);
-        let (go_path, go_cost) = gomcds_path(&grid, &rs, Solver::DistanceTransform);
+        let rs = one(grid, windows);
+        let (ex_path, ex_cost) = optimal_path_exhaustive(&rs, DataId(0));
+        let (go_path, go_cost) = gomcds_of(&rs);
         assert_eq!(go_cost, ex_cost, "cost mismatch");
-        assert_eq!(path_cost(&grid, &rs, &go_path), go_cost);
-        assert_eq!(path_cost(&grid, &rs, &ex_path), ex_cost);
+        let span = rs.span(DataId(0));
+        assert_eq!(path_cost(&grid, span, &go_path), go_cost);
+        assert_eq!(path_cost(&grid, span, &ex_path), ex_cost);
     }
 }
 
 #[test]
 fn exhaustive_schedule_matches_gomcds_totals() {
     let grid = Grid::new(2, 2);
-    let trace = WindowedTrace::from_parts(
+    let trace = FlatTrace::from_windows(
         grid,
         vec![
             vec![
@@ -170,7 +190,8 @@ fn exhaustive_schedule_matches_gomcds_totals() {
                 WindowRefs::from_pairs([(grid.proc_xy(0, 1), 1)]),
             ],
         ],
-    );
+    )
+    .unwrap();
     let ex = exhaustive_schedule(&trace).evaluate(&trace).total();
     let go = schedule(Method::Gomcds, &trace, MemoryPolicy::Unbounded)
         .evaluate(&trace)
@@ -182,6 +203,6 @@ fn exhaustive_schedule_matches_gomcds_totals() {
 #[should_panic(expected = "infeasible")]
 fn refuses_explosive_instances() {
     let grid = Grid::new(8, 8);
-    let rs = DataRefString::new(vec![WindowRefs::new(); 12]);
-    optimal_path_exhaustive(&grid, &rs);
+    let rs = one(grid, vec![WindowRefs::new(); 12]);
+    optimal_path_exhaustive(&rs, DataId(0));
 }

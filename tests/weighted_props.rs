@@ -6,14 +6,16 @@
 
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::MemorySpec;
+use pim_sched::flat::datum_cost;
 use pim_sched::gomcds::{gomcds_path_weighted, gomcds_schedule_volumes, Solver};
 use pim_sched::kcopy::kcopy_schedule;
-use pim_sched::{schedule, MemoryPolicy, Method, Schedule};
+use pim_sched::{schedule, CostBreakdown, CostCache, MemoryPolicy, Method, Schedule, Workspace};
+use pim_trace::flat::FlatTrace;
 use pim_trace::ids::DataId;
-use pim_trace::window::{WindowRefs, WindowedTrace};
+use pim_trace::window::WindowRefs;
 use proptest::prelude::*;
 
-fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
+fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     (2u32..=5, 2u32..=5).prop_flat_map(|(w, h)| {
         let grid = Grid::new(w, h);
         let m = grid.num_procs() as u32;
@@ -26,7 +28,7 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
                 nd..=nd,
             )
             .prop_map(move |data| {
-                WindowedTrace::from_parts(
+                FlatTrace::from_windows(
                     grid,
                     data.into_iter()
                         .map(|ws| {
@@ -40,25 +42,36 @@ fn arb_trace() -> impl Strategy<Value = WindowedTrace> {
                         })
                         .collect(),
                 )
+                .unwrap()
             })
         })
     })
 }
 
-fn weighted_gomcds(trace: &WindowedTrace, weight: u64) -> Schedule {
+/// Every datum's weighted GOMCDS path and its cost.
+fn weighted_paths(trace: &FlatTrace, weight: u64) -> Vec<(Vec<ProcId>, u64)> {
     let grid = trace.grid();
-    let centers = (0..trace.num_data())
+    let cache = CostCache::build_flat(trace);
+    let mut ws = Workspace::new();
+    (0..trace.num_data())
         .map(|d| {
-            gomcds_path_weighted(
-                &grid,
-                trace.refs(DataId(d as u32)),
-                Solver::DistanceTransform,
-                weight,
-            )
-            .0
+            let datum = cache.datum(DataId(d as u32));
+            gomcds_path_weighted(&grid, datum, Solver::DistanceTransform, weight, &mut ws)
         })
+        .collect()
+}
+
+fn weighted_gomcds(trace: &FlatTrace, weight: u64) -> Schedule {
+    let centers = weighted_paths(trace, weight)
+        .into_iter()
+        .map(|p| p.0)
         .collect();
-    Schedule::new(grid, centers)
+    Schedule::new(trace.grid(), centers)
+}
+
+/// The whole schedule charged `weight` per movement hop.
+fn weighted_cost(s: &Schedule, trace: &FlatTrace, weight: u64) -> CostBreakdown {
+    s.evaluate_volumes(trace, &vec![weight; trace.num_data()])
 }
 
 proptest! {
@@ -70,10 +83,10 @@ proptest! {
         weight in 1u64..20,
     ) {
         let go = weighted_gomcds(&trace, weight);
-        let go_cost = go.evaluate_weighted(&trace, weight).total();
+        let go_cost = weighted_cost(&go, &trace, weight).total();
         for other in [Method::Scds, Method::Lomcds, Method::Gomcds] {
             let s = schedule(other, &trace, MemoryPolicy::Unbounded);
-            let cost = s.evaluate_weighted(&trace, weight).total();
+            let cost = weighted_cost(&s, &trace, weight).total();
             prop_assert!(go_cost <= cost, "weight {weight}: {go_cost} > {other} {cost}");
         }
     }
@@ -83,27 +96,16 @@ proptest! {
         trace in arb_trace(),
         weight in 1u64..20,
     ) {
-        let grid = trace.grid();
-        let mut total = 0u64;
-        for d in 0..trace.num_data() {
-            total += gomcds_path_weighted(
-                &grid,
-                trace.refs(DataId(d as u32)),
-                Solver::DistanceTransform,
-                weight,
-            ).1;
-        }
+        let total: u64 = weighted_paths(&trace, weight).iter().map(|p| p.1).sum();
         let s = weighted_gomcds(&trace, weight);
-        prop_assert_eq!(s.evaluate_weighted(&trace, weight).total(), total);
+        prop_assert_eq!(weighted_cost(&s, &trace, weight).total(), total);
     }
 
     #[test]
     fn optimal_cost_is_monotone_in_weight(trace in arb_trace()) {
         let mut prev = 0u64;
         for weight in [1u64, 2, 4, 8, 64] {
-            let cost = weighted_gomcds(&trace, weight)
-                .evaluate_weighted(&trace, weight)
-                .total();
+            let cost = weighted_cost(&weighted_gomcds(&trace, weight), &trace, weight).total();
             prop_assert!(cost >= prev, "weight {weight}: {cost} < {prev}");
             prev = cost;
         }
@@ -124,9 +126,10 @@ proptest! {
         let volumes: Vec<u64> = (0..nd as u64).map(|d| (seed + d) % 7 + 1).collect();
         let s = schedule(Method::Lomcds, &trace, MemoryPolicy::Unbounded);
         let whole = s.evaluate_volumes(&trace, &volumes);
-        let mut acc = pim_sched::CostBreakdown::default();
+        let mut acc = CostBreakdown::default();
         for d in 0..nd {
-            acc.add(s.evaluate_data_weighted(&trace, DataId(d as u32), volumes[d]));
+            let id = DataId(d as u32);
+            acc.add(datum_cost(&trace.grid(), trace.span(id), s.centers_of(id), volumes[d]));
         }
         prop_assert_eq!(whole, acc);
     }
