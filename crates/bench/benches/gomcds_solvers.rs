@@ -1,6 +1,7 @@
 //! Criterion bench for ablation A: the naive `O(m²)` cost-graph relaxation
-//! vs the `O(m)` L1 distance-transform inside GOMCDS, as the processor
-//! array grows.
+//! vs the separable L1 distance transform (one 1-D DP per grid axis)
+//! inside GOMCDS, as the processor array grows. The `ablation_solver`
+//! binary adds the 2-D transform the masked re-solves use.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pim_array::grid::Grid;

@@ -14,7 +14,7 @@
 //! | `sweep_window` | ablation B — window size vs cost |
 //! | `sweep_memory` | ablation C — memory pressure vs cost |
 //! | `sweep_array` | ablation D — array size vs cost |
-//! | `ablation_solver` | ablation A — naive vs distance-transform GOMCDS |
+//! | `ablation_solver` | ablation A — naive vs 2-D transform vs separable GOMCDS |
 //! | `ablation_grouping` | ablation E — greedy vs DP-optimal grouping |
 //!
 //! Criterion micro-benches live under `benches/`. All binaries accept

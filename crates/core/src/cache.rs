@@ -341,9 +341,27 @@ impl<'r> DatumCostCache<'r> {
     /// `O(width + height + m)` once tables exist (plus the raw refs of the
     /// range on the lazy paths — see the module docs).
     pub fn range_table(&self, lo: usize, hi: usize, axes: &mut AxisScratch, out: &mut Vec<u64>) {
+        self.fill_weights(lo, hi, axes);
+        axes.sweep_into(&self.grid, out);
+    }
+
+    /// The two axis cost rows of the merged window range `lo..hi`, left in
+    /// `axes.cx` (one entry per column) and `axes.cy` (one per row) so
+    /// that `range_table(lo, hi)[y·width + x] = cx[x] + cy[y]`. Costs
+    /// `O(width + height)` once tables exist and never builds the
+    /// `m`-entry table — the form the separable GOMCDS solve reads. Served
+    /// and counted exactly like [`DatumCostCache::range_table`].
+    pub(crate) fn range_axes(&self, lo: usize, hi: usize, axes: &mut AxisScratch) {
+        self.fill_weights(lo, hi, axes);
+        axes.sweep_axes();
+    }
+
+    /// Fill the axis weights of `lo..hi`: from the prefix tables when they
+    /// exist, else raw or through a prefix build as the module docs set out.
+    fn fill_weights(&self, lo: usize, hi: usize, axes: &mut AxisScratch) {
         assert!(lo <= hi && hi <= self.num_windows, "bad range {lo}..{hi}");
         if let Some(t) = self.tables.get() {
-            return self.serve_from_prefix(t, lo, hi, axes, out);
+            return self.fill_weights_prefix(t, lo, hi, axes);
         }
         // No tables yet: the whole execution always projects the raw refs
         // directly (one pass, never worse than a prefix build). A single
@@ -354,29 +372,24 @@ impl<'r> DatumCostCache<'r> {
         if single && self.num_windows > 1 {
             let prior = self.raw_singles.fetch_add(1, Ordering::Relaxed);
             if prior >= self.num_windows as u32 + SINGLE_WINDOW_SWEEP_SLACK {
-                let t = self.tables();
-                return self.serve_from_prefix(t, lo, hi, axes, out);
+                return self.fill_weights_prefix(self.tables(), lo, hi, axes);
             }
         }
         if single || (lo == 0 && hi == self.num_windows) {
             if let Some(stats) = &self.stats {
                 stats.raw_serves.fetch_add(1, Ordering::Relaxed);
             }
-            self.fill_weights_raw(lo, hi, axes);
-            axes.sweep_into(&self.grid, out);
+            axes.project(&self.grid, Self::flat_range(self.src.span(), lo, hi));
         } else {
-            let t = self.tables();
-            self.serve_from_prefix(t, lo, hi, axes, out);
+            self.fill_weights_prefix(self.tables(), lo, hi, axes);
         }
-    }
-
-    /// Project the raw references of `lo..hi` onto the axis weights.
-    fn fill_weights_raw(&self, lo: usize, hi: usize, axes: &mut AxisScratch) {
-        axes.project(&self.grid, Self::flat_range(self.src.span(), lo, hi));
     }
 
     /// Fill the axis weights of `lo..hi` by prefix subtraction.
     fn fill_weights_prefix(&self, t: &PrefixTables, lo: usize, hi: usize, axes: &mut AxisScratch) {
+        if let Some(stats) = &self.stats {
+            stats.prefix_hits.fetch_add(1, Ordering::Relaxed);
+        }
         let w = self.grid.width() as usize;
         let h = self.grid.height() as usize;
         axes.reset_weights(&self.grid);
@@ -386,21 +399,6 @@ impl<'r> DatumCostCache<'r> {
         for y in 0..h {
             axes.wy[y] = t.py[hi * h + y] - t.py[lo * h + y];
         }
-    }
-
-    fn serve_from_prefix(
-        &self,
-        t: &PrefixTables,
-        lo: usize,
-        hi: usize,
-        axes: &mut AxisScratch,
-        out: &mut Vec<u64>,
-    ) {
-        if let Some(stats) = &self.stats {
-            stats.prefix_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fill_weights_prefix(t, lo, hi, axes);
-        axes.sweep_into(&self.grid, out);
     }
 
     /// Cost table of a single window (`range_table(w, w+1)`).
@@ -531,6 +529,27 @@ mod tests {
                 cache.range_table(lo, hi, &mut axes, &mut cached);
                 cost_table(&grid, &merged(&windows[lo..hi]), &mut direct);
                 assert_eq!(cached, direct, "range {lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_axes_sum_to_range_tables() {
+        let grid = Grid::new(4, 3);
+        let flat = sample(&grid);
+        let cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
+        let mut axes = AxisScratch::default();
+        let mut table = Vec::new();
+        for lo in 0..4 {
+            for hi in lo + 1..=4 {
+                cache.range_table(lo, hi, &mut axes, &mut table);
+                cache.range_axes(lo, hi, &mut axes);
+                assert_eq!((axes.cx.len(), axes.cy.len()), (4, 3));
+                for p in grid.procs() {
+                    let q = grid.point_of(p);
+                    let split = axes.cx[q.x as usize] + axes.cy[q.y as usize];
+                    assert_eq!(split, table[p.index()], "range {lo}..{hi}, {p}");
+                }
             }
         }
     }

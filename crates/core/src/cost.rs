@@ -59,8 +59,11 @@ pub struct AxisScratch {
     pub(crate) wx: Vec<u64>,
     /// y-projected weights, one slot per grid row.
     pub(crate) wy: Vec<u64>,
-    cx: Vec<u64>,
-    cy: Vec<u64>,
+    /// x-axis cost row: `cx[x] = Σ wx[i]·|i − x|` (filled by
+    /// [`AxisScratch::sweep_axes`]).
+    pub(crate) cx: Vec<u64>,
+    /// y-axis cost row, likewise over `wy`.
+    pub(crate) cy: Vec<u64>,
 }
 
 impl AxisScratch {
@@ -90,12 +93,18 @@ impl AxisScratch {
         self.sweep_into(grid, out);
     }
 
+    /// Turn the already-filled weight rows into the two axis cost rows
+    /// `cx` and `cy`, so that `cost(x, y) = cx[x] + cy[y]`.
+    pub(crate) fn sweep_axes(&mut self) {
+        axis_costs(&self.wx, &mut self.cx);
+        axis_costs(&self.wy, &mut self.cy);
+    }
+
     /// Combine the already-filled weight rows into the full `m`-entry cost
     /// table (the shared tail of [`cost_table_with`] and the cache's range
     /// queries).
     pub(crate) fn sweep_into(&mut self, grid: &Grid, out: &mut Vec<u64>) {
-        axis_costs(&self.wx, &mut self.cx);
-        axis_costs(&self.wy, &mut self.cy);
+        self.sweep_axes();
         out.clear();
         out.reserve(grid.num_procs());
         for &cy in &self.cy {

@@ -20,6 +20,12 @@
 //! handled by the other; two sweeps therefore reach every processor with
 //! its exact minimum. The property tests compare against the naive `O(m²)`
 //! form on random inputs.
+//!
+//! Because the L1 metric splits into an x and a y term, a function of the
+//! form `f(x, y) = fx(x) + fy(y)` relaxes axis by axis: `g = relax(fx) +
+//! relax(fy)`, each a two-pass sweep along one line ([`l1_relax_line`]).
+//! The separable GOMCDS solve relies on this to stay in `O(width +
+//! height)` per layer.
 
 use pim_array::grid::Grid;
 
@@ -92,6 +98,26 @@ pub fn l1_relax_weighted(grid: &Grid, input: &[u64], step: u64, out: &mut Vec<u6
                     out[i] = c;
                 }
             }
+        }
+    }
+}
+
+/// One-dimensional transform with per-hop cost `step` along a line of
+/// points `0..input.len()`: `out[k] = min_j input[j] + step · |j − k|`, in
+/// two passes (`O(len)`).
+pub fn l1_relax_line(input: &[u64], step: u64, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend_from_slice(input);
+    for i in 1..out.len() {
+        let c = out[i - 1].saturating_add(step);
+        if c < out[i] {
+            out[i] = c;
+        }
+    }
+    for i in (1..out.len()).rev() {
+        let c = out[i].saturating_add(step);
+        if c < out[i - 1] {
+            out[i - 1] = c;
         }
     }
 }
@@ -181,6 +207,43 @@ mod tests {
             l1_relax_weighted(&g, &input, step, &mut fast);
             l1_relax_naive_weighted(&g, &input, step, &mut naive);
             assert_eq!(fast, naive, "step {step}");
+        }
+    }
+
+    #[test]
+    fn line_relax_matches_naive_on_a_one_row_grid() {
+        let input: Vec<u64> = vec![9, INF, 3, 40, 0, 17, INF, 5];
+        let row = Grid::new(input.len() as u32, 1);
+        for step in [1u64, 3, 20] {
+            let mut line = Vec::new();
+            let mut naive = Vec::new();
+            l1_relax_line(&input, step, &mut line);
+            l1_relax_naive_weighted(&row, &input, step, &mut naive);
+            assert_eq!(line, naive, "step {step}");
+        }
+        let mut out = vec![7; 3];
+        l1_relax_line(&[], 1, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn separable_input_relaxes_axis_by_axis() {
+        let g = Grid::new(5, 3);
+        let (fx, fy) = ([4u64, 0, 9, 2, 7], [3u64, 11, 0]);
+        let input: Vec<u64> = g
+            .procs()
+            .map(|p| {
+                let q = g.point_of(p);
+                fx[q.x as usize] + fy[q.y as usize]
+            })
+            .collect();
+        let (mut rx, mut ry, mut grid_out) = (Vec::new(), Vec::new(), Vec::new());
+        l1_relax_line(&fx, 2, &mut rx);
+        l1_relax_line(&fy, 2, &mut ry);
+        l1_relax_weighted(&g, &input, 2, &mut grid_out);
+        for p in g.procs() {
+            let q = g.point_of(p);
+            assert_eq!(grid_out[p.index()], rx[q.x as usize] + ry[q.y as usize]);
         }
     }
 

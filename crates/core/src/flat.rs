@@ -134,7 +134,7 @@ pub(crate) fn lomcds_on<V: FlatView + ?Sized>(
 
 /// GOMCDS (distance-transform solver) on a flat trace: per-datum layered
 /// shortest paths served from a flat-backed cost cache, capacity replayed
-/// in datum order. Bit-identical to `pim-reference`'s GOMCDS.
+/// in datum order (pure path first, masked re-solve on a collision). Bit-identical to `pim-reference`'s GOMCDS.
 pub fn flat_gomcds<V: FlatView + ?Sized>(
     flat: &V,
     policy: MemoryPolicy,

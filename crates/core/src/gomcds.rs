@@ -19,27 +19,35 @@
 //!
 //! * [`Solver::Naive`] — the literal `O(m²)` scan per window (the paper's
 //!   formulation; `m` = processors).
-//! * [`Solver::DistanceTransform`] — the `O(m)` two-pass L1 distance
-//!   transform from [`crate::dt`], giving `O(n·m)` per datum.
+//! * [`Solver::DistanceTransform`] — the L1 distance transform. On the
+//!   mesh both node and hop costs split into an x and a y term, so an
+//!   unmasked solve is two independent 1-D DPs, one per grid axis:
+//!   `O(n·(width + height))` per datum. A capacity-masked re-solve breaks
+//!   that split and runs the two-pass 2-D transform from [`crate::dt`]
+//!   instead, `O(n·m)` per datum.
 //!
 //! The module owns GOMCDS's two decisions. The per-datum kernel is one
 //! layered DP (`solve_layered`): node costs come from the datum's
 //! [`DatumCostCache`] (single windows, grouped ranges, or
-//! precedence-weighted windows); full (window, processor) slots are
-//! masked to [`INF`]; an optional checkpoint resumes the forward pass from
-//! the first edited window. The capacity replay (`GomcdsReplay`) places
-//! data in ascending id order, each claiming its path's slots before the
-//! next datum solves. The registry strategy, the flat fast path, the
+//! precedence-weighted windows) as one x and one y row per layer; full
+//! (window, processor) slots are masked to [`INF`]; an optional checkpoint
+//! resumes the forward pass from the first edited window. The capacity
+//! replay (`GomcdsReplay`) places data in ascending id order, each
+//! claiming its path's slots before the next datum is placed: a datum
+//! takes its unconstrained ("pure") path when every slot of it is free,
+//! and solves the masked DP — from the node rows its pure solve recorded
+//! — only when it is not. The registry strategy, the flat fast path, the
 //! chunked stream walk, the incremental engine and the precedence layer
 //! are drivers around these two. The pre-cache implementation lives in
 //! the `pim-reference` crate; the conformance tests pin these drivers
 //! bit-identical to it.
 //!
-//! Both solvers produce bit-identical schedules (shared tie-breaking,
+//! Every solver produces bit-identical schedules (shared tie-breaking,
 //! verified by tests and the `ablation_solver` bench).
 
 use crate::cache::{CostCache, DatumCostCache};
 use crate::cost::{AxisScratch, INF};
+use crate::dt::l1_relax_line;
 use crate::error::{exhausted, SchedError};
 use crate::schedule::Schedule;
 use crate::workspace::Workspace;
@@ -54,14 +62,17 @@ use pim_trace::ids::DataId;
 /// Inner-minimum strategy for the layered shortest path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// `O(m²)` per window — the paper's literal cost-graph relaxation.
+    /// `O(m²)` per window — the paper's literal cost-graph relaxation; the
+    /// ablation and test reference.
     Naive,
-    /// `O(m)` per window via the L1 distance transform.
+    /// The L1 distance transform: one 1-D DP per grid axis,
+    /// `O(width + height)` per window, for unmasked solves; the two-pass
+    /// 2-D transform, `O(m)` per window, for capacity-masked re-solves.
     DistanceTransform,
 }
 
-/// Where the DP gets its per-layer node costs from: always the datum's
-/// cost cache.
+/// Where the DP gets its per-layer node costs from: the datum's cost
+/// cache, or the rows an earlier solve of the datum read from it.
 pub(crate) enum NodeSource<'a> {
     /// Serve each window from the datum's prefix-sum cache.
     Cached(&'a DatumCostCache<'a>),
@@ -72,6 +83,15 @@ pub(crate) enum NodeSource<'a> {
     /// the merged range `ranges[g]` (grouping's regrouped string, without
     /// materializing it).
     CachedRanges(&'a DatumCostCache<'a>, &'a [Range<usize>]),
+    /// The per-axis node rows an earlier solve of the same datum recorded
+    /// (`Workspace::axis_nodes`): layer `w` is `rows[w·(width + height)..]`,
+    /// its x row then its y row. A masked re-solve reads them instead of
+    /// querying the cache a second time.
+    Rows {
+        rows: &'a [u64],
+        width: usize,
+        height: usize,
+    },
 }
 
 impl NodeSource<'_> {
@@ -79,35 +99,41 @@ impl NodeSource<'_> {
         match self {
             NodeSource::Cached(c) | NodeSource::Weighted(c, _) => c.num_windows(),
             NodeSource::CachedRanges(_, ranges) => ranges.len(),
+            NodeSource::Rows {
+                rows,
+                width,
+                height,
+            } => rows.len() / (width + height),
         }
     }
 
-    /// Node costs of layer `w`: the (weighted) reference cost table with
-    /// full processors masked to [`INF`].
-    fn node_costs(
-        &self,
-        masks: Option<&[MemoryMap]>,
-        w: usize,
-        axes: &mut AxisScratch,
-        out: &mut Vec<u64>,
-    ) {
+    /// Node costs of layer `w` as two axis rows, left in `axes.cx` and
+    /// `axes.cy`: the node cost at `(x, y)` is `cx[x] + cy[y]`. Every
+    /// source splits this way — a window or range cost table is a sum of
+    /// an x and a y term, and a priority weight scales both.
+    fn axis_costs(&self, w: usize, axes: &mut AxisScratch) {
         match self {
-            NodeSource::Cached(c) => c.window_table(w, axes, out),
+            NodeSource::Cached(c) => c.range_axes(w, w + 1, axes),
             NodeSource::Weighted(c, weights) => {
-                c.window_table(w, axes, out);
-                for slot in out.iter_mut() {
+                c.range_axes(w, w + 1, axes);
+                for slot in axes.cx.iter_mut().chain(axes.cy.iter_mut()) {
                     *slot = slot.saturating_mul(weights[w]);
                 }
             }
             NodeSource::CachedRanges(c, ranges) => {
-                c.range_table(ranges[w].start, ranges[w].end, axes, out)
+                c.range_axes(ranges[w].start, ranges[w].end, axes)
             }
-        }
-        if let Some(maps) = masks {
-            for (k, slot) in out.iter_mut().enumerate() {
-                if !maps[w].has_room(ProcId(k as u32)) {
-                    *slot = INF;
-                }
+            NodeSource::Rows {
+                rows,
+                width,
+                height,
+            } => {
+                let layer = &rows[w * (width + height)..(w + 1) * (width + height)];
+                let (x_row, y_row) = layer.split_at(*width);
+                axes.cx.clear();
+                axes.cx.extend_from_slice(x_row);
+                axes.cy.clear();
+                axes.cy.extend_from_slice(y_row);
             }
         }
     }
@@ -244,39 +270,46 @@ pub(crate) fn solve_masked_ranges(
     .map(|(path, _)| path)
 }
 
-/// A saved DP prefix of one datum's unconstrained solve:
-/// forward rows `0..layers` of `dp` and the memoized node rows, each
-/// `layers × m`. Because row `w` is a pure function of the node rows
-/// `0..=w`, a checkpoint whose prefix windows are unedited resumes
-/// bit-identically — the incremental engine truncates `layers` to the
-/// first dirty window on every edit and the DP recomputes only from there
-/// ("first dirty layer" resume).
+/// A saved DP prefix of one datum's unconstrained solve: the per-axis
+/// forward rows of layers `0..layers`, each layer `width + height` entries
+/// (its x row, then its y row). Because row `w` is a pure function of the
+/// node rows `0..=w`, a checkpoint whose prefix windows are unedited
+/// resumes bit-identically — the incremental engine truncates `layers` to
+/// the first dirty window on every edit and the DP recomputes only from
+/// there ("first dirty layer" resume).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DpCheckpoint {
     /// Number of valid leading DP layers (windows).
     pub layers: usize,
-    /// Row-major `layers × m` forward DP values.
+    /// Width of the grid the rows were saved on: the length of a layer's
+    /// x row.
+    pub width: usize,
+    /// Row-major `layers × (width + height)` forward DP values.
     pub dp: Vec<u64>,
-    /// Row-major `layers × m` node-cost rows.
-    pub nodes: Vec<u64>,
 }
 
 impl DpCheckpoint {
-    /// Invalidate every layer from `first_dirty` on.
+    /// Invalidate every layer from `first_dirty` on. `m` is the grid's
+    /// processor count, so a saved layer holds `width + m / width` entries.
     pub fn truncate(&mut self, first_dirty: usize, m: usize) {
         if self.layers > first_dirty {
             self.layers = first_dirty;
-            self.dp.truncate(first_dirty * m);
-            self.nodes.truncate(first_dirty * m);
+            self.dp
+                .truncate(first_dirty * (self.width + m / self.width));
         }
     }
 }
 
 /// The GOMCDS kernel: solve one datum's layered shortest path. `masks`
 /// (one map per layer) marks full processors; `move_weight` is the
-/// per-hop movement charge; `ckpt` (unconstrained solves only) supplies the valid prefix layers to resume from and receives
+/// per-hop movement charge; `ckpt` (unmasked distance-transform solves
+/// only) supplies the valid prefix layers to resume from and receives
 /// every layer of this solve. Returns `None` when no feasible path exists.
 /// Ties go to the lowest-id sink and the lowest-id predecessor.
+///
+/// An unmasked [`Solver::DistanceTransform`] solve runs one 1-D DP per
+/// grid axis; a masked one, and every [`Solver::Naive`] solve, runs the
+/// DP over the whole grid. All of them return the same path.
 pub(crate) fn solve_layered(
     grid: &Grid,
     src: &NodeSource<'_>,
@@ -286,82 +319,199 @@ pub(crate) fn solve_layered(
     ckpt: Option<&mut DpCheckpoint>,
     ws: &mut Workspace,
 ) -> Option<(Vec<ProcId>, u64)> {
+    match (masks, solver) {
+        (None, Solver::DistanceTransform) => {
+            Some(solve_separable(grid, src, move_weight, ckpt, ws))
+        }
+        _ => {
+            debug_assert!(ckpt.is_none(), "only separable solves resume");
+            solve_grid(grid, src, masks, solver, move_weight, ws)
+        }
+    }
+}
+
+/// The unmasked distance-transform solve, one 1-D DP per grid axis. Node
+/// costs split as `cx_w[x] + cy_w[y]` and a hop costs
+/// `move_weight·|Δx| + move_weight·|Δy|`, so `dp_w(x, y) = X_w(x) +
+/// Y_w(y)` with `X_0 = cx_0` and `X_w = cx_w + relax(X_{w−1})` along the
+/// x axis (`Y_w` likewise along y). The argmin set of a sum of an x and a
+/// y term is the product of the per-axis argmin sets, so the lowest-id
+/// sink and every lowest-id predecessor are the lowest y, then the lowest
+/// x, of the per-axis argmins — what [`solve_grid`] picks (DESIGN.md §5).
+fn solve_separable(
+    grid: &Grid,
+    src: &NodeSource<'_>,
+    move_weight: u64,
+    ckpt: Option<&mut DpCheckpoint>,
+    ws: &mut Workspace,
+) -> (Vec<ProcId>, u64) {
+    let (width, height) = (grid.width() as usize, grid.height() as usize);
+    let row = width + height;
+    let nw = src.num_layers();
+    let Workspace {
+        axes,
+        dp,
+        relaxed,
+        axis_nodes,
+        ..
+    } = ws;
+    dp.clear();
+    dp.reserve(nw * row);
+    axis_nodes.clear();
+    axis_nodes.reserve(nw * row);
+    let start = ckpt.as_ref().map_or(0, |c| c.layers.min(nw));
+    if let Some(c) = &ckpt {
+        dp.extend_from_slice(&c.dp[..start * row]);
+    }
+    for w in start..nw {
+        src.axis_costs(w, axes);
+        axis_nodes.extend_from_slice(&axes.cx);
+        axis_nodes.extend_from_slice(&axes.cy);
+        if w == 0 {
+            dp.extend_from_slice(&axes.cx);
+            dp.extend_from_slice(&axes.cy);
+        } else {
+            let prev = (w - 1) * row;
+            for (lo, costs) in [(prev, &axes.cx), (prev + width, &axes.cy)] {
+                l1_relax_line(&dp[lo..lo + costs.len()], move_weight, relaxed);
+                dp.extend(
+                    relaxed
+                        .iter()
+                        .zip(costs)
+                        .map(|(&r, &c)| r.saturating_add(c)),
+                );
+            }
+        }
+    }
+    if let Some(c) = ckpt {
+        c.layers = nw;
+        c.width = width;
+        c.dp.clone_from(dp);
+    }
+
+    let last = &dp[(nw - 1) * row..];
+    let (mut kx, best_x) = lowest_argmin(&last[..width]);
+    let (mut ky, best_y) = lowest_argmin(&last[width..]);
+    let at = |x: usize, y: usize| ProcId((y * width + x) as u32);
+    let mut path = vec![ProcId(0); nw];
+    path[nw - 1] = at(kx, ky);
+    for w in (1..nw).rev() {
+        let prev = &dp[(w - 1) * row..w * row];
+        kx = axis_predecessor(&prev[..width], kx, move_weight);
+        ky = axis_predecessor(&prev[width..], ky, move_weight);
+        path[w - 1] = at(kx, ky);
+    }
+    (path, best_x + best_y)
+}
+
+/// Lowest index achieving the minimum of `row`, with that minimum.
+fn lowest_argmin(row: &[u64]) -> (usize, u64) {
+    let (i, &best) = row
+        .iter()
+        .enumerate()
+        .min_by_key(|&(i, &c)| (c, i))
+        .expect("non-empty DP row");
+    (i, best)
+}
+
+/// The lowest `j` minimizing `prev[j] + step·|j − k|`: the lowest-index
+/// predecessor of position `k` along one axis.
+fn axis_predecessor(prev: &[u64], k: usize, step: u64) -> usize {
+    (0..prev.len())
+        .min_by_key(|&j| {
+            let hop = step.saturating_mul(j.abs_diff(k) as u64);
+            (prev[j].saturating_add(hop), j)
+        })
+        .expect("non-empty grid axis")
+}
+
+/// The DP over the whole grid — the literal `O(m²)` relaxation
+/// ([`Solver::Naive`]) or the two-pass 2-D transform — with full slots
+/// masked to [`INF`]: the masked re-solves of the capacity replays and
+/// the naive ablation.
+fn solve_grid(
+    grid: &Grid,
+    src: &NodeSource<'_>,
+    masks: Option<&[MemoryMap]>,
+    solver: Solver,
+    move_weight: u64,
+    ws: &mut Workspace,
+) -> Option<(Vec<ProcId>, u64)> {
     let m = grid.num_procs();
+    let (width, height) = (grid.width() as usize, grid.height() as usize);
+    let row = width + height;
     let nw = src.num_layers();
     let Workspace {
         axes,
         dp,
         node,
         relaxed,
-        nodes_all,
+        axis_nodes,
         ..
     } = ws;
     dp.clear();
     dp.reserve(nw * m);
-    // Node rows are memoized during the forward pass so the backtrack
-    // reads them instead of re-deriving each layer.
-    nodes_all.clear();
-    nodes_all.reserve(nw * m);
-    let start = ckpt.as_ref().map_or(0, |c| c.layers.min(nw));
-    if let Some(c) = &ckpt {
-        dp.extend_from_slice(&c.dp[..start * m]);
-        nodes_all.extend_from_slice(&c.nodes[..start * m]);
-    }
-
-    for w in start..nw {
-        src.node_costs(masks, w, axes, node);
-        nodes_all.extend_from_slice(node);
+    // The per-axis node rows are recorded during the forward pass so the
+    // backtrack reads them instead of re-deriving each layer.
+    axis_nodes.clear();
+    axis_nodes.reserve(nw * row);
+    for w in 0..nw {
+        src.axis_costs(w, axes);
+        axis_nodes.extend_from_slice(&axes.cx);
+        axis_nodes.extend_from_slice(&axes.cy);
+        let room = masks.map(|maps| &maps[w]);
+        node.clear();
+        for (y, &cy) in axes.cy.iter().enumerate() {
+            for (x, &cx) in axes.cx.iter().enumerate() {
+                let full = room.is_some_and(|map| !map.has_room(ProcId((y * width + x) as u32)));
+                node.push(if full { INF } else { cx.saturating_add(cy) });
+            }
+        }
         if w == 0 {
             dp.extend_from_slice(node);
         } else {
-            {
-                let prev = &dp[(w - 1) * m..w * m];
-                match solver {
-                    Solver::Naive => {
-                        crate::dt::l1_relax_naive_weighted(grid, prev, move_weight, relaxed)
-                    }
-                    Solver::DistanceTransform => {
-                        crate::dt::l1_relax_weighted(grid, prev, move_weight, relaxed)
-                    }
+            let prev = &dp[(w - 1) * m..w * m];
+            match solver {
+                Solver::Naive => {
+                    crate::dt::l1_relax_naive_weighted(grid, prev, move_weight, relaxed)
+                }
+                Solver::DistanceTransform => {
+                    crate::dt::l1_relax_weighted(grid, prev, move_weight, relaxed)
                 }
             }
-            for k in 0..m {
-                let v = relaxed[k].saturating_add(node[k]);
-                dp.push(v);
-            }
+            dp.extend(
+                relaxed
+                    .iter()
+                    .zip(node.iter())
+                    .map(|(&r, &n)| r.saturating_add(n)),
+            );
         }
-    }
-    if let Some(c) = ckpt {
-        c.layers = nw;
-        c.dp.clone_from(dp);
-        c.nodes.clone_from(nodes_all);
     }
 
     // Select the sink predecessor: lowest-id argmin of the last row.
-    let last = &dp[(nw - 1) * m..nw * m];
-    let (mut k, &best) = last
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &c)| (c, i))
-        .expect("non-empty grid");
+    let (mut k, best) = lowest_argmin(&dp[(nw - 1) * m..]);
     if best >= INF {
         return None;
     }
 
-    // Backtrack: find the lowest-id predecessor achieving each dp value.
+    // Backtrack: find the lowest-id predecessor achieving each dp value,
+    // walking candidates in id order, `(y, x)`.
     let mut path = vec![ProcId(0); nw];
     path[nw - 1] = ProcId(k as u32);
     for w in (1..nw).rev() {
-        let noderow = &nodes_all[w * m..(w + 1) * m];
-        let need = dp[w * m + k] - noderow[k];
-        let prev_row = &dp[(w - 1) * m..w * m];
-        let kp = grid.point_of(ProcId(k as u32));
+        let (kx, ky) = (k % width, k / width);
+        let nodes = &axis_nodes[w * row..(w + 1) * row];
+        let need = dp[w * m + k] - nodes[kx].saturating_add(nodes[width + ky]);
+        let prev = &dp[(w - 1) * m..w * m];
         let mut found = None;
-        for j in 0..m {
-            let hop = move_weight.saturating_mul(grid.point_of(ProcId(j as u32)).l1_dist(kp));
-            if prev_row[j].saturating_add(hop) == need {
-                found = Some(j);
-                break;
+        'scan: for y in 0..height {
+            let dy = y.abs_diff(ky) as u64;
+            for x in 0..width {
+                let hop = move_weight.saturating_mul(x.abs_diff(kx) as u64 + dy);
+                if prev[y * width + x].saturating_add(hop) == need {
+                    found = Some(y * width + x);
+                    break 'scan;
+                }
             }
         }
         k = found.expect("dp backtrack must find a predecessor");
@@ -373,17 +523,14 @@ pub(crate) fn solve_layered(
 /// GOMCDS's sequential capacity replay: data are placed one at a time
 /// (ascending id in every driver except the precedence layer's priority
 /// order), each claiming its path's processor in every window before the
-/// next datum solves against the updated per-window masks.
+/// next datum is placed against the updated per-window masks.
 pub(crate) struct GomcdsReplay {
     grid: Grid,
     solver: Solver,
     /// One occupancy map per window; empty when memory is unbounded.
     masks: Vec<MemoryMap>,
-    /// Whether some processor is full in some window. Until one is,
-    /// masking raises no node cost, so solves run unmasked.
-    saturated: bool,
-    /// Data whose offered unconstrained path hit a full slot, so the
-    /// replay solved the masked DP instead.
+    /// Data whose unconstrained path hit a full slot, so the replay
+    /// solved the masked DP instead.
     pub(crate) spilled: usize,
 }
 
@@ -400,70 +547,75 @@ impl GomcdsReplay {
             grid: *grid,
             solver,
             masks,
-            saturated: false,
             spilled: 0,
         }
     }
 
-    /// Place datum `d`. `pure` is its unconstrained path when one was
-    /// already solved (a parallel phase, or the incremental engine's
-    /// carried state): a path still free in every window is what the
-    /// masked DP would return (masking raises no node cost along it, so
-    /// the DP values, the lowest-id sink and every lowest-id backtrack
-    /// step are unchanged) and is taken as is. Otherwise `solve` runs the
-    /// DP against the current masks — `None` while no processor is full
-    /// (always, under unbounded memory), when masking would change no
-    /// node cost.
+    /// Place datum `d` given its unconstrained path `pure`. A path still
+    /// free in every window is what the masked DP would return (masking
+    /// raises no node cost along it, so the DP values, the lowest-id sink
+    /// and every lowest-id backtrack step are unchanged) and is taken as
+    /// is — always so under unbounded memory. Otherwise `solve` runs the
+    /// DP against the current masks.
     pub(crate) fn place(
         &mut self,
         d: DataId,
-        pure: Option<Vec<ProcId>>,
-        solve: impl FnOnce(Option<&[MemoryMap]>) -> Option<Vec<ProcId>>,
+        pure: Vec<ProcId>,
+        solve: impl FnOnce(&[MemoryMap]) -> Option<Vec<ProcId>>,
     ) -> Result<Vec<ProcId>, SchedError> {
-        let masks = self.saturated.then_some(self.masks.as_slice());
-        let path = match pure {
-            Some(p) if masks.is_none_or(|ms| p.iter().zip(ms).all(|(&c, m)| m.has_room(c))) => p,
-            pure => {
-                self.spilled += usize::from(pure.is_some());
-                solve(masks).ok_or_else(|| exhausted(d, None))?
-            }
+        let free = pure.iter().zip(&self.masks).all(|(&c, m)| m.has_room(c));
+        let path = if free {
+            pure
+        } else {
+            self.spilled += 1;
+            solve(&self.masks).ok_or_else(|| exhausted(d, None))?
         };
         for (w, (mem, &p)) in self.masks.iter_mut().zip(&path).enumerate() {
             mem.allocate(p).map_err(|_| exhausted(d, Some(w)))?;
-            self.saturated |= !mem.has_room(p);
         }
         Ok(path)
     }
 
     /// [`place`](Self::place) with the masked DP served from the datum's
-    /// cost cache.
+    /// cost cache (for a pure path carried from an earlier solve).
     pub(crate) fn place_cached(
         &mut self,
         d: DataId,
-        pure: Option<Vec<ProcId>>,
+        pure: Vec<ProcId>,
         cache: &DatumCostCache,
         ws: &mut Workspace,
     ) -> Result<Vec<ProcId>, SchedError> {
         let (grid, solver) = (self.grid, self.solver);
         self.place(d, pure, |masks| {
-            solve_layered(
-                &grid,
-                &NodeSource::Cached(cache),
-                masks,
-                solver,
-                1,
-                None,
-                ws,
-            )
-            .map(|(path, _)| path)
+            solve_masked_path(&grid, cache, masks, solver, ws)
         })
     }
 
-    /// Place data `ids` (ascending) whose cost caches `datum` serves. On a
-    /// multi-thread `pool` every unconstrained path is solved in parallel
-    /// first and only data whose path collides re-solve; on one thread
-    /// each datum is solved exactly once, against the masks (unmasked
-    /// while no processor is full).
+    /// [`place`](Self::place) with the masked DP served from `axis_nodes`,
+    /// the per-axis node rows the pure solve recorded, so a colliding
+    /// datum never queries its cost cache twice.
+    pub(crate) fn place_rows(
+        &mut self,
+        d: DataId,
+        pure: Vec<ProcId>,
+        axis_nodes: &[u64],
+        ws: &mut Workspace,
+    ) -> Result<Vec<ProcId>, SchedError> {
+        let (grid, solver) = (self.grid, self.solver);
+        let src = NodeSource::Rows {
+            rows: axis_nodes,
+            width: grid.width() as usize,
+            height: grid.height() as usize,
+        };
+        self.place(d, pure, |masks| {
+            solve_layered(&grid, &src, Some(masks), solver, 1, None, ws).map(|(path, _)| path)
+        })
+    }
+
+    /// Place data `ids` (ascending) whose cost caches `datum` serves, in
+    /// blocks of [`PLACE_BLOCK`]: a block's unconstrained paths, with their
+    /// per-axis node rows, are solved across `pool`; then its data are
+    /// placed in order and only those whose path collides re-solve.
     pub(crate) fn place_all<'r, C: Borrow<DatumCostCache<'r>>>(
         &mut self,
         ids: &[DataId],
@@ -472,19 +624,24 @@ impl GomcdsReplay {
         ws: &mut Workspace,
     ) -> Result<Vec<Vec<ProcId>>, SchedError> {
         let (grid, solver) = (self.grid, self.solver);
-        let pure = if pool.threads() > 1 {
-            crate::flat::fan_out(pool, ids, Workspace::new, |w, d| {
-                Some(gomcds_path(&grid, datum(d).borrow(), solver, w).0)
-            })
-        } else {
-            vec![None; ids.len()]
-        };
-        ids.iter()
-            .zip(pure)
-            .map(|(&d, pure)| self.place_cached(d, pure, datum(d).borrow(), ws))
-            .collect()
+        let mut placed = Vec::with_capacity(ids.len());
+        for block in ids.chunks(PLACE_BLOCK) {
+            let solved = crate::flat::fan_out(pool, block, Workspace::new, |w, d| {
+                let (pure, _) = gomcds_path(&grid, datum(d).borrow(), solver, w);
+                (pure, core::mem::take(&mut w.axis_nodes))
+            });
+            for (&d, (pure, rows)) in block.iter().zip(solved) {
+                placed.push(self.place_rows(d, pure, &rows, ws)?);
+            }
+        }
+        Ok(placed)
     }
 }
+
+/// Data per [`GomcdsReplay::place_all`] block: bounds the per-axis node
+/// rows held between a block's pure solves and its placements to
+/// `PLACE_BLOCK × layers × (width + height)` entries.
+const PLACE_BLOCK: usize = 64;
 
 #[cfg(test)]
 mod tests {

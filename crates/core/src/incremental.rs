@@ -67,8 +67,8 @@ const SCDS_CHECKPOINT_BUDGET: usize = 64 << 20;
 const GOMCDS_RESUME_SEQUENTIAL_MAX: usize = 32;
 
 /// Maximum number of per-datum DP checkpoints kept (FIFO eviction): each
-/// holds two `num_windows × num_procs` u64 tables, so an unbounded store
-/// would dwarf the trace itself under wide churn.
+/// holds a `num_windows × (width + height)` u64 table, and the cap keeps
+/// the store from growing with every datum churn ever touches.
 const GOMCDS_RESUME_CAP: usize = 256;
 
 /// Dirty-set size from which LOMCDS recomputes desired rows in parallel.
@@ -735,7 +735,7 @@ impl IncrementalRun {
                     .enumerate()
                     .map(|(i, row)| {
                         let d = DataId(i as u32);
-                        replay.place_cached(d, Some(row.clone()), cache.datum(d), &mut self.ws)
+                        replay.place_cached(d, row.clone(), cache.datum(d), &mut self.ws)
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 (Schedule::new(grid, centers), replay.spilled)

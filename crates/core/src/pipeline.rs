@@ -50,7 +50,7 @@ pub enum Method {
     /// Local-Optimal Multiple-Center Data Scheduling.
     Lomcds,
     /// Global-Optimal Multiple-Center Data Scheduling (Algorithm 2), using
-    /// the distance-transform solver.
+    /// the distance-transform solver (one 1-D DP per grid axis).
     Gomcds,
     /// GOMCDS with the literal `O(m²)` cost-graph relaxation (ablation).
     GomcdsNaive,

@@ -194,10 +194,11 @@ fn precedence_schedule(
             };
         }
         let src = NodeSource::Weighted(cache.datum(d), &weights);
-        centers[d.index()] = replay.place(d, None, |masks| {
-            solve_layered(&grid, &src, masks, Solver::DistanceTransform, 1, None, ws)
-                .map(|(path, _)| path)
-        })?;
+        let (pure, _) = solve_layered(&grid, &src, None, Solver::DistanceTransform, 1, None, ws)
+            .expect("unconstrained path always feasible");
+        let rows = core::mem::take(&mut ws.axis_nodes);
+        centers[d.index()] = replay.place_rows(d, pure, &rows, ws)?;
+        ws.axis_nodes = rows;
     }
     Ok(Schedule::new(grid, centers))
 }
@@ -355,37 +356,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weighted_solver_with_unit_weights_matches_gomcds_path() {
-        let grid = g();
-        let trace = FlatTrace::from_windows(
-            grid,
-            vec![vec![
-                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1)]),
-                WindowRefs::from_pairs([(grid.proc_xy(3, 3), 10)]),
-                WindowRefs::new(),
-            ]],
-        )
-        .unwrap();
-        let cache = crate::CostCache::build_flat(&trace);
-        let datum = cache.datum(DataId(0));
-        let mut ws = crate::workspace::Workspace::new();
-        let src = NodeSource::Weighted(datum, &[1, 1, 1]);
-        let weighted = solve_layered(
-            &grid,
-            &src,
-            None,
-            Solver::DistanceTransform,
-            1,
-            None,
-            &mut ws,
-        )
-        .unwrap();
-        // Unit weights leave every node cost unchanged, so the weighted
-        // solve is plain GOMCDS (itself pinned to brute-force enumeration
-        // in tests/theory_exhaustive.rs).
-        let plain = crate::gomcds::gomcds_path(&grid, datum, Solver::DistanceTransform, &mut ws);
-        assert_eq!(weighted, plain);
+    proptest::proptest! {
+        #[test]
+        fn weighted_solver_with_unit_weights_matches_gomcds_path(
+            weights in proptest::collection::vec(1u64..=4, 4..=4),
+        ) {
+            let grid = Grid::new(5, 3);
+            let trace = FlatTrace::from_windows(
+                grid,
+                vec![vec![
+                    WindowRefs::from_pairs([(grid.proc_xy(0, 0), 1), (grid.proc_xy(4, 2), 1)]),
+                    WindowRefs::from_pairs([(grid.proc_xy(3, 2), 10)]),
+                    WindowRefs::new(),
+                    WindowRefs::from_pairs([(grid.proc_xy(1, 0), 2), (grid.proc_xy(4, 1), 3)]),
+                ]],
+            )
+            .unwrap();
+            let cache = crate::CostCache::build_flat(&trace);
+            let datum = cache.datum(DataId(0));
+            let mut ws = crate::workspace::Workspace::new();
+            let dt = Solver::DistanceTransform;
+            let unit = NodeSource::Weighted(datum, &[1, 1, 1, 1]);
+            let weighted = solve_layered(&grid, &unit, None, dt, 1, None, &mut ws);
+            // Unit weights leave every node cost unchanged, so the weighted
+            // solve is plain GOMCDS (itself pinned to brute-force enumeration
+            // in tests/theory_exhaustive.rs).
+            let plain = crate::gomcds::gomcds_path(&grid, datum, dt, &mut ws);
+            proptest::prop_assert_eq!(weighted, Some(plain));
+            // Under any priority weights the separable kernel picks the
+            // literal DP's path at the literal DP's cost.
+            let src = NodeSource::Weighted(datum, &weights);
+            let fast = solve_layered(&grid, &src, None, dt, 1, None, &mut ws);
+            let naive = solve_layered(&grid, &src, None, Solver::Naive, 1, None, &mut ws);
+            proptest::prop_assert_eq!(fast, naive, "weights {:?}", weights);
+        }
     }
 
     #[test]

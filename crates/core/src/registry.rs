@@ -12,7 +12,7 @@
 //! |---|---|
 //! | `SCDS` | Algorithm 1 single-center scheduling |
 //! | `LOMCDS` | per-window local-optimal centers |
-//! | `GOMCDS` | Algorithm 2 global optimum (distance-transform solver) |
+//! | `GOMCDS` | Algorithm 2 global optimum (separable distance-transform solver) |
 //! | `GOMCDS-naive` | Algorithm 2 with the literal `O(m²)` relaxation |
 //! | `Grouped-LOMCDS` | Algorithm 3 grouping, per-group local centers |
 //! | `Grouped-GOMCDS` | Algorithm 3 grouping, GOMCDS across groups |
@@ -166,7 +166,8 @@ pub struct GomcdsScheduler {
 }
 
 impl GomcdsScheduler {
-    /// The production distance-transform solver.
+    /// The production distance-transform solver (separable, 2-D only for
+    /// capacity-masked re-solves).
     pub fn fast() -> Self {
         GomcdsScheduler {
             solver: Solver::DistanceTransform,
@@ -192,7 +193,8 @@ impl Scheduler for GomcdsScheduler {
     fn description(&self) -> &'static str {
         match self.solver {
             Solver::DistanceTransform => {
-                "Algorithm 2: global optimum per datum (distance-transform solver)"
+                "Algorithm 2: global optimum per datum (one 1-D DP per grid axis; \
+                 2-D transform for capacity re-solves)"
             }
             Solver::Naive => "Algorithm 2 with the literal O(m^2) relaxation (ablation)",
         }

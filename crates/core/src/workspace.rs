@@ -3,8 +3,9 @@
 //! Every scheduler in this crate needs the same small set of scratch
 //! buffers: axis projections and sweep rows for cost tables
 //! ([`crate::cost::AxisScratch`]), a cost-table output row, and the GOMCDS
-//! layered-DP rows (`dp`, the current window's node costs, and the
-//! distance-transform relaxation row). A [`Workspace`] bundles all of them
+//! layered-DP rows (`dp`, the per-axis node rows of every layer, the
+//! current layer's masked node costs, and the distance-transform
+//! relaxation row). A [`Workspace`] bundles all of them
 //! so a caller — or a long-lived worker thread in `pim-par`'s pool — can
 //! allocate once and schedule many data with zero per-datum allocation.
 //!
@@ -28,16 +29,18 @@ pub struct Workspace {
     pub(crate) axes: AxisScratch,
     /// General cost-table output row (`m` entries).
     pub(crate) table: Vec<u64>,
-    /// GOMCDS layered-DP rows, flattened `[w * m + k]`.
+    /// GOMCDS forward-DP rows: `layers × (width + height)` per-axis rows
+    /// for a separable solve, `layers × m` for a solve over the whole grid.
     pub(crate) dp: Vec<u64>,
-    /// Node costs of the window currently being expanded.
+    /// Masked `m`-entry node costs of the layer a grid solve is expanding.
     pub(crate) node: Vec<u64>,
-    /// Distance-transform relaxation of the previous DP row.
+    /// Relaxation of the previous DP row (one axis, or the whole grid).
     pub(crate) relaxed: Vec<u64>,
-    /// Memoized node-cost rows of every layer, flattened `[w * m + k]`,
-    /// filled during the GOMCDS forward pass so the backtrack never
-    /// re-derives them.
-    pub(crate) nodes_all: Vec<u64>,
+    /// Per-axis node rows of every layer the last GOMCDS solve computed,
+    /// flattened `layers × (width + height)` (x row, then y row): the grid
+    /// backtrack reads them, and a capacity replay re-solves a colliding
+    /// datum from them.
+    pub(crate) axis_nodes: Vec<u64>,
     /// Incremental greedy grouping: per-window singleton optimal centers.
     pub(crate) win_centers: Vec<ProcId>,
     /// Incremental greedy grouping: per-window singleton optimal costs.

@@ -19,6 +19,13 @@ cargo test --doc -q
 echo "== cycle simulator proptests (release, fixed seed) =="
 cargo test -q --release -p pim-tests-int --test cycle_props
 
+# Solver identity at sizes the proptests never reach: the literal DP,
+# the 2-D transform and the separable kernel must give identical GOMCDS
+# schedules on the paper set (4x4 and 32x8) and on growing arrays. The
+# binary exits non-zero on any divergence; its timings are not gated.
+echo "== GOMCDS solver identity (ablation_solver) =="
+./target/release/ablation_solver
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

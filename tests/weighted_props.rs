@@ -48,7 +48,8 @@ fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     })
 }
 
-/// Every datum's weighted GOMCDS path and its cost.
+/// Every datum's weighted GOMCDS path and its cost. The literal `O(m²)`
+/// DP must pick the same optimal path at the same cost.
 fn weighted_paths(trace: &FlatTrace, weight: u64) -> Vec<(Vec<ProcId>, u64)> {
     let grid = trace.grid();
     let cache = CostCache::build_flat(trace);
@@ -56,7 +57,11 @@ fn weighted_paths(trace: &FlatTrace, weight: u64) -> Vec<(Vec<ProcId>, u64)> {
     (0..trace.num_data())
         .map(|d| {
             let datum = cache.datum(DataId(d as u32));
-            gomcds_path_weighted(&grid, datum, Solver::DistanceTransform, weight, &mut ws)
+            let fast =
+                gomcds_path_weighted(&grid, datum, Solver::DistanceTransform, weight, &mut ws);
+            let naive = gomcds_path_weighted(&grid, datum, Solver::Naive, weight, &mut ws);
+            assert_eq!(fast, naive, "datum {d}, move weight {weight}");
+            fast
         })
         .collect()
 }
@@ -104,7 +109,7 @@ proptest! {
     #[test]
     fn optimal_cost_is_monotone_in_weight(trace in arb_trace()) {
         let mut prev = 0u64;
-        for weight in [1u64, 2, 4, 8, 64] {
+        for weight in [1u64, 2, 4, 5, 8, 64] {
             let cost = weighted_cost(&weighted_gomcds(&trace, weight), &trace, weight).total();
             prop_assert!(cost >= prev, "weight {weight}: {cost} < {prev}");
             prev = cost;
