@@ -210,8 +210,12 @@ pub fn datum_cost(
             (r.x as i64 - c.x as i64).unsigned_abs() + (r.y as i64 - c.y as i64).unsigned_abs();
         cost.reference += r.count as u64 * dist;
     }
+    // Most consecutive pairs repeat a center (every SCDS row, and LOMCDS's
+    // carried-forward empty windows), and a datum that stays put moves 0.
     for pair in centers.windows(2) {
-        cost.movement += move_weight * grid.dist(pair[0], pair[1]);
+        if pair[0] != pair[1] {
+            cost.movement += move_weight * grid.dist(pair[0], pair[1]);
+        }
     }
     cost
 }

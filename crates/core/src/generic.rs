@@ -131,7 +131,8 @@ pub fn lomcds_generic<T: Topology + ?Sized>(
             let centers: Vec<Option<ProcId>> = (0..trace.num_windows())
                 .map(|w| {
                     let run = span_window(span, w);
-                    (!run.is_empty()).then(|| optimal_center_generic(topo, &grid, run).0)
+                    crate::lomcds::is_referenced(run)
+                        .then(|| optimal_center_generic(topo, &grid, run).0)
                 })
                 .collect();
             crate::lomcds::resolve_gaps(centers)
@@ -192,26 +193,33 @@ mod tests {
     use super::*;
     use crate::gomcds::{gomcds_path, Solver};
     use pim_array::torus::Torus;
-    use pim_trace::flat::{span_window_runs, FlatTrace};
+    use pim_trace::flat::{span_window_runs, FlatRecord, FlatTrace};
     use pim_trace::window::WindowRefs;
 
+    /// Two data over four windows. Datum 0's window 2 and datum 1's
+    /// window 3 hold only a zero-count record: empty windows.
     fn sample_trace(grid: Grid) -> FlatTrace {
-        FlatTrace::from_windows(
+        let records = [
+            (0, 0, 0, 0, 2),
+            (0, 0, 3, 1, 1),
+            (0, 1, 3, 3, 4),
+            (0, 2, 2, 2, 0),
+            (0, 3, 1, 2, 2),
+            (1, 0, 2, 0, 1),
+            (1, 1, 2, 3, 3),
+            (1, 2, 2, 0, 1),
+            (1, 3, 0, 3, 0),
+        ];
+        FlatTrace::from_records(
             grid,
-            vec![
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(3, 1), 1)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(3, 3), 4)]),
-                    WindowRefs::new(),
-                    WindowRefs::from_pairs([(grid.proc_xy(1, 2), 2)]),
-                ],
-                vec![
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 0), 1)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 3), 3)]),
-                    WindowRefs::from_pairs([(grid.proc_xy(2, 0), 1)]),
-                    WindowRefs::new(),
-                ],
-            ],
+            4,
+            2,
+            records.map(|(d, w, x, y, count)| FlatRecord {
+                datum: DataId(d),
+                window: w,
+                proc: grid.proc_xy(x, y),
+                count,
+            }),
         )
         .unwrap()
     }

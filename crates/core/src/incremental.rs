@@ -26,6 +26,14 @@
 //!    [`IncrementalRun::fallbacks`] and reported through
 //!    [`pim_metrics::IncrementalReport`].
 //!
+//! 4. **The cost ledger**: the cost model is a sum of per-datum terms, so
+//!    [`IncrementalRun::cost`] keeps each datum's [`CostBreakdown`] and
+//!    their running total. A full capacity replay marks every entry
+//!    stale, a patched resolve only its dirty data (appended windows
+//!    extend clean rows by repeating the last center, which costs
+//!    nothing), and the stale entries are refolded lazily on the next
+//!    `cost()` call.
+//!
 //! The engine is a driver: every decision comes from the per-method
 //! kernels and capacity replays in [`crate::scds`], [`crate::lomcds`] and
 //! [`crate::gomcds`], which the flat schedulers
@@ -37,14 +45,14 @@
 
 use crate::cache::CostCache;
 use crate::error::{ensure_feasible, SchedError};
-use crate::flat::{datum_ids, fan_out};
+use crate::flat::{datum_cost, datum_ids, fan_out};
 use crate::gomcds::{gomcds_path, solve_layered, DpCheckpoint, GomcdsReplay};
 use crate::gomcds::{NodeSource, Solver};
 use crate::lomcds::{span_first_anchor, span_window_medians};
 use crate::median::{MedianState, PackedMedians};
 use crate::pipeline::{MemoryPolicy, Method};
 use crate::scds::{span_median, ScdsReplay};
-use crate::schedule::Schedule;
+use crate::schedule::{CostBreakdown, Schedule};
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::MemorySpec;
@@ -211,6 +219,71 @@ struct BoundedState {
     occ: Vec<u32>,
 }
 
+/// Per-datum cost of the current schedule (16 B per datum) and its
+/// running total, refolded lazily: entries go stale when their row or span
+/// changes and are refolded only when [`IncrementalRun::cost`] is asked.
+#[derive(Debug)]
+struct CostLedger {
+    /// `per_datum[d]` is datum `d`'s cost along its row unless `d` is stale.
+    per_datum: Vec<CostBreakdown>,
+    /// The sum of `per_datum`.
+    total: CostBreakdown,
+    /// Data whose entry predates their current row or span (repeats
+    /// allowed; past `num_data` entries the whole ledger goes stale).
+    stale: Vec<DataId>,
+    /// Every entry is stale: nothing folded yet, or a full replay since.
+    all_stale: bool,
+}
+
+impl CostLedger {
+    fn new() -> CostLedger {
+        CostLedger {
+            per_datum: Vec::new(),
+            total: CostBreakdown::default(),
+            stale: Vec::new(),
+            all_stale: true,
+        }
+    }
+
+    fn mark_all(&mut self) {
+        self.all_stale = true;
+        self.stale.clear();
+    }
+
+    fn mark(&mut self, ids: impl IntoIterator<Item = DataId>) {
+        if self.all_stale {
+            return;
+        }
+        self.stale.extend(ids);
+        if self.stale.len() > self.per_datum.len() {
+            self.mark_all();
+        }
+    }
+
+    /// Refold the stale entries against `trace` and return the total.
+    fn refold(&mut self, trace: &EditableTrace, schedule: &Schedule) -> CostBreakdown {
+        let grid = trace.grid();
+        let fold = |d: DataId| datum_cost(&grid, trace.span(d), schedule.centers_of(d), 1);
+        if self.all_stale {
+            self.per_datum.clear();
+            self.per_datum
+                .extend((0..trace.num_data() as u32).map(DataId).map(fold));
+            self.total = CostBreakdown::default();
+            for &c in &self.per_datum {
+                self.total.add(c);
+            }
+            self.all_stale = false;
+        }
+        for d in self.stale.drain(..) {
+            let new = fold(d);
+            let old = std::mem::replace(&mut self.per_datum[d.index()], new);
+            self.total.reference = self.total.reference - old.reference + new.reference;
+            self.total.movement = self.total.movement - old.movement + new.movement;
+        }
+        self.total
+    }
+}
+
 /// A live schedule over an editable trace with delta re-solving.
 ///
 /// ```
@@ -264,6 +337,7 @@ pub struct IncrementalRun {
     /// edits to one datum fall back to re-reading checkpoints. Always
     /// empty unless the method is SCDS with checkpoints.
     fresh: Vec<(DataId, ProcId)>,
+    ledger: CostLedger,
 }
 
 impl fmt::Debug for IncrementalRun {
@@ -279,11 +353,12 @@ impl fmt::Debug for IncrementalRun {
 
 impl IncrementalRun {
     /// Build the engine and solve the initial schedule (bit-identical to
-    /// the matching flat scheduler). Only SCDS, LOMCDS and GOMCDS have
+    /// the matching flat scheduler). A shared trace is edited through an
+    /// overlay, never copied. Only SCDS, LOMCDS and GOMCDS have
     /// incremental engines; other methods return
     /// [`SchedError::UnknownScheduler`].
     pub fn new(
-        flat: FlatTrace,
+        flat: impl Into<Arc<FlatTrace>>,
         method: Method,
         policy: MemoryPolicy,
         pool: Pool,
@@ -294,7 +369,7 @@ impl IncrementalRun {
     /// [`IncrementalRun::new`] with cache/phase/incremental
     /// instrumentation recorded into `metrics`.
     pub fn with_metrics(
-        flat: FlatTrace,
+        flat: impl Into<Arc<FlatTrace>>,
         method: Method,
         policy: MemoryPolicy,
         pool: Pool,
@@ -308,8 +383,8 @@ impl IncrementalRun {
                 )))
             }
         }
-        let grid = flat.grid();
-        let trace = EditableTrace::new(flat);
+        let trace = EditableTrace::from_arc(flat.into());
+        let grid = trace.grid();
         let state = MethodState::init(method, trace.base(), &metrics);
         let mut ws = Workspace::new();
         ws.metrics = metrics.clone();
@@ -327,6 +402,7 @@ impl IncrementalRun {
             fallbacks: 0,
             scds_ckpt_budget: SCDS_CHECKPOINT_BUDGET,
             fresh: Vec::new(),
+            ledger: CostLedger::new(),
         };
         run.full_solve()?;
         Ok(run)
@@ -336,6 +412,20 @@ impl IncrementalRun {
     /// trace version).
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
+    }
+
+    /// The cost of [`Self::schedule`] on [`Self::trace`], equal to
+    /// [`crate::flat_total_cost`] on the materialized trace. Pending edits
+    /// (applied, not yet resolved) are resolved first, as
+    /// [`Self::set_policy`] does. The answer comes from the per-datum cost
+    /// ledger: after a patched resolve only the dirty data are refolded
+    /// (`O(dirty)`), after the initial solve or a full capacity replay
+    /// every datum is. Callers that never ask pay nothing.
+    pub fn cost(&mut self) -> Result<CostBreakdown, SchedError> {
+        if self.trace.is_dirty() {
+            self.resolve()?;
+        }
+        Ok(self.ledger.refold(&self.trace, &self.schedule))
     }
 
     /// The live trace the schedule covers.
@@ -651,6 +741,7 @@ impl IncrementalRun {
             }
         }
 
+        self.ledger.mark(dirty.data.iter().map(|&(d, _)| d));
         if fallback {
             self.fallbacks += 1;
             let _t = metrics.phase("incremental/fallback-replay");
@@ -752,6 +843,7 @@ impl IncrementalRun {
             occ: occ_rows(&grid, &schedule, occ_windows),
         });
         self.schedule = schedule;
+        self.ledger.mark_all();
         Ok(())
     }
 }
@@ -1031,6 +1123,52 @@ mod tests {
             run.apply(&delta).unwrap();
             run.set_policy(MemoryPolicy::Capacity(1)).unwrap();
             assert_parity(&run, "policy switch");
+        }
+    }
+
+    #[test]
+    fn cost_ledger_refolds_only_what_changed() {
+        let g = grid();
+        let fold = |run: &IncrementalRun| {
+            crate::flat::flat_total_cost(&run.trace().materialize(), run.schedule())
+        };
+        for method in METHODS {
+            for policy in POLICIES {
+                let mut run =
+                    IncrementalRun::new(sample(g), method, policy, Pool::serial()).unwrap();
+                assert!(run.ledger.all_stale, "nothing folded before the first ask");
+                assert_eq!(run.cost().unwrap(), fold(&run));
+
+                // A patched resolve marks only its dirty datum stale.
+                let mut d = TraceDelta::new();
+                d.set_run(DataId(0), 1, [(g.proc_xy(0, 1), 1)]);
+                run.incremental(&d).unwrap();
+                let fell_back = run.ledger.all_stale;
+                if policy == MemoryPolicy::Unbounded {
+                    assert!(!fell_back && run.ledger.stale == [DataId(0)], "{method}");
+                }
+                assert_eq!(run.cost().unwrap(), fold(&run), "{method} {policy:?}");
+
+                // Resolves nobody asks about only grow the stale list;
+                // past one entry per datum the whole ledger goes stale.
+                for n in 1..=4u32 {
+                    let mut d = TraceDelta::new();
+                    d.set_run(DataId(0), 1, [(g.proc_xy(n % 4, 2), n)]);
+                    run.incremental(&d).unwrap();
+                }
+                assert!(run.ledger.all_stale && run.ledger.stale.is_empty());
+                assert_eq!(run.cost().unwrap(), fold(&run), "{method} {policy:?}");
+
+                // Pending edits are resolved before the answer.
+                let mut d = TraceDelta::new();
+                d.set_run(DataId(2), 0, [(g.proc_xy(3, 0), 5)])
+                    .append_window([(DataId(1), g.proc_xy(0, 0), 1)]);
+                run.apply(&d).unwrap();
+                let cost = run.cost().unwrap();
+                assert!(!run.trace().is_dirty());
+                assert_eq!(cost, fold(&run), "{method} {policy:?}");
+                assert_parity(&run, "cost after pending edits");
+            }
         }
     }
 

@@ -51,6 +51,13 @@ pub(crate) fn resolve_gaps(mut centers: Vec<Option<ProcId>>) -> Vec<ProcId> {
         .collect()
 }
 
+/// Whether a window run references its datum at all: a run whose records
+/// all carry count 0 is an empty window (the oracle's `WindowRefs` drops
+/// zero counts, and so does the capacity replay below).
+pub(crate) fn is_referenced(run: &[FlatRef]) -> bool {
+    run.iter().any(|r| r.count > 0)
+}
+
 /// The LOMCDS row kernel: the unconstrained center sequence of one datum
 /// — every referenced window's local optimal center, computed as an
 /// incremental median of its flat span without a cost table (the weighted
@@ -65,7 +72,7 @@ pub(crate) fn span_window_medians(
 ) -> Vec<ProcId> {
     let mut centers: Vec<Option<ProcId>> = vec![None; nw];
     med.reset(grid);
-    for (w, run) in span_window_runs(span) {
+    for (w, run) in span_window_runs(span).filter(|(_, run)| is_referenced(run)) {
         for r in run {
             med.add(r.x, r.y, r.count as u64);
         }
@@ -82,7 +89,7 @@ pub(crate) fn span_window_medians(
 /// referenced), exactly `span_window_medians(..)[0]`, since gap
 /// resolution backfills leading empties with the first known center.
 pub(crate) fn span_first_anchor(grid: &Grid, span: &[FlatRef], med: &mut MedianState) -> ProcId {
-    match span_window_runs(span).next() {
+    match span_window_runs(span).find(|(_, run)| is_referenced(run)) {
         Some((_, run)) => {
             med.reset(grid);
             for r in run {
@@ -138,7 +145,7 @@ pub(crate) fn replay<V: FlatView + ?Sized>(
             } else {
                 centers[d][w - 1]
             };
-            let p = if run.iter().all(|r| r.count == 0) {
+            let p = if !is_referenced(run) {
                 let p = nearest_free(&grid, anchor, &mut mem)
                     .ok_or_else(|| exhausted(DataId(d as u32), Some(w)))?;
                 spilled += usize::from(p != anchor);

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use pim_metrics::Metrics;
 use pim_par::Pool;
-use pim_sched::{flat_total_cost, IncrementalError, IncrementalRun, MemoryPolicy, Method};
+use pim_sched::{IncrementalError, IncrementalRun, MemoryPolicy, Method};
 use pim_trace::FlatTrace;
 
 use crate::error::ServeError;
@@ -194,32 +194,19 @@ impl ServeCore {
         let mut entry = slot.lock().expect("entry lock");
         let warm = entry.engine_matches(method, policy);
         if !warm {
-            let flat = entry.current_flat();
-            let engine = IncrementalRun::with_metrics(
-                (*flat).clone(),
+            // A rebuilt engine starts a fresh edit history from the
+            // current version of the trace.
+            entry.engine = Some(IncrementalRun::with_metrics(
+                entry.current_trace(),
                 method,
                 policy,
                 self.pool,
                 self.metrics.clone(),
-            )?;
-            // A rebuilt engine starts a fresh edit history; stale caches
-            // keyed by the old history must not survive it.
-            let cost = flat_total_cost(&flat, engine.schedule());
-            entry.engine = Some(engine);
-            entry.cache_cost(cost);
+            )?);
         }
         self.stats.record_engine(warm);
-        let cost = match entry.cached_cost() {
-            Some(cost) => cost,
-            None => {
-                let flat = entry.current_flat();
-                let engine = entry.engine.as_ref().expect("engine resident");
-                let cost = flat_total_cost(&flat, engine.schedule());
-                entry.cache_cost(cost);
-                cost
-            }
-        };
-        let engine = entry.engine.as_ref().expect("engine resident");
+        let engine = entry.engine.as_mut().expect("engine resident");
+        let cost = engine.cost()?;
         let fields = format!(
             "\"trace\":\"{}\",\"method\":\"{}\",\"warm\":{warm},\"version\":{},\
              \"fallbacks\":{},\"cost\":{{\"reference\":{},\"movement\":{},\"total\":{}}}",
@@ -239,14 +226,12 @@ impl ServeCore {
 
     fn do_simulate(&self, key: u64) -> Result<String, ServeError> {
         let slot = self.entry(key)?;
-        let mut entry = slot.lock().expect("entry lock");
-        if entry.engine.is_none() {
+        let entry = slot.lock().expect("entry lock");
+        let Some(engine) = &entry.engine else {
             return Err(ServeError::NoSchedule(store::key_hex(key)));
-        }
-        let flat = entry.current_flat();
-        let engine = entry.engine.as_ref().expect("checked above");
-        let report = pim_sim::simulate(&*flat, engine.schedule(), self.pool);
-        let fields = format!(
+        };
+        let report = pim_sim::simulate(engine.trace(), engine.schedule(), self.pool);
+        Ok(format!(
             "\"trace\":\"{}\",\"version\":{},\"hop_volume\":{},\"fetch_hop_volume\":{},\
              \"move_hop_volume\":{},\"completion_time\":{}",
             store::key_hex(key),
@@ -255,11 +240,7 @@ impl ServeCore {
             report.total_fetch_hop_volume(),
             report.total_move_hop_volume(),
             report.total_completion_time(),
-        );
-        let bytes = entry.resident_bytes();
-        drop(entry);
-        self.store.record_bytes(key, bytes);
-        Ok(fields)
+        ))
     }
 
     fn do_edit(&self, key: u64, delta: &pim_trace::TraceDelta) -> Result<String, ServeError> {
@@ -276,7 +257,7 @@ impl ServeCore {
                 // The engine's state is unspecified after a scheduling
                 // failure mid-resolve; drop it so the next `schedule`
                 // rebuilds from the base rather than serving garbage.
-                entry.drop_engine();
+                entry.engine = None;
                 let bytes = entry.resident_bytes();
                 drop(entry);
                 self.store.record_bytes(key, bytes);
@@ -318,8 +299,7 @@ impl ServeCore {
                 None => false,
                 Some(slot) => {
                     let mut entry = slot.lock().expect("entry lock");
-                    let had = entry.engine.is_some();
-                    entry.drop_engine();
+                    let had = entry.engine.take().is_some();
                     let bytes = entry.resident_bytes();
                     drop(entry);
                     self.store.record_bytes(key, bytes);
@@ -341,6 +321,7 @@ impl ServeCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_sched::flat_total_cost;
     use pim_trace::json::{parse, Value};
 
     const NO_QUEUE: QueueView = (0, 0);

@@ -3,10 +3,9 @@
 //! Each loaded trace becomes an [`Entry`] keyed by a content hash of the
 //! flat layout, holding the immutable base [`FlatTrace`] plus the warm
 //! state a request stream accretes: the [`IncrementalRun`] engine (edit
-//! log, cost cache, solver workspace) and a materialized flat view of
-//! the current edit version. Entries live behind their own mutex so two
-//! workers can service different traces concurrently; the store-level
-//! mutex only guards the key map and the byte accounting.
+//! overlay, carried solver state, cost ledger). Entries live behind their
+//! own mutex so two workers can service different traces concurrently;
+//! the store-level mutex only guards the key map and the byte accounting.
 //!
 //! **Lock ordering:** the store lock and an entry lock are never held at
 //! the same time. Lookups lock the store, clone the entry `Arc`, bump
@@ -27,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use pim_sched::incremental::IncrementalRun;
-use pim_sched::{CostBreakdown, MemoryPolicy, Method};
+use pim_sched::{MemoryPolicy, Method};
 use pim_trace::FlatTrace;
 
 use crate::error::ServeError;
@@ -78,7 +77,11 @@ pub fn flat_bytes(flat: &FlatTrace) -> u64 {
     (flat.num_refs() * 16 + flat.num_data() * 16 + 64) as u64
 }
 
-/// One resident trace and its warm per-trace state.
+/// One resident trace and its warm per-trace state: the base as loaded
+/// and, once a `schedule` request built one, the engine. The engine's
+/// trace is the current edit version and its [`IncrementalRun::cost`]
+/// answers `schedule`, so the entry keeps no materialized copy and no
+/// cached cost of its own.
 pub struct Entry {
     /// Content key (wire identity).
     pub key: u64,
@@ -86,12 +89,6 @@ pub struct Entry {
     pub base: Arc<FlatTrace>,
     /// Resident scheduling engine, if a `schedule` request built one.
     pub engine: Option<IncrementalRun>,
-    /// Materialized flat view of `engine`'s current edit version.
-    flat_cache: Option<(u64, Arc<FlatTrace>)>,
-    /// Cost of the engine's schedule, keyed by the edit version it was
-    /// computed at (method/policy changes rebuild the engine, so the
-    /// version alone identifies the schedule).
-    cost_cache: Option<(u64, CostBreakdown)>,
 }
 
 impl Entry {
@@ -100,30 +97,6 @@ impl Entry {
             key,
             base,
             engine: None,
-            flat_cache: None,
-            cost_cache: None,
-        }
-    }
-
-    /// The flat trace at the engine's current edit version (the base
-    /// when no engine is resident or nothing was edited). Cached per
-    /// version so repeated `simulate`/cold `schedule` requests don't
-    /// re-materialize.
-    pub fn current_flat(&mut self) -> Arc<FlatTrace> {
-        let engine = match &self.engine {
-            None => return Arc::clone(&self.base),
-            Some(e) => e,
-        };
-        if engine.version() == 0 {
-            return Arc::clone(&self.base);
-        }
-        match &self.flat_cache {
-            Some((v, flat)) if *v == engine.version() => Arc::clone(flat),
-            _ => {
-                let flat = Arc::new(engine.trace().materialize());
-                self.flat_cache = Some((engine.version(), Arc::clone(&flat)));
-                flat
-            }
         }
     }
 
@@ -135,43 +108,24 @@ impl Entry {
             .is_some_and(|e| e.method() == method && e.policy() == policy)
     }
 
-    /// Cached cost of the engine's current schedule, if still valid.
-    pub fn cached_cost(&self) -> Option<CostBreakdown> {
-        let engine = self.engine.as_ref()?;
-        match self.cost_cache {
-            Some((v, cost)) if v == engine.version() => Some(cost),
-            _ => None,
+    /// The trace a new engine must start from: the resident engine's
+    /// current version (materialized only when it was edited), else the
+    /// base.
+    pub fn current_trace(&self) -> Arc<FlatTrace> {
+        match &self.engine {
+            None => Arc::clone(&self.base),
+            Some(e) if e.version() == 0 => Arc::clone(e.trace().base()),
+            Some(e) => Arc::new(e.trace().materialize()),
         }
-    }
-
-    /// Record the cost of the engine's schedule at its current version.
-    pub fn cache_cost(&mut self, cost: CostBreakdown) {
-        if let Some(engine) = &self.engine {
-            self.cost_cache = Some((engine.version(), cost));
-        }
-    }
-
-    /// Drop the engine and everything derived from it, keeping the base
-    /// resident (the `evict` request's `"engine"` scope; also the
-    /// recovery path when an incremental resolve leaves the engine in an
-    /// unspecified state).
-    pub fn drop_engine(&mut self) {
-        self.engine = None;
-        self.flat_cache = None;
-        self.cost_cache = None;
     }
 
     /// Estimated resident bytes of this entry right now. The engine is
-    /// costed at 3× the base flat (editable overrides + shared cost
-    /// cache + solver workspace all scale with the trace).
+    /// costed at 3× the base flat (edit overlay, carried solver state
+    /// and cost ledger all scale with the trace).
     pub fn resident_bytes(&self) -> u64 {
         let base = flat_bytes(&self.base);
         let engine = if self.engine.is_some() { 3 * base } else { 0 };
-        let cache = match &self.flat_cache {
-            Some((_, f)) => flat_bytes(f),
-            None => 0,
-        };
-        base + engine + cache
+        base + engine
     }
 }
 

@@ -275,9 +275,10 @@ serve_key="$(sed -n 's/.*"trace":"\([0-9a-f]\{16\}\)".*/\1/p' \
   printf '{"id":3,"op":"simulate","trace":"%s"}\n' "$serve_key"
   printf '{"id":4,"op":"edit","trace":"%s","delta":{"version":1,"ops":[{"op":"set_run","datum":0,"window":1,"refs":[[3,2]]}]}}\n' "$serve_key"
   printf '{"id":5,"op":"schedule","trace":"%s","method":"scds"}\n' "$serve_key"
-  printf '{"id":6,"op":"evict","trace":"%s","scope":"engine"}\n' "$serve_key"
-  printf '{"id":7,"op":"stats"}\n'
-  printf '{"id":8,"op":"shutdown"}\n'
+  printf '{"id":6,"op":"schedule","trace":"%s","method":"lomcds","policy":{"scaled_min":2}}\n' "$serve_key"
+  printf '{"id":7,"op":"evict","trace":"%s","scope":"engine"}\n' "$serve_key"
+  printf '{"id":8,"op":"stats"}\n'
+  printf '{"id":9,"op":"shutdown"}\n'
 } > "$metrics_tmp/serve_in_2.txt"
 ./target/release/pim-cli serve --serve-workers 1 < "$metrics_tmp/serve_in_2.txt" \
   > "$metrics_tmp/serve_out_2.txt"
@@ -291,17 +292,19 @@ assert probe[2]["ok"] and probe[2].get("pong"), "ping failed"
 assert not probe[3]["ok"] and probe[3]["error"] == "bad_request", \
     "malformed line did not get a typed bad_request"
 session = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
-ops = ["load", "schedule", "simulate", "edit", "schedule", "evict", "stats", "shutdown"]
+ops = ["load", "schedule", "simulate", "edit", "schedule", "schedule", "evict", "stats",
+       "shutdown"]
 assert len(session) == len(ops), f"expected {len(ops)} responses, got {len(session)}"
 for i, (resp, op) in enumerate(zip(session, ops)):
     assert resp["ok"], f"op {op} (response {i+1}) failed: {resp}"
 assert session[1]["warm"] is False and session[4]["warm"] is True, \
     "second schedule after edit should be the warm path"
+assert session[5]["warm"] is False, "a new method after the edit builds a new engine"
 assert session[3]["version"] == 1, "edit did not bump the version"
 assert session[1]["cost"]["total"] == \
     session[1]["cost"]["reference"] + session[1]["cost"]["movement"]
-stats = session[6]["server"]
-assert stats["requests"]["schedule"] == 2 and stats["engine_builds"] >= 1
+stats = session[7]["server"]
+assert stats["requests"]["schedule"] == 3 and stats["engine_builds"] >= 2
 print("serve smoke: all ops answered, warm path hit, stats consistent")
 PY
 else
@@ -311,6 +314,29 @@ else
     || { echo "serve smoke: malformed line not rejected"; exit 1; }
   echo "serve smoke: expected markers present (grep fallback)"
 fi
+# The schedules after the edit (responses 5 and 6) must cost what
+# `pim-cli run` charges on the hand-edited trace (the edit rewrites
+# datum 0's window-1 run `0 1 5 2` as `0 1 3 2`) under the same method
+# and policy. Serve defaults to unbounded memory and `run` to 2x, so the
+# policy is spelled out on the `run` side.
+printf '%b' "$serve_trace" | sed 's/^0 1 5 2$/0 1 3 2/' > "$metrics_tmp/serve_edited.txt"
+grep -q '^0 1 3 2$' "$metrics_tmp/serve_edited.txt" \
+  || { echo "serve smoke: could not build the edited trace"; exit 1; }
+./target/release/pim-cli pack --trace "$metrics_tmp/serve_edited.txt" \
+  --out "$metrics_tmp/serve_edited.pimb" > /dev/null
+while read -r line method memory; do
+  served="$(sed -n "${line}p" "$metrics_tmp/serve_out_2.txt" \
+    | sed -n 's/.*"total":\([0-9]*\).*/\1/p')"
+  direct="$(./target/release/pim-cli run --trace "$metrics_tmp/serve_edited.pimb" \
+    --method "$method" --memory "$memory" \
+    | sed -n 's/.*: total \([0-9]*\) (reference.*/\1/p' | head -n 1)"
+  [ -n "$served" ] && [ "$served" = "$direct" ] \
+    || { echo "serve smoke: $method $memory after the edit costs '$served', run --trace '$direct'"; exit 1; }
+  echo "serve smoke: $method $memory after the edit costs $served, as run --trace does"
+done <<'CASES'
+5 scds unbounded
+6 lomcds 2x
+CASES
 
 echo "== serve load smoke (report_serve --smoke) =="
 ./target/release/report_serve --smoke --out "$metrics_tmp/serve_smoke.json"

@@ -22,9 +22,10 @@
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::{
-    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, MemoryPolicy, Method, Run,
+    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, schedule, stream_schedule_with,
+    IncrementalRun, MemoryPolicy, Method, Run, StreamConfig,
 };
-use pim_trace::flat::{span_window, FlatTrace};
+use pim_trace::flat::{span_window, FlatRecord, FlatTrace};
 use pim_trace::ids::DataId;
 use pim_trace::window::WindowRefs;
 use pim_trace::BinTrace;
@@ -42,20 +43,34 @@ fn arb_grid() -> impl Strategy<Value = Grid> {
     ]
 }
 
-/// Random reference string over a grid (possibly empty).
-fn arb_refs(grid: Grid) -> impl Strategy<Value = WindowRefs> {
+/// Random `(processor, count)` pairs of one window over a grid (possibly
+/// none); about one count in six is 0.
+fn arb_refs(grid: Grid) -> impl Strategy<Value = Vec<(u32, u32)>> {
     let m = grid.num_procs() as u32;
-    proptest::collection::vec((0..m, 1u32..6), 0..6).prop_map(move |pairs| {
-        WindowRefs::from_pairs(pairs.into_iter().map(|(p, n)| (ProcId(p), n)))
-    })
+    proptest::collection::vec((0..m, 0u32..6), 0..6)
 }
 
-/// Random windowed trace: up to 4 data × up to 6 windows.
+/// Random windowed trace: up to 4 data × up to 6 windows, built through
+/// [`FlatTrace::from_records`], which keeps zero-count records (so some
+/// window runs carry no references at all).
 fn arb_trace() -> impl Strategy<Value = FlatTrace> {
     arb_grid().prop_flat_map(|grid| {
         (1usize..=4, 1usize..=6).prop_flat_map(move |(nd, nw)| {
             proptest::collection::vec(proptest::collection::vec(arb_refs(grid), nw..=nw), nd..=nd)
-                .prop_map(move |per_data| FlatTrace::from_windows(grid, per_data).unwrap())
+                .prop_map(move |per_data| {
+                    let mut records = Vec::new();
+                    for (d, windows) in per_data.iter().enumerate() {
+                        for (w, pairs) in windows.iter().enumerate() {
+                            records.extend(pairs.iter().map(|&(p, count)| FlatRecord {
+                                datum: DataId(d as u32),
+                                window: w as u32,
+                                proc: ProcId(p),
+                                count,
+                            }));
+                        }
+                    }
+                    FlatTrace::from_records(grid, nw, nd, records).unwrap()
+                })
         })
     })
 }
@@ -145,6 +160,63 @@ fn cached_matches_uncached() {
                 "policy {policy:?} method {method}"
             );
         }
+    }
+}
+
+/// A window run whose records all carry count 0 is an empty window for
+/// LOMCDS, as for the oracle: it neither takes a center of its own nor
+/// anchors the datum. Every driver of the LOMCDS kernels — registry, flat,
+/// incremental and stream — must agree; both cases used to land on `P0`.
+#[test]
+fn zero_count_runs_are_empty_windows() {
+    let grid = Grid::new(4, 4);
+    let (p11, p33) = (grid.proc_xy(1, 1), grid.proc_xy(3, 3));
+    let rec = |window, proc, count| FlatRecord {
+        datum: DataId(0),
+        window,
+        proc,
+        count,
+    };
+    let cases = [
+        // An all-zero run between two references.
+        vec![rec(0, p33, 2), rec(1, p11, 0), rec(2, p33, 1)],
+        // An all-zero first run ahead of the first reference.
+        vec![rec(0, p11, 0), rec(2, p33, 1)],
+    ];
+    for (i, records) in cases.into_iter().enumerate() {
+        let flat = FlatTrace::from_records(grid, 3, 1, records).unwrap();
+        for policy in [MemoryPolicy::Unbounded, MemoryPolicy::Capacity(1)] {
+            let oracle = pim_reference::schedule(Method::Lomcds, &flat, policy).unwrap();
+            assert_eq!(oracle.centers_of(DataId(0)), &[p33; 3], "case {i}");
+            assert_eq!(flat_total_cost(&flat, &oracle).total(), 0, "case {i}");
+            let what = format!("case {i} {policy:?}");
+            assert_eq!(schedule(Method::Lomcds, &flat, policy), oracle, "{what}");
+            assert_eq!(
+                flat_lomcds(&flat, policy, Pool::serial()).unwrap(),
+                oracle,
+                "{what}"
+            );
+            let run =
+                IncrementalRun::new(flat.clone(), Method::Lomcds, policy, Pool::serial()).unwrap();
+            assert_eq!(run.schedule(), &oracle, "{what}");
+        }
+        let path = std::env::temp_dir().join(format!(
+            "pim-cache-equivalence-{}-zero-{i}.pimb",
+            std::process::id()
+        ));
+        pim_trace::binfmt::pack_file(&flat, &path).unwrap();
+        let mut rows = Vec::new();
+        let streamed = stream_schedule_with(
+            &path,
+            Method::Lomcds,
+            MemoryPolicy::Unbounded,
+            Pool::serial(),
+            StreamConfig::default(),
+            |_, row| rows.push(row.to_vec()),
+        );
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(streamed.unwrap().cost.total(), 0, "case {i} streamed");
+        assert_eq!(rows, vec![vec![p33; 3]], "case {i} streamed");
     }
 }
 

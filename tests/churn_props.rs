@@ -2,7 +2,9 @@
 //! traces driven through random edit sequences must keep the incremental
 //! engine's schedule **bit-identical** to a from-scratch re-schedule of
 //! the materialized trace after *every* delta — for every supported
-//! method under unbounded, scaled-minimum, and tight explicit capacity.
+//! method under unbounded, scaled-minimum, and tight explicit capacity —
+//! and its running cost ([`IncrementalRun::cost`]) equal to a full fold
+//! of that schedule over the materialized trace.
 //!
 //! This pins the ≥10× churn speedup claim to exactness: the fast path is
 //! only allowed to exist because these tests hold.
@@ -10,7 +12,8 @@
 use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::{
-    flat_gomcds, flat_lomcds, flat_scds, IncrementalRun, MemoryPolicy, Method, Schedule,
+    flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, IncrementalRun, MemoryPolicy, Method,
+    Schedule,
 };
 use pim_trace::edit::TraceDelta;
 use pim_trace::flat::{FlatRecord, FlatTrace};
@@ -134,6 +137,34 @@ fn scratch(flat: &FlatTrace, method: Method, policy: MemoryPolicy) -> Schedule {
     .expect("policies chosen feasible")
 }
 
+/// The engine's schedule equals a from-scratch run of the materialized
+/// trace under its policy, and its running cost equals a full fold of
+/// that schedule.
+fn check_engine(engine: &mut IncrementalRun, what: &str) -> Result<(), proptest::TestCaseError> {
+    let flat = engine.trace().materialize();
+    let (method, policy) = (engine.method(), engine.policy());
+    let want = scratch(&flat, method, policy);
+    prop_assert_eq!(
+        engine.schedule(),
+        &want,
+        "{} diverged under {:?} ({})",
+        method,
+        policy,
+        what
+    );
+    let fold = flat_total_cost(&flat, engine.schedule());
+    let cost = engine.cost().expect("resolved engine");
+    prop_assert_eq!(
+        cost,
+        fold,
+        "{} cost ledger diverged under {:?} ({})",
+        method,
+        policy,
+        what
+    );
+    Ok(())
+}
+
 const METHODS: [Method; 3] = [Method::Scds, Method::Lomcds, Method::Gomcds];
 
 /// Feasible policy set for an instance: unbounded, the paper's scaled
@@ -151,34 +182,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The engine tracks a from-scratch re-schedule bit for bit after
-    /// every delta of a random edit sequence.
+    /// every delta of a random edit sequence, and so does its running
+    /// cost. Even deltas go through `incremental`; odd ones are batched,
+    /// one `apply` per op and a single `resolve`. Each run ends with an
+    /// appended window and a switch to the next policy.
     #[test]
     fn incremental_tracks_scratch_after_every_delta(
         inst in arb_instance(),
         deltas in arb_deltas(),
     ) {
+        let policies = policies(&inst);
         for method in METHODS {
-            for policy in policies(&inst) {
+            for (k, &policy) in policies.iter().enumerate() {
                 let mut engine =
                     IncrementalRun::new(inst.flat(), method, policy, Pool::serial())
                         .expect("supported method");
+                check_engine(&mut engine, "initial")?;
                 let mut num_windows = inst.num_windows;
-                for raw in &deltas {
-                    let delta = concretize(&inst, num_windows, raw);
+                for (i, raw) in deltas.iter().enumerate() {
+                    if i % 2 == 0 {
+                        let delta = concretize(&inst, num_windows, raw);
+                        engine.incremental(&delta).expect("in-range delta");
+                    } else {
+                        for op in raw {
+                            let delta = concretize(&inst, num_windows, std::slice::from_ref(op));
+                            engine.apply(&delta).expect("in-range delta");
+                        }
+                        engine.resolve().expect("feasible policy");
+                    }
                     num_windows += raw
                         .iter()
                         .filter(|op| matches!(op, RawOp::AppendWindow { .. }))
                         .count();
-                    engine.incremental(&delta).expect("in-range delta");
-                    let want = scratch(&engine.trace().materialize(), method, policy);
-                    prop_assert_eq!(
-                        engine.schedule(),
-                        &want,
-                        "{} diverged under {:?}",
-                        method,
-                        policy
-                    );
+                    check_engine(&mut engine, &format!("delta {i}"))?;
                 }
+                let mut append = TraceDelta::new();
+                append.append_window([(DataId(0), ProcId(0), 2)]);
+                engine.incremental(&append).expect("in-range delta");
+                check_engine(&mut engine, "append")?;
+                engine
+                    .set_policy(policies[(k + 1) % policies.len()])
+                    .expect("feasible policy");
+                check_engine(&mut engine, "policy switch")?;
             }
         }
     }
@@ -205,8 +250,7 @@ proptest! {
             delta.remove_run(DataId(0), 0);
             delta.append_window([]);
             engine.incremental(&delta).unwrap();
-            let want = scratch(&engine.trace().materialize(), method, policy);
-            prop_assert_eq!(engine.schedule(), &want);
+            check_engine(&mut engine, "removal and idle window")?;
         }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end exercise of the serve daemon over a real socket: load,
-//! schedule, edit, stats and evict round-trips; schedules that match a
-//! direct in-process run bit for bit (checked through the full cost
-//! breakdown); typed `overloaded` rejections under an over-capacity
+//! schedule, edit, simulate, stats and evict round-trips; schedules and
+//! simulations, before and after edits, that match a direct in-process
+//! run on the (materialized) trace bit for bit (checked through the full
+//! cost breakdown); typed `overloaded` rejections under an over-capacity
 //! burst; and typed errors (never a hang or a dropped connection) for
 //! malformed request lines, including lines that are not UTF-8.
 
@@ -13,7 +14,9 @@ use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::flat::{flat_gomcds, flat_lomcds, flat_scds, flat_total_cost};
 use pim_sched::pipeline::MemoryPolicy;
+use pim_sched::Schedule;
 use pim_serve::{Client, ServeConfig, Server};
+use pim_trace::edit::{EditableTrace, TraceDelta};
 use pim_trace::flat::{FlatRecord, FlatTrace};
 use pim_trace::ids::DataId;
 use pim_trace::json::{self, Value};
@@ -79,6 +82,23 @@ fn cost_of(v: &Value) -> (u64, u64, u64) {
     )
 }
 
+/// A `simulate` response equals the simulator run directly on `flat`.
+fn assert_simulated(v: &Value, flat: &FlatTrace, schedule: &Schedule, what: &str) {
+    let report = pim_sim::simulate(flat, schedule, Pool::with_threads(1));
+    for (field, want) in [
+        ("hop_volume", report.total_hop_volume()),
+        ("fetch_hop_volume", report.total_fetch_hop_volume()),
+        ("move_hop_volume", report.total_move_hop_volume()),
+        ("completion_time", report.total_completion_time()),
+    ] {
+        assert_eq!(
+            v.get(field).and_then(Value::as_u64),
+            Some(want),
+            "{what} {field}"
+        );
+    }
+}
+
 #[test]
 fn socket_session_matches_direct_run() {
     let config = ServeConfig {
@@ -139,20 +159,74 @@ fn socket_session_matches_direct_run() {
             .unwrap(),
     );
     assert_eq!(warm.get("warm").and_then(Value::as_bool), Some(true));
-    let mut expected_flat = flat.clone();
-    {
-        let mut editable = pim_trace::edit::EditableTrace::new(expected_flat);
-        let mut delta = pim_trace::edit::TraceDelta::new();
-        delta.set_run(DataId(3), 2, [(ProcId(0), 9), (ProcId(35), 1)]);
-        editable.apply(&delta).expect("edit applies");
-        expected_flat = editable.materialize();
-    }
+    let mut editable = EditableTrace::new(flat.clone());
+    let mut delta = TraceDelta::new();
+    delta.set_run(DataId(3), 2, [(ProcId(0), 9), (ProcId(35), 1)]);
+    editable.apply(&delta).expect("edit applies");
+    let expected_flat = editable.materialize();
     let direct = flat_gomcds(&expected_flat, MemoryPolicy::Unbounded, pool).unwrap();
     let expected = flat_total_cost(&expected_flat, &direct);
     let (reference, movement, total) = cost_of(&warm);
     assert_eq!(reference, expected.reference, "post-edit reference cost");
     assert_eq!(movement, expected.movement, "post-edit movement cost");
     assert_eq!(total, expected.total(), "post-edit total cost");
+    let simulate = format!(r#"{{"op":"simulate","trace":"{key}"}}"#);
+    let sim = parse_ok(&client.request(&simulate).unwrap());
+    assert_simulated(&sim, &expected_flat, &direct, "post-edit gomcds");
+
+    // A second edit appends a window and rewrites a run. Each further
+    // method then builds a cold engine from the edited trace (the second
+    // and third from an engine that was itself rebuilt, at version 0),
+    // and its schedule and simulation match direct runs on the
+    // materialized trace.
+    let edit = format!(
+        r#"{{"op":"edit","trace":"{key}","delta":{{"version":1,"ops":[{{"op":"append_window","rows":[[5,7,3],[3,0,1]]}},{{"op":"set_run","datum":10,"window":0,"refs":[[20,4]]}}]}}}}"#
+    );
+    let edited = parse_ok(&client.request(&edit).unwrap());
+    assert_eq!(edited.get("version").and_then(Value::as_u64), Some(3));
+    let mut delta = TraceDelta::new();
+    delta
+        .append_window([(DataId(5), ProcId(7), 3), (DataId(3), ProcId(0), 1)])
+        .set_run(DataId(10), 0, [(ProcId(20), 4)]);
+    editable.apply(&delta).expect("edit applies");
+    let expected_flat = editable.materialize();
+    let bounded = MemoryPolicy::ScaledMinimum { factor: 2 };
+    for (method, policy_json, direct) in [
+        (
+            "lomcds",
+            r#"{"scaled_min":2}"#,
+            flat_lomcds(&expected_flat, bounded, pool),
+        ),
+        (
+            "scds",
+            r#""unbounded""#,
+            flat_scds(&expected_flat, MemoryPolicy::Unbounded, pool),
+        ),
+        (
+            "gomcds",
+            r#"{"scaled_min":2}"#,
+            flat_gomcds(&expected_flat, bounded, pool),
+        ),
+    ] {
+        let direct = direct.expect("direct schedule");
+        let response = parse_ok(
+            &client
+                .request(&format!(
+                    r#"{{"op":"schedule","trace":"{key}","method":"{method}","policy":{policy_json}}}"#
+                ))
+                .unwrap(),
+        );
+        assert_eq!(response.get("warm").and_then(Value::as_bool), Some(false));
+        let expected = flat_total_cost(&expected_flat, &direct);
+        let (reference, movement, total) = cost_of(&response);
+        assert_eq!(
+            (reference, movement, total),
+            (expected.reference, expected.movement, expected.total()),
+            "{method} after two edits"
+        );
+        let sim = parse_ok(&client.request(&simulate).unwrap());
+        assert_simulated(&sim, &expected_flat, &direct, method);
+    }
 
     // Stats reflect the session and parse as JSON.
     let stats = parse_ok(&client.request(r#"{"op":"stats"}"#).unwrap());
@@ -160,7 +234,7 @@ fn socket_session_matches_direct_run() {
         .get("server")
         .and_then(|s| s.get("requests"))
         .expect("request counters");
-    assert!(requests.get("schedule").and_then(Value::as_u64).unwrap() >= 4);
+    assert!(requests.get("schedule").and_then(Value::as_u64).unwrap() >= 7);
     assert_eq!(
         stats
             .get("store")
