@@ -14,8 +14,9 @@
 //!
 //! Flags:
 //!
-//! * `--smoke` — small rows only (16×16 × 50k, 5 ticks) plus the tight
-//!   fallback row (the CI gate);
+//! * `--smoke` — small rows only (SCDS and LOMCDS at 16×16 × 50k,
+//!   GOMCDS unbounded and scaled-min ×2 at 16×16 × 20k, 5 ticks each)
+//!   plus the tight fallback row (the CI gate);
 //! * `--out PATH` — write the JSON somewhere other than
 //!   `./BENCH_churn.json`.
 
@@ -45,6 +46,9 @@ fn main() {
         for method in ["scds", "lomcds"] {
             rows.push(report(16, 50_000, method, unbounded, "unbounded", 5));
         }
+        // 200 dirty data per tick: the GOMCDS resolve's pooled branch.
+        rows.push(report(16, 20_000, "gomcds", unbounded, "unbounded", 5));
+        rows.push(report(16, 20_000, "gomcds", scaled, "scaled_min_x2", 5));
     } else {
         for method in ["scds", "lomcds", "gomcds"] {
             rows.push(report(16, 100_000, method, unbounded, "unbounded", 10));

@@ -61,7 +61,7 @@
 use crate::cost::{argmin_table, AxisScratch};
 use pim_array::grid::{Grid, ProcId};
 use pim_metrics::CacheStats;
-use pim_trace::flat::{FlatRef, FlatTrace, FlatView};
+use pim_trace::flat::{FlatRef, FlatView};
 use pim_trace::ids::DataId;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -71,35 +71,6 @@ use std::sync::{Arc, OnceLock};
 /// the rationale): a datum builds its tables on single-window query
 /// `num_windows + SINGLE_WINDOW_SWEEP_SLACK + 1`.
 const SINGLE_WINDOW_SWEEP_SLACK: u32 = 1;
-
-/// Where a datum's flat span lives: borrowed from any
-/// [`FlatView`](pim_trace::flat::FlatView), or shared (`Arc`-owned) so it
-/// outlives any borrow — the form the incremental engine uses so it can
-/// rebind a datum's span after an edit without the cache borrowing the
-/// trace. Every variant is one window-major span in canonical
-/// `(window, y, x)` order, so the backing choice can never change a table
-/// bit.
-#[derive(Debug, Clone)]
-enum RefSource<'r> {
-    /// A borrowed span.
-    Flat(&'r [FlatRef]),
-    /// One datum of a shared flat trace (span looked up per query).
-    SharedTrace(Arc<FlatTrace>, DataId),
-    /// A shared standalone span (the overlay form
-    /// `pim_trace::edit::EditableTrace` produces).
-    SharedSpan(Arc<[FlatRef]>),
-}
-
-impl RefSource<'_> {
-    /// The datum's span.
-    fn span(&self) -> &[FlatRef] {
-        match self {
-            RefSource::Flat(refs) => refs,
-            RefSource::SharedTrace(trace, d) => trace.span(*d),
-            RefSource::SharedSpan(refs) => refs,
-        }
-    }
-}
 
 /// The axis-weight prefix sums of one datum, built lazily on first use.
 #[derive(Debug, Clone)]
@@ -119,7 +90,8 @@ struct PrefixTables {
 pub struct DatumCostCache<'r> {
     grid: Grid,
     num_windows: usize,
-    src: RefSource<'r>,
+    /// The datum's span, window-major in canonical `(window, y, x)` order.
+    refs: &'r [FlatRef],
     tables: OnceLock<PrefixTables>,
     /// Count of raw-served single-window queries, driving the build
     /// trigger past `num_windows +` [`SINGLE_WINDOW_SWEEP_SLACK`]. Atomic
@@ -139,23 +111,10 @@ impl<'r> DatumCostCache<'r> {
     /// `O(1)` — no tables are built until a query needs them (see the
     /// module docs for which do).
     pub fn build_flat(grid: &Grid, refs: &'r [FlatRef], num_windows: usize) -> Self {
-        Self::from_source(grid, RefSource::Flat(refs), num_windows)
-    }
-
-    /// Wrap one datum of a shared flat trace. Borrow-free (`'static`):
-    /// the cache co-owns the trace, so a caller holding the same `Arc`
-    /// may keep editing an overlay beside it — the form the incremental
-    /// engine builds its initial cache in.
-    pub fn build_shared_trace(grid: &Grid, trace: Arc<FlatTrace>, d: DataId) -> DatumCostCache<'r> {
-        let nw = trace.num_windows();
-        Self::from_source(grid, RefSource::SharedTrace(trace, d), nw)
-    }
-
-    fn from_source(grid: &Grid, src: RefSource<'r>, num_windows: usize) -> Self {
         DatumCostCache {
             grid: *grid,
             num_windows,
-            src,
+            refs,
             tables: OnceLock::new(),
             raw_singles: AtomicU32::new(0),
             stats: None,
@@ -189,7 +148,7 @@ impl<'r> DatumCostCache<'r> {
             let mut px = vec![0u64; (nw + 1) * w];
             let mut py = vec![0u64; (nw + 1) * h];
             let mut vol = vec![0u64; nw + 1];
-            let refs = self.src.span();
+            let refs = self.refs;
             let mut next = 0usize;
             for wi in 0..nw {
                 let (prev_x, row_x) = px[wi * w..(wi + 2) * w].split_at_mut(w);
@@ -216,91 +175,6 @@ impl<'r> DatumCostCache<'r> {
         let _ = self.tables();
     }
 
-    /// Drop any built prefix tables and reset the lazy-build counter.
-    /// The datum becomes an *invalidation unit*: an incremental engine
-    /// calls this (via [`DatumCostCache::rebind_span`]) for exactly the
-    /// data an edit rewrote, leaving every other datum's tables intact.
-    pub fn invalidate(&mut self) {
-        if self.tables.get().is_some() {
-            if let Some(stats) = &self.stats {
-                stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.tables = OnceLock::new();
-        self.raw_singles = AtomicU32::new(0);
-    }
-
-    /// Rebind to a rewritten shared span (canonical order) covering
-    /// `num_windows` windows, invalidating any built tables.
-    pub fn rebind_span(&mut self, refs: Arc<[FlatRef]>, num_windows: usize) {
-        self.src = RefSource::SharedSpan(refs);
-        self.num_windows = num_windows;
-        self.invalidate();
-    }
-
-    /// Rebind to a shared span that *extends* the current one: every
-    /// reference in pre-existing windows is unchanged and new references
-    /// live only in windows `>= self.num_windows()`. Built prefix tables
-    /// are extended in place (new rows appended) instead of rebuilt.
-    pub fn extend_span(&mut self, refs: Arc<[FlatRef]>, num_windows: usize) {
-        debug_assert!(num_windows >= self.num_windows);
-        let old_nw = self.num_windows;
-        self.src = RefSource::SharedSpan(refs);
-        self.num_windows = num_windows;
-        self.extend_tables(old_nw);
-    }
-
-    /// Grow the window count without touching the source: the appended
-    /// windows hold no references to this datum (the caller's contract —
-    /// data referenced by an append get [`DatumCostCache::extend_span`]
-    /// instead). Built prefix tables gain copy-forward rows in place.
-    pub fn extend_windows(&mut self, num_windows: usize) {
-        debug_assert!(num_windows >= self.num_windows);
-        let old_nw = self.num_windows;
-        self.num_windows = num_windows;
-        self.extend_tables(old_nw);
-    }
-
-    /// Append prefix rows for windows `old_nw..self.num_windows` to
-    /// already-built tables (no-op while still lazy — the eventual build
-    /// covers the new count). Row `wi+1` = row `wi` + refs of window `wi`,
-    /// exactly what a from-scratch build would compute.
-    fn extend_tables(&mut self, old_nw: usize) {
-        let nw = self.num_windows;
-        if nw == old_nw {
-            return;
-        }
-        let w = self.grid.width() as usize;
-        let h = self.grid.height() as usize;
-        let refs = self.src.span();
-        let Some(t) = self.tables.get_mut() else {
-            return;
-        };
-        if let Some(stats) = &self.stats {
-            stats.prefix_extends.fetch_add(1, Ordering::Relaxed);
-        }
-        t.px.resize((nw + 1) * w, 0);
-        t.py.resize((nw + 1) * h, 0);
-        t.vol.resize(nw + 1, 0);
-        let mut next = refs.partition_point(|r| (r.window as usize) < old_nw);
-        for wi in old_nw..nw {
-            let (prev_x, row_x) = t.px[wi * w..(wi + 2) * w].split_at_mut(w);
-            row_x.copy_from_slice(prev_x);
-            let (prev_y, row_y) = t.py[wi * h..(wi + 2) * h].split_at_mut(h);
-            row_y.copy_from_slice(prev_y);
-            t.vol[wi + 1] = t.vol[wi];
-            while let Some(r) = refs.get(next) {
-                if r.window as usize != wi {
-                    break;
-                }
-                row_x[r.x as usize] += r.count as u64;
-                row_y[r.y as usize] += r.count as u64;
-                t.vol[wi + 1] += r.count as u64;
-                next += 1;
-            }
-        }
-    }
-
     /// Number of execution windows the cache covers.
     pub fn num_windows(&self) -> usize {
         self.num_windows
@@ -325,7 +199,7 @@ impl<'r> DatumCostCache<'r> {
 
     /// Range volume by walking the raw references of `lo..hi`.
     fn raw_volume(&self, lo: usize, hi: usize) -> u64 {
-        Self::flat_range(self.src.span(), lo, hi)
+        Self::flat_range(self.refs, lo, hi)
             .iter()
             .map(|r| r.count as u64)
             .sum()
@@ -379,7 +253,7 @@ impl<'r> DatumCostCache<'r> {
             if let Some(stats) = &self.stats {
                 stats.raw_serves.fetch_add(1, Ordering::Relaxed);
             }
-            axes.project(&self.grid, Self::flat_range(self.src.span(), lo, hi));
+            axes.project(&self.grid, Self::flat_range(self.refs, lo, hi));
         } else {
             self.fill_weights_prefix(self.tables(), lo, hi, axes);
         }
@@ -444,30 +318,9 @@ impl<'t> CostCache<'t> {
         }
     }
 
-    /// Wrap every datum of a shared flat trace. Borrow-free (usable as
-    /// `CostCache<'static>`): each datum co-owns the trace through the
-    /// `Arc`, so the caller can keep an editable overlay beside the cache
-    /// and [rebind](DatumCostCache::rebind_span) edited data one by one.
-    pub fn build_shared(trace: &Arc<FlatTrace>) -> Self {
-        let grid = trace.grid();
-        CostCache {
-            data: (0..trace.num_data())
-                .map(|d| {
-                    DatumCostCache::build_shared_trace(&grid, Arc::clone(trace), DataId(d as u32))
-                })
-                .collect(),
-        }
-    }
-
     /// The cache of one datum.
     pub fn datum(&self, d: DataId) -> &DatumCostCache<'t> {
         &self.data[d.index()]
-    }
-
-    /// Mutable access to one datum's cache, for per-datum invalidation
-    /// and append extension by the incremental engine.
-    pub fn datum_mut(&mut self, d: DataId) -> &mut DatumCostCache<'t> {
-        &mut self.data[d.index()]
     }
 
     /// Install shared cache counters into every datum's cache (from an
@@ -497,6 +350,7 @@ impl<'t> CostCache<'t> {
 mod tests {
     use super::*;
     use crate::cost::{cost_table, optimal_center};
+    use pim_trace::flat::FlatTrace;
     use pim_trace::window::WindowRefs;
 
     fn sample_windows(grid: &Grid) -> Vec<WindowRefs> {
@@ -655,86 +509,6 @@ mod tests {
         assert_eq!(stats.raw_serves.load(Ordering::Relaxed), 2);
         assert_eq!(stats.prefix_builds.load(Ordering::Relaxed), 1);
         assert_eq!(stats.prefix_hits.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn shared_sources_rebind_and_extend() {
-        use pim_trace::flat::FlatRecord;
-        let grid = Grid::new(4, 3);
-        let rec = |d: u32, w: u32, p: u32, c: u32| FlatRecord {
-            datum: DataId(d),
-            window: w,
-            proc: ProcId(p),
-            count: c,
-        };
-        let flat = Arc::new(
-            FlatTrace::from_records(
-                grid,
-                2,
-                1,
-                vec![rec(0, 0, 0, 3), rec(0, 1, 6, 5), rec(0, 1, 10, 2)],
-            )
-            .unwrap(),
-        );
-        let mut cache = DatumCostCache::build_shared_trace(&grid, Arc::clone(&flat), DataId(0));
-        let stats = Arc::new(CacheStats::default());
-        cache.set_stats(Arc::clone(&stats));
-        cache.ensure_tables();
-        assert_eq!(cache.range_volume(0, 2), 10);
-
-        // Append-extension: new window's refs extend the built tables in
-        // place, matching a from-scratch build on the extended span.
-        let mut extended: Vec<FlatRef> = flat.span(DataId(0)).to_vec();
-        extended.push(FlatRef {
-            window: 2,
-            x: 1,
-            y: 1,
-            count: 7,
-        });
-        cache.extend_span(Arc::from(extended.clone()), 3);
-        assert_eq!(stats.prefix_extends.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.invalidations.load(Ordering::Relaxed), 0);
-        let oracle = DatumCostCache::build_flat(&grid, &extended, 3);
-        oracle.ensure_tables();
-        let mut axes = AxisScratch::default();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for lo in 0..3 {
-            for hi in lo + 1..=3 {
-                cache.range_table(lo, hi, &mut axes, &mut a);
-                oracle.range_table(lo, hi, &mut axes, &mut b);
-                assert_eq!(a, b, "range {lo}..{hi}");
-                assert_eq!(cache.range_volume(lo, hi), oracle.range_volume(lo, hi));
-            }
-        }
-
-        // Rewrite: rebinding invalidates, then rebuilds lazily.
-        let rewritten: Arc<[FlatRef]> = Arc::from(vec![FlatRef {
-            window: 0,
-            x: 2,
-            y: 2,
-            count: 1,
-        }]);
-        cache.rebind_span(Arc::clone(&rewritten), 3);
-        assert_eq!(stats.invalidations.load(Ordering::Relaxed), 1);
-        assert!(cache.tables.get().is_none(), "rebind drops tables");
-        assert_eq!(cache.range_volume(0, 3), 1);
-    }
-
-    #[test]
-    fn extend_windows_copies_rows_forward() {
-        let grid = Grid::new(4, 3);
-        let flat = sample(&grid); // 4 windows
-        let mut cache = DatumCostCache::build_flat(&grid, flat.span(DataId(0)), 4);
-        cache.ensure_tables();
-        cache.extend_windows(6);
-        assert_eq!(cache.num_windows(), 6);
-        assert_eq!(cache.range_volume(4, 6), 0);
-        assert_eq!(cache.range_volume(0, 6), flat.total_volume());
-        let mut axes = AxisScratch::default();
-        let (mut full, mut old) = (Vec::new(), Vec::new());
-        cache.range_table(0, 6, &mut axes, &mut full);
-        cache.range_table(0, 4, &mut axes, &mut old);
-        assert_eq!(full, old, "empty appended windows add no cost");
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! layered DP (`solve_layered`): node costs come from the datum's
 //! [`DatumCostCache`] (single windows, grouped ranges, or
 //! precedence-weighted windows) as one x and one y row per layer; full
-//! (window, processor) slots are masked to [`INF`]; an optional checkpoint
-//! resumes the forward pass from the first edited window. The capacity
+//! (window, processor) slots are masked to [`INF`]. The capacity
 //! replay (`GomcdsReplay`) places data in ascending id order, each
 //! claiming its path's slots before the next datum is placed: a datum
 //! takes its unconstrained ("pure") path when every slot of it is free,
@@ -184,7 +183,7 @@ pub fn gomcds_path_ranges(
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
     let src = NodeSource::CachedRanges(cache, groups);
-    solve_layered(grid, &src, None, Solver::DistanceTransform, 1, None, ws)
+    solve_layered(grid, &src, None, Solver::DistanceTransform, 1, ws)
         .expect("unconstrained path always feasible")
 }
 
@@ -200,7 +199,7 @@ pub fn gomcds_path_weighted(
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
     let src = NodeSource::Cached(cache);
-    solve_layered(grid, &src, None, solver, move_weight, None, ws)
+    solve_layered(grid, &src, None, solver, move_weight, ws)
         .expect("unconstrained path always feasible")
 }
 
@@ -245,7 +244,7 @@ pub fn solve_masked_path(
     ws: &mut Workspace,
 ) -> Option<Vec<ProcId>> {
     let src = NodeSource::Cached(cache);
-    solve_layered(grid, &src, Some(masks), solver, 1, None, ws).map(|(path, _)| path)
+    solve_layered(grid, &src, Some(masks), solver, 1, ws).map(|(path, _)| path)
 }
 
 /// Cache-served masked path over grouped window ranges (`masks[g]` masks
@@ -258,53 +257,12 @@ pub(crate) fn solve_masked_ranges(
     ws: &mut Workspace,
 ) -> Option<Vec<ProcId>> {
     let src = NodeSource::CachedRanges(cache, groups);
-    solve_layered(
-        grid,
-        &src,
-        Some(masks),
-        Solver::DistanceTransform,
-        1,
-        None,
-        ws,
-    )
-    .map(|(path, _)| path)
-}
-
-/// A saved DP prefix of one datum's unconstrained solve: the per-axis
-/// forward rows of layers `0..layers`, each layer `width + height` entries
-/// (its x row, then its y row). Because row `w` is a pure function of the
-/// node rows `0..=w`, a checkpoint whose prefix windows are unedited
-/// resumes bit-identically — the incremental engine truncates `layers` to
-/// the first dirty window on every edit and the DP recomputes only from
-/// there ("first dirty layer" resume).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct DpCheckpoint {
-    /// Number of valid leading DP layers (windows).
-    pub layers: usize,
-    /// Width of the grid the rows were saved on: the length of a layer's
-    /// x row.
-    pub width: usize,
-    /// Row-major `layers × (width + height)` forward DP values.
-    pub dp: Vec<u64>,
-}
-
-impl DpCheckpoint {
-    /// Invalidate every layer from `first_dirty` on. `m` is the grid's
-    /// processor count, so a saved layer holds `width + m / width` entries.
-    pub fn truncate(&mut self, first_dirty: usize, m: usize) {
-        if self.layers > first_dirty {
-            self.layers = first_dirty;
-            self.dp
-                .truncate(first_dirty * (self.width + m / self.width));
-        }
-    }
+    solve_layered(grid, &src, Some(masks), Solver::DistanceTransform, 1, ws).map(|(path, _)| path)
 }
 
 /// The GOMCDS kernel: solve one datum's layered shortest path. `masks`
 /// (one map per layer) marks full processors; `move_weight` is the
-/// per-hop movement charge; `ckpt` (unmasked distance-transform solves
-/// only) supplies the valid prefix layers to resume from and receives
-/// every layer of this solve. Returns `None` when no feasible path exists.
+/// per-hop movement charge. Returns `None` when no feasible path exists.
 /// Ties go to the lowest-id sink and the lowest-id predecessor.
 ///
 /// An unmasked [`Solver::DistanceTransform`] solve runs one 1-D DP per
@@ -316,17 +274,11 @@ pub(crate) fn solve_layered(
     masks: Option<&[MemoryMap]>,
     solver: Solver,
     move_weight: u64,
-    ckpt: Option<&mut DpCheckpoint>,
     ws: &mut Workspace,
 ) -> Option<(Vec<ProcId>, u64)> {
     match (masks, solver) {
-        (None, Solver::DistanceTransform) => {
-            Some(solve_separable(grid, src, move_weight, ckpt, ws))
-        }
-        _ => {
-            debug_assert!(ckpt.is_none(), "only separable solves resume");
-            solve_grid(grid, src, masks, solver, move_weight, ws)
-        }
+        (None, Solver::DistanceTransform) => Some(solve_separable(grid, src, move_weight, ws)),
+        _ => solve_grid(grid, src, masks, solver, move_weight, ws),
     }
 }
 
@@ -342,7 +294,6 @@ fn solve_separable(
     grid: &Grid,
     src: &NodeSource<'_>,
     move_weight: u64,
-    ckpt: Option<&mut DpCheckpoint>,
     ws: &mut Workspace,
 ) -> (Vec<ProcId>, u64) {
     let (width, height) = (grid.width() as usize, grid.height() as usize);
@@ -359,11 +310,7 @@ fn solve_separable(
     dp.reserve(nw * row);
     axis_nodes.clear();
     axis_nodes.reserve(nw * row);
-    let start = ckpt.as_ref().map_or(0, |c| c.layers.min(nw));
-    if let Some(c) = &ckpt {
-        dp.extend_from_slice(&c.dp[..start * row]);
-    }
-    for w in start..nw {
+    for w in 0..nw {
         src.axis_costs(w, axes);
         axis_nodes.extend_from_slice(&axes.cx);
         axis_nodes.extend_from_slice(&axes.cy);
@@ -383,12 +330,6 @@ fn solve_separable(
             }
         }
     }
-    if let Some(c) = ckpt {
-        c.layers = nw;
-        c.width = width;
-        c.dp.clone_from(dp);
-    }
-
     let last = &dp[(nw - 1) * row..];
     let (mut kx, best_x) = lowest_argmin(&last[..width]);
     let (mut ky, best_y) = lowest_argmin(&last[width..]);
@@ -576,21 +517,6 @@ impl GomcdsReplay {
         Ok(path)
     }
 
-    /// [`place`](Self::place) with the masked DP served from the datum's
-    /// cost cache (for a pure path carried from an earlier solve).
-    pub(crate) fn place_cached(
-        &mut self,
-        d: DataId,
-        pure: Vec<ProcId>,
-        cache: &DatumCostCache,
-        ws: &mut Workspace,
-    ) -> Result<Vec<ProcId>, SchedError> {
-        let (grid, solver) = (self.grid, self.solver);
-        self.place(d, pure, |masks| {
-            solve_masked_path(&grid, cache, masks, solver, ws)
-        })
-    }
-
     /// [`place`](Self::place) with the masked DP served from `axis_nodes`,
     /// the per-axis node rows the pure solve recorded, so a colliding
     /// datum never queries its cost cache twice.
@@ -608,7 +534,7 @@ impl GomcdsReplay {
             height: grid.height() as usize,
         };
         self.place(d, pure, |masks| {
-            solve_layered(&grid, &src, Some(masks), solver, 1, None, ws).map(|(path, _)| path)
+            solve_layered(&grid, &src, Some(masks), solver, 1, ws).map(|(path, _)| path)
         })
     }
 
@@ -815,53 +741,6 @@ mod tests {
         assert_eq!(s.max_occupancy(), 1);
         assert_eq!(s.center(DataId(0), 0), grid.proc_xy(2, 2));
         assert_ne!(s.center(DataId(1), 0), grid.proc_xy(2, 2));
-    }
-
-    #[test]
-    fn resumable_solve_matches_cached_from_every_layer() {
-        let grid = Grid::new(5, 4);
-        let trace = one_datum(
-            grid,
-            vec![
-                WindowRefs::from_pairs([(grid.proc_xy(0, 0), 2), (grid.proc_xy(4, 3), 1)]),
-                WindowRefs::new(),
-                WindowRefs::from_pairs([(grid.proc_xy(2, 2), 3)]),
-                WindowRefs::from_pairs([(grid.proc_xy(4, 0), 1), (grid.proc_xy(0, 3), 1)]),
-                WindowRefs::from_pairs([(grid.proc_xy(1, 3), 4)]),
-            ],
-        );
-        let nw = trace.num_windows();
-        let caches = CostCache::build_flat(&trace);
-        let cache = caches.datum(DataId(0));
-        let mut ws = Workspace::new();
-        let expect = gomcds_path(&grid, cache, Solver::DistanceTransform, &mut ws);
-        let src = NodeSource::Cached(cache);
-        let mut solve = |ckpt: &mut DpCheckpoint| {
-            solve_layered(
-                &grid,
-                &src,
-                None,
-                Solver::DistanceTransform,
-                1,
-                Some(ckpt),
-                &mut ws,
-            )
-            .unwrap()
-        };
-
-        // Save a full checkpoint, then resume from every truncation point
-        // (0 = cold, nw = fully warm): all must be bit-identical.
-        let mut ckpt = DpCheckpoint::default();
-        assert_eq!(solve(&mut ckpt), expect);
-        assert_eq!(ckpt.layers, nw);
-        let m = grid.num_procs();
-        for cut in 0..=nw {
-            let mut c = ckpt.clone();
-            c.truncate(cut, m);
-            assert_eq!(c.layers, cut);
-            assert_eq!(solve(&mut c), expect, "resume from layer {cut}");
-            assert_eq!(c.dp, ckpt.dp, "resumed save from layer {cut}");
-        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! [`IncrementalRun`] keeps a live schedule over an [`EditableTrace`] and,
 //! after each batch of edits, re-solves **only the dirty data** instead of
-//! rerunning the whole scheduler. The engine maintains three invariants
+//! rerunning the whole scheduler. The engine maintains four invariants
 //! (argued in DESIGN.md §12, pinned by the churn property tests):
 //!
-//! 1. **Per-method carried state** whose entries depend only on a single
-//!    datum's reference span — SCDS merged medians (with optional
-//!    [`MedianState`] checkpoints for O(edit)-time median updates), LOMCDS
-//!    window-0 anchors, GOMCDS unconstrained paths (with bounded-size
-//!    `DpCheckpoint`s so append-heavy churn resumes the layered DP from
-//!    the first edited window).
+//! 1. **Per-method phase-1 state**: each method's per-datum answer before
+//!    the capacity replay — the SCDS merged median, the LOMCDS
+//!    first-window anchor, the GOMCDS unconstrained path — depends only on
+//!    that datum's reference span. A resolve re-runs the method's kernel
+//!    over the dirty data alone, fanned out over the pool once
+//!    `PARALLEL_DIRTY_MIN` (64) of them are dirty.
 //! 2. **Append extension**: an appended window with no references for a
 //!    datum extends its optimal schedule by repeating the last center, so
 //!    clean rows, pure paths and per-window occupancy all extend in place.
@@ -43,44 +43,30 @@
 //! bit-identical to running them on the materialized trace after every
 //! delta.
 
-use crate::cache::CostCache;
+use crate::cache::DatumCostCache;
 use crate::error::{ensure_feasible, SchedError};
 use crate::flat::{datum_cost, datum_ids, fan_out};
-use crate::gomcds::{gomcds_path, solve_layered, DpCheckpoint, GomcdsReplay};
-use crate::gomcds::{NodeSource, Solver};
+use crate::gomcds::{gomcds_path, solve_masked_path, GomcdsReplay, Solver};
 use crate::lomcds::{span_first_anchor, span_window_medians};
-use crate::median::{MedianState, PackedMedians};
+use crate::median::MedianState;
 use crate::pipeline::{MemoryPolicy, Method};
 use crate::scds::{span_median, ScdsReplay};
 use crate::schedule::{CostBreakdown, Schedule};
 use crate::workspace::Workspace;
 use pim_array::grid::{Grid, ProcId};
 use pim_array::memory::MemorySpec;
-use pim_metrics::Metrics;
+use pim_metrics::{CacheStats, Metrics};
 use pim_par::Pool;
-use pim_trace::edit::{DirtyKind, EditOp, EditableTrace, TraceDelta};
+use pim_trace::edit::{EditableTrace, TraceDelta};
 use pim_trace::flat::{FlatTrace, FlatTraceError};
 use pim_trace::ids::DataId;
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-/// Default memory budget for the SCDS per-datum median checkpoints; above
-/// it dirty medians are recomputed from their spans instead.
-const SCDS_CHECKPOINT_BUDGET: usize = 64 << 20;
-
-/// Dirty-set size up to which GOMCDS re-solves sequentially through the
-/// checkpoint store; larger sets fan the from-scratch solves out over the
-/// pool instead (checkpoints stop paying once every worker is busy).
-const GOMCDS_RESUME_SEQUENTIAL_MAX: usize = 32;
-
-/// Maximum number of per-datum DP checkpoints kept (FIFO eviction): each
-/// holds a `num_windows × (width + height)` u64 table, and the cap keeps
-/// the store from growing with every datum churn ever touches.
-const GOMCDS_RESUME_CAP: usize = 256;
-
-/// Dirty-set size from which LOMCDS recomputes desired rows in parallel.
-const LOMCDS_PARALLEL_DIRTY_MIN: usize = 64;
+/// Dirty-set size from which a resolve fans its kernel runs out over the
+/// pool; smaller sets run inline, where a pool dispatch costs more than it
+/// saves.
+const PARALLEL_DIRTY_MIN: usize = 64;
 
 /// Why an [`IncrementalRun::incremental`] step failed.
 #[derive(Debug)]
@@ -123,85 +109,18 @@ impl From<SchedError> for IncrementalError {
     }
 }
 
-/// FIFO-bounded store of per-datum GOMCDS DP checkpoints.
-#[derive(Debug, Default)]
-struct ResumeStore {
-    map: HashMap<u32, DpCheckpoint>,
-    fifo: VecDeque<u32>,
-}
-
-impl ResumeStore {
-    /// Drop every checkpointed layer from `first_dirty` on for `d`.
-    fn truncate(&mut self, d: DataId, first_dirty: usize, m: usize) {
-        if let Some(c) = self.map.get_mut(&d.0) {
-            c.truncate(first_dirty, m);
-        }
-    }
-
-    /// `d`'s checkpoint, created empty (evicting the oldest entry past
-    /// the cap) when absent.
-    fn slot(&mut self, d: DataId) -> &mut DpCheckpoint {
-        if !self.map.contains_key(&d.0) {
-            self.fifo.push_back(d.0);
-            if self.fifo.len() > GOMCDS_RESUME_CAP {
-                if let Some(old) = self.fifo.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
-        }
-        self.map.entry(d.0).or_default()
-    }
-}
-
 /// Per-method carried phase-1 state: everything here depends only on
 /// individual data spans, so an edit to datum `d` invalidates exactly the
 /// entries of `d`.
 enum MethodState {
-    /// SCDS: each datum's merged-window weighted median, plus (when the
-    /// budget allows) its live median histogram so an edit updates the
-    /// median in `O(edit + width + height)` instead of `O(span)`.
-    Scds {
-        medians: Vec<ProcId>,
-        ckpts: Option<PackedMedians>,
-    },
+    /// SCDS: each datum's merged-window weighted median.
+    Scds { medians: Vec<ProcId> },
     /// LOMCDS: each datum's window-0 anchor (the median of its first
     /// referenced window) — all the sequential replay ever consults
     /// besides the spans.
     Lomcds { anchors: Vec<ProcId> },
-    /// GOMCDS: each datum's unconstrained layered-DP path, resumable DP
-    /// checkpoints for recently re-solved data, and the cost cache its
-    /// node costs come from — the one method that reads one (SCDS and
-    /// LOMCDS project straight off spans), so only its engine builds it.
-    Gomcds {
-        pure: Vec<Vec<ProcId>>,
-        resume: ResumeStore,
-        cache: CostCache<'static>,
-    },
-}
-
-impl MethodState {
-    fn init(method: Method, base: &Arc<FlatTrace>, metrics: &Metrics) -> MethodState {
-        match method {
-            Method::Scds => MethodState::Scds {
-                medians: Vec::new(),
-                ckpts: None,
-            },
-            Method::Lomcds => MethodState::Lomcds {
-                anchors: Vec::new(),
-            },
-            _ => {
-                let mut cache = CostCache::build_shared(base);
-                if let Some(stats) = metrics.cache_stats() {
-                    cache.set_stats(&stats);
-                }
-                MethodState::Gomcds {
-                    pure: Vec::new(),
-                    resume: ResumeStore::default(),
-                    cache,
-                }
-            }
-        }
-    }
+    /// GOMCDS: each datum's unconstrained layered-DP path.
+    Gomcds { pure: Vec<Vec<ProcId>> },
 }
 
 /// Capacity bookkeeping carried between resolves of a bounded run.
@@ -218,7 +137,6 @@ struct BoundedState {
     /// for LOMCDS/GOMCDS.
     occ: Vec<u32>,
 }
-
 /// Per-datum cost of the current schedule (16 B per datum) and its
 /// running total, refolded lazily: entries go stale when their row or span
 /// changes and are refolded only when [`IncrementalRun::cost`] is asked.
@@ -328,15 +246,6 @@ pub struct IncrementalRun {
     state: MethodState,
     bounded: Option<BoundedState>,
     fallbacks: u64,
-    scds_ckpt_budget: usize,
-    /// Centers computed in [`Self::post_op`] while the just-updated SCDS
-    /// checkpoint is still cache-hot, in op order (sequential pushes — a
-    /// per-datum array would pay a cold write per op). The dirty-solve
-    /// consumes the list only when its length equals the dirty count,
-    /// which proves entries are unique and cover the dirty set; duplicate
-    /// edits to one datum fall back to re-reading checkpoints. Always
-    /// empty unless the method is SCDS with checkpoints.
-    fresh: Vec<(DataId, ProcId)>,
     ledger: CostLedger,
 }
 
@@ -375,17 +284,22 @@ impl IncrementalRun {
         pool: Pool,
         metrics: Metrics,
     ) -> Result<IncrementalRun, SchedError> {
-        match method {
-            Method::Scds | Method::Lomcds | Method::Gomcds => {}
+        let state = match method {
+            Method::Scds => MethodState::Scds {
+                medians: Vec::new(),
+            },
+            Method::Lomcds => MethodState::Lomcds {
+                anchors: Vec::new(),
+            },
+            Method::Gomcds => MethodState::Gomcds { pure: Vec::new() },
             other => {
                 return Err(SchedError::UnknownScheduler(format!(
                     "{other} has no incremental engine (supported: SCDS, LOMCDS, GOMCDS)"
                 )))
             }
-        }
+        };
         let trace = EditableTrace::from_arc(flat.into());
         let grid = trace.grid();
-        let state = MethodState::init(method, trace.base(), &metrics);
         let mut ws = Workspace::new();
         ws.metrics = metrics.clone();
         let mut run = IncrementalRun {
@@ -400,8 +314,6 @@ impl IncrementalRun {
             state,
             bounded: None,
             fallbacks: 0,
-            scds_ckpt_budget: SCDS_CHECKPOINT_BUDGET,
-            fresh: Vec::new(),
             ledger: CostLedger::new(),
         };
         run.full_solve()?;
@@ -465,29 +377,7 @@ impl IncrementalRun {
     /// be batched before one [`Self::resolve`]). On `Err` nothing was
     /// applied.
     pub fn apply(&mut self, delta: &TraceDelta) -> Result<(), FlatTraceError> {
-        self.trace.check(delta)?;
-        let ops = delta.ops();
-        for (i, op) in ops.iter().enumerate() {
-            // One-op lookahead: start pulling the next op's span and
-            // checkpoint block toward cache so their DRAM latency
-            // overlaps this op's work (spans land on random data, so
-            // every tick begins cold).
-            if let Some(EditOp::SetRun { datum, .. }) = ops.get(i + 1) {
-                self.trace.prefetch_span(*datum);
-                if let MethodState::Scds {
-                    ckpts: Some(pm), ..
-                } = &self.state
-                {
-                    pm.prefetch(datum.index());
-                }
-            }
-            self.pre_op(op);
-            self.trace
-                .apply_op(op)
-                .expect("delta pre-validated by check");
-            self.post_op(op);
-        }
-        Ok(())
+        self.trace.apply(delta)
     }
 
     /// Switch the memory policy, flushing pending edits under the old
@@ -498,69 +388,10 @@ impl IncrementalRun {
         self.replay()
     }
 
-    /// Eager carried-state maintenance *before* an op lands: SCDS median
-    /// checkpoints must see the run being replaced while it is still in
-    /// the trace.
-    fn pre_op(&mut self, op: &EditOp) {
-        if let (
-            MethodState::Scds {
-                ckpts: Some(ckpts), ..
-            },
-            EditOp::SetRun { datum, window, .. },
-        ) = (&mut self.state, op)
-        {
-            for r in self.trace.window_run(*datum, *window as usize) {
-                ckpts.remove(datum.index(), r.x, r.y, r.count as u64);
-            }
-        }
-    }
-
-    /// Carried-state maintenance *after* an op lands. Reads the stored
-    /// runs back from the trace (not the raw delta refs) so checkpoint
-    /// histograms stay exact under run aggregation.
-    fn post_op(&mut self, op: &EditOp) {
-        match (&mut self.state, op) {
-            (
-                MethodState::Scds {
-                    ckpts: Some(ckpts), ..
-                },
-                EditOp::SetRun { datum, window, .. },
-            ) => {
-                for r in self.trace.window_run(*datum, *window as usize) {
-                    ckpts.add(datum.index(), r.x, r.y, r.count as u64);
-                }
-                // The checkpoint's histogram lines are L1-hot right here;
-                // computing the new center now saves the dirty-solve a
-                // cold re-read of this datum's checkpoint.
-                self.fresh
-                    .push((*datum, ckpts.center(datum.index(), &self.grid)));
-            }
-            (
-                MethodState::Scds {
-                    ckpts: Some(ckpts), ..
-                },
-                EditOp::AppendWindow { rows },
-            ) => {
-                let w = self.trace.num_windows() - 1;
-                let mut touched: Vec<DataId> = rows.iter().map(|&(d, _, _)| d).collect();
-                touched.sort_unstable_by_key(|d| d.0);
-                touched.dedup();
-                for d in touched {
-                    for r in self.trace.window_run(d, w) {
-                        ckpts.add(d.index(), r.x, r.y, r.count as u64);
-                    }
-                    self.fresh.push((d, ckpts.center(d.index(), &self.grid)));
-                }
-            }
-            (MethodState::Gomcds { resume, .. }, EditOp::SetRun { datum, window, .. }) => {
-                resume.truncate(*datum, *window as usize, self.grid.num_procs());
-            }
-            _ => {}
-        }
-    }
-
-    /// Re-solve everything the applied-but-unresolved edits dirtied.
-    /// No-op (beyond a metrics tick) when nothing is dirty.
+    /// Re-solve everything the applied-but-unresolved edits dirtied: the
+    /// method's kernel over the dirty data, then the occupancy patch (or a
+    /// full capacity replay). No-op (beyond a metrics tick) when nothing
+    /// is dirty.
     pub fn resolve(&mut self) -> Result<(), SchedError> {
         let dirty = self.trace.take_dirty();
         if dirty.is_empty() {
@@ -569,43 +400,19 @@ impl IncrementalRun {
         }
         let metrics = self.metrics.clone();
         let grid = self.grid;
-        let nd = self.trace.num_data();
         let nw = self.trace.num_windows();
         let m = grid.num_procs();
 
-        // Cache + carried-state maintenance: rebind/extend the dirty
-        // data's tables, extend everything else in place across appended
-        // windows (appended windows hold no refs for clean data, so their
-        // schedules, pure paths and occupancy rows all repeat-last).
+        // Appended windows hold no refs for clean data, so their schedule
+        // rows, pure paths and occupancy rows all repeat the last window;
+        // the dirty data are re-solved below.
         {
             let _t = metrics.phase("incremental/maintain");
-            // Only GOMCDS carries a cost cache (SCDS's dirty-solve runs
-            // on checkpoints, LOMCDS's replay on span cursors).
-            if let MethodState::Gomcds { cache, .. } = &mut self.state {
-                for &(d, kind) in &dirty.data {
-                    let span = self.trace.shared_span(d);
-                    match kind {
-                        DirtyKind::Rewritten => cache.datum_mut(d).rebind_span(span, nw),
-                        DirtyKind::Appended => cache.datum_mut(d).extend_span(span, nw),
-                    }
-                }
-                if dirty.appended_windows > 0 {
-                    let mut touched = vec![false; nd];
-                    for &(d, _) in &dirty.data {
-                        touched[d.index()] = true;
-                    }
-                    for (i, &t) in touched.iter().enumerate() {
-                        if !t {
-                            cache.datum_mut(DataId(i as u32)).extend_windows(nw);
-                        }
-                    }
-                }
-            }
             if dirty.appended_windows > 0 {
                 for _ in 0..dirty.appended_windows {
                     self.schedule.append_window_repeat_last();
                 }
-                if let MethodState::Gomcds { pure, .. } = &mut self.state {
+                if let MethodState::Gomcds { pure } = &mut self.state {
                     for row in pure.iter_mut() {
                         let last = *row.last().expect("paths have ≥1 window");
                         row.resize(nw, last);
@@ -624,131 +431,56 @@ impl IncrementalRun {
         }
 
         // Dirty re-solve + occupancy patch (or fallback).
-        let dirty_count = dirty.data.len();
-        let mut fallback = false;
-        {
+        let ids = dirty.data;
+        let pool = if ids.len() >= PARALLEL_DIRTY_MIN {
+            self.pool
+        } else {
+            Pool::serial()
+        };
+        let fallback = {
             let _t = metrics.phase("incremental/dirty-solve");
+            let trace = &self.trace;
             match &mut self.state {
-                MethodState::Scds { medians, ckpts } => {
-                    let mut fresh = std::mem::take(&mut self.fresh);
-                    let mut scratch = MedianState::default();
-                    let mut changes: Vec<(DataId, ProcId, ProcId)> =
-                        Vec::with_capacity(dirty_count);
-                    if ckpts.is_some() && fresh.len() == dirty_count {
-                        // One list entry per dirty datum ⇒ unique and
-                        // covering: the post_op pre-computed centers stand
-                        // in for cold checkpoint re-reads.
-                        for &(d, new) in &fresh {
-                            let old = medians[d.index()];
-                            medians[d.index()] = new;
-                            changes.push((d, old, new));
-                        }
-                    } else {
-                        for &(d, _) in &dirty.data {
-                            let new = match ckpts {
-                                Some(c) => c.center(d.index(), &grid),
-                                None => span_median(&grid, self.trace.span(d), &mut scratch),
-                            };
-                            let old = medians[d.index()];
-                            medians[d.index()] = new;
-                            changes.push((d, old, new));
-                        }
-                    }
-                    fresh.clear();
-                    self.fresh = fresh;
-                    match &mut self.bounded {
-                        None => {
-                            for &(d, old, new) in &changes {
-                                if new != old {
-                                    self.schedule.fill_row(d, new);
-                                }
-                            }
-                        }
-                        Some(b) if b.spilled > 0 => fallback = true,
-                        Some(b) => {
-                            // No spills ⇒ every current placement is its
-                            // median; swap dirty old medians for new ones
-                            // and check the incremented cells.
-                            let cap = b.spec.capacity_per_proc;
-                            for &(_, old, _) in &changes {
-                                b.occ[old.index()] -= 1;
-                            }
-                            let mut ok = true;
-                            for &(_, _, new) in &changes {
-                                b.occ[new.index()] += 1;
-                                ok &= b.occ[new.index()] <= cap;
-                            }
-                            if ok {
-                                for &(d, old, new) in &changes {
-                                    if new != old {
-                                        self.schedule.fill_row(d, new);
-                                    }
-                                }
-                            } else {
-                                fallback = true;
-                            }
-                        }
-                    }
+                MethodState::Scds { medians } => {
+                    let new = fan_out(pool, &ids, MedianState::default, |med, d| {
+                        span_median(&grid, trace.span(d), med)
+                    });
+                    let changes: Vec<(DataId, ProcId, ProcId)> = ids
+                        .iter()
+                        .zip(new)
+                        .map(|(&d, new)| (d, std::mem::replace(&mut medians[d.index()], new), new))
+                        .collect();
+                    !patch_medians(&mut self.bounded, &mut self.schedule, &changes)
                 }
                 MethodState::Lomcds { anchors } => {
-                    let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
-                    let trace = &self.trace;
-                    let pool = if dirty_count >= LOMCDS_PARALLEL_DIRTY_MIN {
-                        self.pool
-                    } else {
-                        Pool::serial()
-                    };
-                    let rows = fan_out(pool, &dirty_ids, MedianState::default, |med, d| {
+                    let rows = fan_out(pool, &ids, MedianState::default, |med, d| {
                         span_window_medians(&grid, trace.span(d), nw, med)
                     });
                     // Gap resolution backfills leading empties with the
                     // first referenced window's median, so row[0] *is*
                     // the window-0 anchor.
-                    for (&d, row) in dirty_ids.iter().zip(&rows) {
+                    for (&d, row) in ids.iter().zip(&rows) {
                         anchors[d.index()] = row[0];
                     }
-                    fallback = !patch_rows(&mut self.bounded, &mut self.schedule, &dirty_ids, rows);
+                    !patch_rows(&mut self.bounded, &mut self.schedule, &ids, rows)
                 }
-                MethodState::Gomcds {
-                    pure,
-                    resume,
-                    cache,
-                } => {
-                    let dirty_ids: Vec<DataId> = dirty.data.iter().map(|&(d, _)| d).collect();
-                    let cache = &*cache;
-                    let rows: Vec<Vec<ProcId>> = if dirty_count > GOMCDS_RESUME_SEQUENTIAL_MAX {
-                        fan_out(self.pool, &dirty_ids, Workspace::new, |ws, d| {
-                            gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
-                        })
-                    } else {
-                        dirty_ids
-                            .iter()
-                            .map(|&d| {
-                                let src = NodeSource::Cached(cache.datum(d));
-                                let ckpt = Some(resume.slot(d));
-                                let dt = Solver::DistanceTransform;
-                                solve_layered(&grid, &src, None, dt, 1, ckpt, &mut self.ws)
-                                    .expect("unconstrained path always feasible")
-                                    .0
-                            })
-                            .collect()
-                    };
-                    for (&d, row) in dirty_ids.iter().zip(&rows) {
-                        pure[d.index()] = row.clone();
+                MethodState::Gomcds { pure } => {
+                    let rows = pure_paths(trace, &ids, pool, metrics.cache_stats().as_ref());
+                    for (&d, row) in ids.iter().zip(&rows) {
+                        pure[d.index()].clone_from(row);
                     }
-                    fallback = !patch_rows(&mut self.bounded, &mut self.schedule, &dirty_ids, rows);
+                    !patch_rows(&mut self.bounded, &mut self.schedule, &ids, rows)
                 }
             }
-        }
+        };
 
-        self.ledger.mark(dirty.data.iter().map(|&(d, _)| d));
+        self.ledger.mark(ids.iter().copied());
         if fallback {
             self.fallbacks += 1;
             let _t = metrics.phase("incremental/fallback-replay");
             self.replay()?;
         }
-        self.metrics
-            .record_incremental(dirty_count as u64, fallback);
+        self.metrics.record_incremental(ids.len() as u64, fallback);
         Ok(())
     }
 
@@ -758,22 +490,12 @@ impl IncrementalRun {
         let metrics = self.metrics.clone();
         let _t = metrics.phase("incremental/initial-solve");
         let grid = self.grid;
-        let nd = self.trace.num_data();
-        let ids = datum_ids(nd);
+        let ids = datum_ids(self.trace.num_data());
         let trace = &self.trace;
         match &mut self.state {
-            MethodState::Scds { medians, ckpts } => {
+            MethodState::Scds { medians } => {
                 *medians = fan_out(self.pool, &ids, MedianState::default, |med, d| {
                     span_median(&grid, trace.span(d), med)
-                });
-                *ckpts = scds_checkpoints_fit(&grid, nd, self.scds_ckpt_budget).then(|| {
-                    let mut pool = PackedMedians::new(&grid, nd);
-                    for &d in &ids {
-                        for r in trace.span(d) {
-                            pool.add(d.index(), r.x, r.y, r.count as u64);
-                        }
-                    }
-                    pool
                 });
             }
             MethodState::Lomcds { anchors } => {
@@ -781,11 +503,8 @@ impl IncrementalRun {
                     span_first_anchor(&grid, trace.span(d), med)
                 });
             }
-            MethodState::Gomcds { pure, cache, .. } => {
-                let cache = &*cache;
-                *pure = fan_out(self.pool, &ids, Workspace::new, |ws, d| {
-                    gomcds_path(&grid, cache.datum(d), Solver::DistanceTransform, ws).0
-                });
+            MethodState::Gomcds { pure } => {
+                *pure = pure_paths(trace, &ids, self.pool, metrics.cache_stats().as_ref());
             }
         }
         self.replay()
@@ -801,7 +520,7 @@ impl IncrementalRun {
         let spec = self.policy.resolve(&grid, nd);
         ensure_feasible(&grid, spec, nd)?;
         let (schedule, spilled) = match &self.state {
-            MethodState::Scds { medians, .. } => {
+            MethodState::Scds { medians } => {
                 let mut replay = ScdsReplay::new(&grid, spec, &self.metrics);
                 let mut placement = Vec::with_capacity(nd);
                 for (i, &c) in medians.iter().enumerate() {
@@ -819,14 +538,20 @@ impl IncrementalRun {
             MethodState::Lomcds { anchors } => {
                 crate::lomcds::replay(&self.trace, spec, anchors, &mut self.ws)?
             }
-            MethodState::Gomcds { pure, cache, .. } => {
-                let mut replay = GomcdsReplay::new(&grid, nw, spec, Solver::DistanceTransform);
+            MethodState::Gomcds { pure } => {
+                let solver = Solver::DistanceTransform;
+                let mut replay = GomcdsReplay::new(&grid, nw, spec, solver);
+                let stats = self.metrics.cache_stats();
+                let (trace, ws) = (&self.trace, &mut self.ws);
                 let centers = pure
                     .iter()
                     .enumerate()
                     .map(|(i, row)| {
                         let d = DataId(i as u32);
-                        replay.place_cached(d, row.clone(), cache.datum(d), &mut self.ws)
+                        replay.place(d, row.clone(), |masks| {
+                            let cache = live_cache(trace, d, stats.as_ref());
+                            solve_masked_path(&grid, &cache, masks, solver, ws)
+                        })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 (Schedule::new(grid, centers), replay.spilled)
@@ -846,6 +571,71 @@ impl IncrementalRun {
         self.ledger.mark_all();
         Ok(())
     }
+}
+
+/// Datum `d`'s cost cache, borrowed over its live span as `flat_gomcds`
+/// borrows one over a flat span (`O(1)`: tables appear only when a query
+/// needs them), counting into `stats` when metrics are on.
+fn live_cache<'a>(
+    trace: &'a EditableTrace,
+    d: DataId,
+    stats: Option<&Arc<CacheStats>>,
+) -> DatumCostCache<'a> {
+    let mut cache = DatumCostCache::build_flat(&trace.grid(), trace.span(d), trace.num_windows());
+    if let Some(stats) = stats {
+        cache.set_stats(Arc::clone(stats));
+    }
+    cache
+}
+
+/// GOMCDS's kernel over `ids`: each datum's unconstrained path, fanned
+/// out over `pool`.
+fn pure_paths(
+    trace: &EditableTrace,
+    ids: &[DataId],
+    pool: Pool,
+    stats: Option<&Arc<CacheStats>>,
+) -> Vec<Vec<ProcId>> {
+    let grid = trace.grid();
+    fan_out(pool, ids, Workspace::new, |ws, d| {
+        let cache = live_cache(trace, d, stats);
+        gomcds_path(&grid, &cache, Solver::DistanceTransform, ws).0
+    })
+}
+
+/// The occupancy patch rule for SCDS's static placements: with no spill
+/// in the last full replay, swap each dirty datum's old median for its
+/// new one in the single occupancy row and check every incremented cell.
+/// Returns `false` when a full replay must run instead; with unbounded
+/// memory the new medians are installed as is.
+fn patch_medians(
+    bounded: &mut Option<BoundedState>,
+    schedule: &mut Schedule,
+    changes: &[(DataId, ProcId, ProcId)],
+) -> bool {
+    if let Some(b) = bounded {
+        if b.spilled > 0 {
+            return false;
+        }
+        let cap = b.spec.capacity_per_proc;
+        for &(_, old, _) in changes {
+            b.occ[old.index()] -= 1;
+        }
+        let mut ok = true;
+        for &(_, _, new) in changes {
+            b.occ[new.index()] += 1;
+            ok &= b.occ[new.index()] <= cap;
+        }
+        if !ok {
+            return false;
+        }
+    }
+    for &(d, old, new) in changes {
+        if new != old {
+            schedule.fill_row(d, new);
+        }
+    }
+    true
 }
 
 /// The occupancy patch rule for per-window rows (LOMCDS, GOMCDS): with no
@@ -901,12 +691,6 @@ fn occ_rows(grid: &Grid, sched: &Schedule, windows: usize) -> Vec<u32> {
         }
     }
     occ
-}
-
-/// Whether per-datum SCDS median checkpoints fit the byte budget (one
-/// packed histogram block per datum).
-fn scds_checkpoints_fit(grid: &Grid, nd: usize, budget: usize) -> bool {
-    nd.saturating_mul(PackedMedians::block_bytes(grid)) <= budget
 }
 
 #[cfg(test)]
@@ -1048,14 +832,26 @@ mod tests {
             metrics.clone(),
         )
         .unwrap();
+        let solved = metrics.report().cache;
+        assert!(solved.raw_serves > 0, "the initial solve counts its reads");
         let v = run.version();
         run.incremental(&TraceDelta::new()).unwrap();
         assert_eq!(run.version(), v, "no-op delta must not bump the version");
         let report = metrics.report();
-        assert_eq!(report.cache.invalidations, 0);
+        assert_eq!(report.cache, solved, "a no-op delta re-solves no datum");
         assert_eq!(report.incremental.resolves, 1);
         assert_eq!(report.incremental.dirty_data, 0);
         assert_eq!(report.incremental.fallbacks, 0);
+
+        // A one-datum edit re-solves that datum, through a cache that
+        // counts into the same sink.
+        let mut delta = TraceDelta::new();
+        delta.set_run(DataId(1), 0, [(grid().proc_xy(1, 1), 1)]);
+        run.incremental(&delta).unwrap();
+        let report = metrics.report();
+        assert_eq!(report.incremental.dirty_data, 1);
+        assert!(report.cache.raw_serves >= solved.raw_serves + 4);
+        assert_parity(&run, "one-datum edit");
     }
 
     #[test]
@@ -1090,25 +886,6 @@ mod tests {
             assert_parity(&run, "displacing edit");
             assert!(run.fallbacks() >= 1, "{method}: expected a fallback");
         }
-    }
-
-    #[test]
-    fn scds_without_checkpoints_matches() {
-        let g = grid();
-        let mut run = IncrementalRun::new(
-            sample(g),
-            Method::Scds,
-            MemoryPolicy::Capacity(2),
-            Pool::serial(),
-        )
-        .unwrap();
-        run.scds_ckpt_budget = 0;
-        run.full_solve().unwrap();
-        assert!(matches!(run.state, MethodState::Scds { ckpts: None, .. }));
-        let mut delta = TraceDelta::new();
-        delta.set_run(DataId(0), 0, [(g.proc_xy(3, 2), 6)]);
-        run.incremental(&delta).unwrap();
-        assert_parity(&run, "no-checkpoint edit");
     }
 
     #[test]

@@ -192,141 +192,6 @@ impl MedianState {
     }
 }
 
-/// A pool of per-datum incremental medians in one contiguous allocation.
-///
-/// Semantically `Vec<MedianState>`, laid out for the incremental engine's
-/// churn hot path: each datum owns one fixed-size block of `u64`s —
-/// `[x hist | y hist | total, below_x, at_x, below_y, at_y]` — so touching
-/// a random datum's median costs one region of consecutive cache lines
-/// instead of chasing two separate histogram `Vec`s, and the block address
-/// is computable without any dependent load (see
-/// [`prefetch`](PackedMedians::prefetch)). Median semantics (cursor walk,
-/// tie-breaks, empty ⇒ position 0) match [`AxisMedianState`] exactly.
-#[derive(Debug, Clone)]
-pub struct PackedMedians {
-    w: usize,
-    h: usize,
-    /// Block stride in `u64`s: `w + h + 5` meta slots.
-    block: usize,
-    data: Vec<u64>,
-}
-
-/// Meta slot offsets past the two histograms.
-const PM_TOTAL: usize = 0;
-const PM_BELOW_X: usize = 1;
-const PM_AT_X: usize = 2;
-const PM_BELOW_Y: usize = 3;
-const PM_AT_Y: usize = 4;
-
-impl PackedMedians {
-    /// An all-empty pool for `num_data` data on `grid`.
-    pub fn new(grid: &Grid, num_data: usize) -> PackedMedians {
-        let (w, h) = (grid.width() as usize, grid.height() as usize);
-        let block = w + h + 5;
-        PackedMedians {
-            w,
-            h,
-            block,
-            data: vec![0; block.saturating_mul(num_data)],
-        }
-    }
-
-    /// Bytes one datum's block occupies (budget accounting).
-    pub fn block_bytes(grid: &Grid) -> usize {
-        (grid.width() as usize + grid.height() as usize + 5) * 8
-    }
-
-    /// Add a reference of weight `count` at grid position `(x, y)` to
-    /// datum `d`'s median.
-    #[inline]
-    pub fn add(&mut self, d: usize, x: u32, y: u32, count: u64) {
-        let (w, h) = (self.w, self.h);
-        let blk = &mut self.data[d * self.block..(d + 1) * self.block];
-        blk[x as usize] += count;
-        blk[w + y as usize] += count;
-        let meta = &mut blk[w + h..];
-        meta[PM_TOTAL] += count;
-        if (x as u64) < meta[PM_AT_X] {
-            meta[PM_BELOW_X] += count;
-        }
-        if (y as u64) < meta[PM_AT_Y] {
-            meta[PM_BELOW_Y] += count;
-        }
-    }
-
-    /// Remove a previously added reference from datum `d`'s median.
-    #[inline]
-    pub fn remove(&mut self, d: usize, x: u32, y: u32, count: u64) {
-        let (w, h) = (self.w, self.h);
-        let blk = &mut self.data[d * self.block..(d + 1) * self.block];
-        blk[x as usize] -= count;
-        blk[w + y as usize] -= count;
-        let meta = &mut blk[w + h..];
-        meta[PM_TOTAL] -= count;
-        if (x as u64) < meta[PM_AT_X] {
-            meta[PM_BELOW_X] -= count;
-        }
-        if (y as u64) < meta[PM_AT_Y] {
-            meta[PM_BELOW_Y] -= count;
-        }
-    }
-
-    /// The optimal center of datum `d`'s current reference set (`P0` when
-    /// empty), walking each axis cursor from its previous resting point.
-    #[inline]
-    pub fn center(&mut self, d: usize, grid: &Grid) -> ProcId {
-        let (w, h) = (self.w, self.h);
-        let blk = &mut self.data[d * self.block..(d + 1) * self.block];
-        let (hists, meta) = blk.split_at_mut(w + h);
-        let total = meta[PM_TOTAL];
-        let (cur_x, cur_y) = meta[PM_BELOW_X..].split_at_mut(2);
-        let x = packed_axis_median(&hists[..w], total, cur_x);
-        let y = packed_axis_median(&hists[w..], total, cur_y);
-        grid.proc_xy(x, y)
-    }
-
-    /// Hint the CPU to pull datum `d`'s block into cache ahead of use —
-    /// the block address needs no dependent load, so a one-op lookahead
-    /// overlaps the DRAM latency with the current op's work. No-op on
-    /// non-x86_64 targets.
-    #[inline]
-    pub fn prefetch(&self, d: usize) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch reads nothing and faults on nothing; the
-        // wrapping pointer math never asserts in-bounds provenance.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let p = (self.data.as_ptr() as *const i8).wrapping_add(d * self.block * 8);
-            _mm_prefetch(p, _MM_HINT_T0);
-            _mm_prefetch(p.wrapping_add(64), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = d;
-    }
-}
-
-/// The [`AxisMedianState`] cursor walk over a packed histogram slice;
-/// `cur` is the `[below, at]` cursor pair.
-#[inline]
-fn packed_axis_median(hist: &[u64], total: u64, cur: &mut [u64]) -> u32 {
-    if total == 0 {
-        return 0;
-    }
-    let mut b = cur[0];
-    let mut a = cur[1] as usize;
-    while a > 0 && 2 * b >= total {
-        a -= 1;
-        b -= hist[a];
-    }
-    while 2 * (b + hist[a]) < total {
-        b += hist[a];
-        a += 1;
-    }
-    cur[0] = b;
-    cur[1] = a as u64;
-    a as u32
-}
-
 /// Optimal center via per-axis weighted medians, with the same tie-break as
 /// [`crate::cost::optimal_center`] (lowest processor id).
 pub fn median_center(grid: &Grid, refs: &WindowRefs) -> ProcId {
@@ -481,52 +346,6 @@ mod tests {
             }
             merged.merge(refs);
             assert_eq!(st.center(&grid), median_center(&grid, &merged));
-        }
-    }
-
-    #[test]
-    fn packed_medians_match_median_state() {
-        let grid = Grid::new(5, 3);
-        let nd = 4;
-        let mut pm = PackedMedians::new(&grid, nd);
-        let mut refs: Vec<MedianState> = (0..nd)
-            .map(|_| {
-                let mut m = MedianState::default();
-                m.reset(&grid);
-                m
-            })
-            .collect();
-        // Empty blocks agree with the empty-state tie-break.
-        assert_eq!(pm.center(0, &grid), refs[0].center(&grid));
-
-        let mut s: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut step = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let mut live: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); nd];
-        for _ in 0..500 {
-            let d = (step() % nd as u64) as usize;
-            if !live[d].is_empty() && step() % 3 == 0 {
-                let i = (step() as usize) % live[d].len();
-                let (x, y, c) = live[d].swap_remove(i);
-                pm.remove(d, x, y, c);
-                refs[d].remove(x, y, c);
-            } else {
-                let x = (step() % 5) as u32;
-                let y = (step() % 3) as u32;
-                let c = 1 + step() % 9;
-                live[d].push((x, y, c));
-                pm.add(d, x, y, c);
-                refs[d].add(x, y, c);
-            }
-            pm.prefetch(d);
-            assert_eq!(pm.center(d, &grid), refs[d].center(&grid));
-        }
-        for d in 0..nd {
-            assert_eq!(pm.center(d, &grid), refs[d].center(&grid));
         }
     }
 }

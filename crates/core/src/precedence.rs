@@ -194,7 +194,7 @@ fn precedence_schedule(
             };
         }
         let src = NodeSource::Weighted(cache.datum(d), &weights);
-        let (pure, _) = solve_layered(&grid, &src, None, Solver::DistanceTransform, 1, None, ws)
+        let (pure, _) = solve_layered(&grid, &src, None, Solver::DistanceTransform, 1, ws)
             .expect("unconstrained path always feasible");
         let rows = core::mem::take(&mut ws.axis_nodes);
         centers[d.index()] = replay.place_rows(d, pure, &rows, ws)?;
@@ -377,7 +377,7 @@ mod tests {
             let mut ws = crate::workspace::Workspace::new();
             let dt = Solver::DistanceTransform;
             let unit = NodeSource::Weighted(datum, &[1, 1, 1, 1]);
-            let weighted = solve_layered(&grid, &unit, None, dt, 1, None, &mut ws);
+            let weighted = solve_layered(&grid, &unit, None, dt, 1, &mut ws);
             // Unit weights leave every node cost unchanged, so the weighted
             // solve is plain GOMCDS (itself pinned to brute-force enumeration
             // in tests/theory_exhaustive.rs).
@@ -386,8 +386,8 @@ mod tests {
             // Under any priority weights the separable kernel picks the
             // literal DP's path at the literal DP's cost.
             let src = NodeSource::Weighted(datum, &weights);
-            let fast = solve_layered(&grid, &src, None, dt, 1, None, &mut ws);
-            let naive = solve_layered(&grid, &src, None, Solver::Naive, 1, None, &mut ws);
+            let fast = solve_layered(&grid, &src, None, dt, 1, &mut ws);
+            let naive = solve_layered(&grid, &src, None, Solver::Naive, 1, &mut ws);
             proptest::prop_assert_eq!(fast, naive, "weights {:?}", weights);
         }
     }

@@ -206,7 +206,7 @@ impl Scheduler for GomcdsScheduler {
     }
 
     fn incremental(&self) -> bool {
-        // The incremental engine resumes the distance-transform DP only.
+        // The incremental engine re-solves with the distance transform only.
         self.solver == Solver::DistanceTransform
     }
 

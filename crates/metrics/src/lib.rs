@@ -47,12 +47,6 @@ pub struct CacheStats {
     /// Range queries served directly from the raw per-axis projections
     /// (single-window or full-range, where no tables are needed).
     pub raw_serves: AtomicU64,
-    /// Per-datum prefix tables discarded because an edit rewrote the
-    /// datum's reference string (incremental rescheduling only).
-    pub invalidations: AtomicU64,
-    /// Built prefix tables extended in place by append-only window edits
-    /// instead of being rebuilt from scratch.
-    pub prefix_extends: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -221,8 +215,6 @@ impl Metrics {
                 prefix_builds: load(&sink.cache.prefix_builds),
                 prefix_hits: load(&sink.cache.prefix_hits),
                 raw_serves: load(&sink.cache.raw_serves),
-                invalidations: load(&sink.cache.invalidations),
-                prefix_extends: load(&sink.cache.prefix_extends),
             },
             incremental: IncrementalReport {
                 resolves: load(&sink.incremental.resolves),
@@ -293,10 +285,6 @@ pub struct CacheReport {
     pub prefix_hits: u64,
     /// Queries served from raw projections.
     pub raw_serves: u64,
-    /// Per-datum tables discarded by rewriting edits.
-    pub invalidations: u64,
-    /// Built tables extended in place by append-only edits.
-    pub prefix_extends: u64,
 }
 
 /// Frozen incremental-rescheduling counters.
@@ -376,7 +364,7 @@ impl MetricsReport {
         write!(
             s,
             "{{\"enabled\": {}, \"cache\": {{\"prefix_builds\": {}, \"prefix_hits\": {}, \
-             \"raw_serves\": {}, \"invalidations\": {}, \"prefix_extends\": {}}}, \
+             \"raw_serves\": {}}}, \
              \"incremental\": {{\"resolves\": {}, \"dirty_data\": {}, \"fallbacks\": {}}}, \
              \"placement\": {{\"placements\": {}, \"displaced\": {}, \
              \"total_displacement\": {}, \"max_displacement\": {}, \"mean_displacement\": {:.3}}}, \
@@ -385,8 +373,6 @@ impl MetricsReport {
             self.cache.prefix_builds,
             self.cache.prefix_hits,
             self.cache.raw_serves,
-            self.cache.invalidations,
-            self.cache.prefix_extends,
             self.incremental.resolves,
             self.incremental.dirty_data,
             self.incremental.fallbacks,
@@ -466,14 +452,10 @@ mod tests {
         stats.prefix_builds.fetch_add(1, Ordering::Relaxed);
         stats.prefix_hits.fetch_add(5, Ordering::Relaxed);
         stats.raw_serves.fetch_add(7, Ordering::Relaxed);
-        stats.invalidations.fetch_add(2, Ordering::Relaxed);
-        stats.prefix_extends.fetch_add(3, Ordering::Relaxed);
         let report = m.report();
         assert_eq!(report.cache.prefix_builds, 1);
         assert_eq!(report.cache.prefix_hits, 5);
         assert_eq!(report.cache.raw_serves, 7);
-        assert_eq!(report.cache.invalidations, 2);
-        assert_eq!(report.cache.prefix_extends, 3);
     }
 
     #[test]
@@ -539,8 +521,6 @@ mod tests {
             "\"prefix_builds\"",
             "\"prefix_hits\"",
             "\"raw_serves\"",
-            "\"invalidations\"",
-            "\"prefix_extends\"",
             "\"incremental\"",
             "\"resolves\"",
             "\"dirty_data\"",

@@ -5,9 +5,9 @@
 //! For workloads that schedule the *same* traces repeatedly — sweeping
 //! policies, absorbing churn deltas, serving cost queries to a compiler
 //! — that repeated setup dominates. This crate keeps the expensive
-//! state resident: traces, their [`pim_sched::IncrementalRun`] engines
-//! (edit log + cost cache + solver workspace) and materialized flat
-//! views live in a byte-budgeted LRU store, and requests against a warm
+//! state resident: traces and their [`pim_sched::IncrementalRun`]
+//! engines (edit overlay, carried per-datum solver state, cost ledger)
+//! live in a byte-budgeted LRU store, and requests against a warm
 //! trace skip straight to the solved schedule.
 //!
 //! The daemon speaks newline-delimited JSON (see [`proto`]) over three

@@ -259,10 +259,12 @@ pub struct Server {
 
 /// Accept connections until the drain flag is up, one thread per
 /// connection, then join them all. The listener is nonblocking, so the
-/// loop polls every [`ACCEPT_POLL`].
+/// loop polls every [`ACCEPT_POLL`]; every pass joins the connection
+/// threads that have already finished.
 fn accept_loop(core: Arc<ServeCore>, queue: Arc<JobQueue<Job>>, listener: Listener) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !core.is_shutting_down() {
+        reap_finished(&mut conns);
         match listener.accept() {
             Ok(stream) => {
                 let core = Arc::clone(&core);
@@ -286,6 +288,21 @@ fn accept_loop(core: Arc<ServeCore>, queue: Arc<JobQueue<Job>>, listener: Listen
     }
     for c in conns {
         let _ = c.join();
+    }
+}
+
+/// Join the finished threads of `conns` and keep the running ones. An
+/// exited thread's stack stays mapped until it is joined, so a daemon that
+/// held every handle until shutdown would grow by one mapping per
+/// connection it ever served.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -484,5 +501,29 @@ mod tests {
             v.get("capacity").and_then(pim_trace::json::Value::as_u64),
             Some(2)
         );
+    }
+
+    #[test]
+    fn reap_joins_finished_threads_only() {
+        let (release, wait) = mpsc::channel::<()>();
+        let mut conns = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = wait.recv();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        while !(conns[0].is_finished() && conns[2].is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut conns);
+        assert_eq!(conns.len(), 1, "the running thread is kept");
+        assert!(!conns[0].is_finished());
+        release.send(()).unwrap();
+        while !conns[0].is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut conns);
+        assert!(conns.is_empty());
     }
 }

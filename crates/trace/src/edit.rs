@@ -4,10 +4,11 @@
 //! array is exactly what makes the big-instance schedulers fast, and
 //! exactly what makes in-place edits awkward. [`EditableTrace`] therefore
 //! layers a *per-datum overlay* on top of a shared base trace: the base
-//! stays behind an `Arc` (so long-lived cost caches can keep reading it),
-//! and every edited datum gets a freshly assembled span stored as its own
-//! `Arc<[FlatRef]>`. Reads fall through to the base for untouched data, so
-//! a 1% churn tick clones 1% of the reference volume and shares the rest.
+//! stays behind an `Arc` (so several engines can edit overlays of one
+//! loaded trace without copying it), and every edited datum gets a freshly
+//! assembled span stored as its own `Arc<[FlatRef]>`. Reads fall through
+//! to the base for untouched data, so a 1% churn tick clones 1% of the
+//! reference volume and shares the rest.
 //!
 //! Edits arrive as a [`TraceDelta`] — an ordered list of [`EditOp`]s:
 //!
@@ -17,13 +18,12 @@
 //!   the given reference rows.
 //!
 //! Applying a delta bumps the trace [version](EditableTrace::version) once
-//! per op and maintains a dirty set at per-datum granularity: each touched
-//! datum is classified [`DirtyKind::Appended`] (only gained references in
-//! appended windows — its existing prefix is intact, so prefix-sum caches
-//! may *extend* instead of rebuild) or [`DirtyKind::Rewritten`] (an
-//! existing window changed — caches must invalidate). The incremental
-//! scheduling engine drains this set with
-//! [`take_dirty`](EditableTrace::take_dirty).
+//! per op and maintains a dirty set at per-datum granularity: every datum
+//! an op touches (the datum a `SetRun` rewrites, the data an
+//! `AppendWindow` references) is listed once, whatever touched it. The
+//! incremental scheduling engine drains this set with
+//! [`take_dirty`](EditableTrace::take_dirty) and re-solves exactly those
+//! data.
 //!
 //! Overlay spans uphold the `FlatTrace` invariants by construction
 //! (window-major `(window, y, x)` order, duplicates aggregated with
@@ -341,23 +341,11 @@ impl core::fmt::Display for DeltaJsonError {
 
 impl std::error::Error for DeltaJsonError {}
 
-/// How an edited datum is dirty, deciding what downstream caches may keep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DirtyKind {
-    /// The datum only gained references in appended windows; its span for
-    /// the pre-existing windows is unchanged, so prefix structures can be
-    /// extended in place.
-    Appended = 1,
-    /// An existing window's run changed; per-datum caches must rebuild.
-    Rewritten = 2,
-}
-
 /// Everything that changed since the last [`EditableTrace::take_dirty`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtySummary {
-    /// Touched data with their dirty kind, in first-touched order (each
-    /// datum listed once; `Rewritten` wins over `Appended`).
-    pub data: Vec<(DataId, DirtyKind)>,
+    /// Touched data in first-touched order, each listed once.
+    pub data: Vec<DataId>,
     /// Windows appended since the last drain.
     pub appended_windows: usize,
     /// The window count before those appends (clean data's spans are
@@ -372,8 +360,6 @@ impl DirtySummary {
     }
 }
 
-const CLEAN: u8 = 0;
-
 /// A [`FlatTrace`] plus an overlay of edited per-datum spans, dirty
 /// tracking, and a monotonically increasing version (see module docs).
 #[derive(Debug, Clone)]
@@ -383,8 +369,8 @@ pub struct EditableTrace {
     overrides: Vec<Option<Arc<[FlatRef]>>>,
     num_windows: usize,
     version: u64,
-    /// Per-datum `CLEAN` / `DirtyKind as u8`.
-    dirty_kinds: Vec<u8>,
+    /// `listed[d]`: whether datum `d` is in `dirty_order`.
+    listed: Vec<bool>,
     /// Dirty data in first-touched order (unique).
     dirty_order: Vec<DataId>,
     appended_since_drain: usize,
@@ -413,7 +399,7 @@ impl EditableTrace {
             overrides: vec![None; nd],
             num_windows: nw,
             version: 0,
-            dirty_kinds: vec![CLEAN; nd],
+            listed: vec![false; nd],
             dirty_order: Vec::new(),
             appended_since_drain: 0,
             windows_at_drain: nw,
@@ -461,17 +447,12 @@ impl EditableTrace {
         }
     }
 
-    /// Datum `d`'s edited span, if any (shared, cheap to clone).
-    pub fn override_span(&self, d: DataId) -> Option<&Arc<[FlatRef]>> {
-        self.overrides[d.index()].as_ref()
-    }
-
     /// Hint the CPU to pull the head of datum `d`'s span into cache —
     /// a one-op lookahead in an edit loop overlaps the DRAM latency of
     /// the next random span with the current op's work. No-op on
     /// non-x86_64 targets.
     #[inline]
-    pub fn prefetch_span(&self, d: DataId) {
+    fn prefetch_span(&self, d: DataId) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: prefetch reads nothing and faults on nothing; the
         // wrapping pointer math never asserts in-bounds provenance.
@@ -486,15 +467,6 @@ impl EditableTrace {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = d;
-    }
-
-    /// Datum `d`'s current span as a shared slice: the overlay `Arc` when
-    /// edited, a fresh copy of the base span otherwise.
-    pub fn shared_span(&self, d: DataId) -> Arc<[FlatRef]> {
-        match &self.overrides[d.index()] {
-            Some(span) => Arc::clone(span),
-            None => Arc::from(self.base.span(d)),
-        }
     }
 
     /// Datum `d`'s current references in window `w` (possibly empty).
@@ -512,18 +484,10 @@ impl EditableTrace {
 
     /// Drain the dirty set, resetting all tracking to clean.
     pub fn take_dirty(&mut self) -> DirtySummary {
-        let data = self
-            .dirty_order
-            .drain(..)
-            .map(|d| {
-                let kind = match self.dirty_kinds[d.index()] {
-                    1 => DirtyKind::Appended,
-                    _ => DirtyKind::Rewritten,
-                };
-                self.dirty_kinds[d.index()] = CLEAN;
-                (d, kind)
-            })
-            .collect();
+        let data = std::mem::take(&mut self.dirty_order);
+        for d in &data {
+            self.listed[d.index()] = false;
+        }
         let summary = DirtySummary {
             data,
             appended_windows: self.appended_since_drain,
@@ -600,19 +564,21 @@ impl EditableTrace {
     /// invalid delta leaves the trace (and its version) untouched.
     pub fn apply(&mut self, delta: &TraceDelta) -> Result<(), FlatTraceError> {
         self.check(delta)?;
-        for op in delta.ops() {
-            self.apply_op(op).expect("delta pre-validated by check");
+        let ops = delta.ops();
+        for (i, op) in ops.iter().enumerate() {
+            // One-op lookahead: start pulling the next rewritten span
+            // toward cache so its DRAM latency overlaps this op's work
+            // (churn edits land on random data, so every tick begins cold).
+            if let Some(EditOp::SetRun { datum, .. }) = ops.get(i + 1) {
+                self.prefetch_span(*datum);
+            }
+            self.apply_op(op);
         }
         Ok(())
     }
 
-    /// Apply a single op, validating it against the current state. Prefer
-    /// [`apply`](Self::apply) for whole deltas (atomic validation); this
-    /// entry point exists for engines that interleave their own
-    /// bookkeeping with the trace mutation op by op.
-    pub fn apply_op(&mut self, op: &EditOp) -> Result<(), FlatTraceError> {
-        let mut nw = self.num_windows;
-        self.check_op(op, &mut nw)?;
+    /// Apply one op [`check`](Self::check) has validated.
+    fn apply_op(&mut self, op: &EditOp) {
         match op {
             EditOp::SetRun {
                 datum,
@@ -622,15 +588,12 @@ impl EditableTrace {
             EditOp::AppendWindow { rows } => self.append_window_unchecked(rows),
         }
         self.version += 1;
-        Ok(())
     }
 
-    fn mark(&mut self, d: DataId, kind: DirtyKind) {
-        let cur = &mut self.dirty_kinds[d.index()];
-        if *cur == CLEAN {
+    fn mark(&mut self, d: DataId) {
+        if !std::mem::replace(&mut self.listed[d.index()], true) {
             self.dirty_order.push(d);
         }
-        *cur = (*cur).max(kind as u8);
     }
 
     fn set_run_unchecked(&mut self, d: DataId, w: u32, refs: &[(ProcId, u32)]) {
@@ -649,7 +612,7 @@ impl EditableTrace {
         self.overrides[d.index()] = Some(Arc::from(&next[..]));
         self.run_scratch = run;
         self.span_scratch = next;
-        self.mark(d, DirtyKind::Rewritten);
+        self.mark(d);
     }
 
     fn append_window_unchecked(&mut self, rows: &[(DataId, ProcId, u32)]) {
@@ -695,7 +658,7 @@ impl EditableTrace {
             next.extend_from_slice(span);
             next.extend_from_slice(&run);
             self.overrides[datum.index()] = Some(Arc::from(next));
-            self.mark(datum, DirtyKind::Appended);
+            self.mark(datum);
         }
     }
 
@@ -802,9 +765,9 @@ mod tests {
         assert_eq!(t.window_run(DataId(0), 0)[0].count, 7);
         // window 2 untouched, datum 1 untouched (still reads the base)
         assert_eq!(t.window_run(DataId(0), 2)[0].count, 5);
-        assert!(t.override_span(DataId(1)).is_none());
+        assert!(std::ptr::eq(t.span(DataId(1)), t.base().span(DataId(1))));
         let dirty = t.take_dirty();
-        assert_eq!(dirty.data, vec![(DataId(0), DirtyKind::Rewritten)]);
+        assert_eq!(dirty.data, vec![DataId(0)]);
         assert_eq!(dirty.appended_windows, 0);
         assert!(!t.is_dirty());
     }
@@ -832,20 +795,28 @@ mod tests {
         assert_eq!(run.len(), 1);
         assert_eq!(run[0].count, 3); // duplicate rows aggregated
         let dirty = t.take_dirty();
-        assert_eq!(dirty.data, vec![(DataId(1), DirtyKind::Appended)]);
+        assert_eq!(dirty.data, vec![DataId(1)]);
         assert_eq!(dirty.appended_windows, 1);
         assert_eq!(dirty.old_num_windows, 3);
     }
 
+    /// A datum both appended to and rewritten in one drain is listed once.
     #[test]
     fn rewritten_wins_over_appended() {
         let mut t = EditableTrace::new(base_trace());
         let mut delta = TraceDelta::new();
         delta.append_window([(DataId(0), ProcId(1), 1)]);
         delta.set_run(DataId(0), 0, [(ProcId(1), 1)]);
+        delta.set_run(DataId(2), 1, [(ProcId(3), 2)]);
         t.apply(&delta).unwrap();
         let dirty = t.take_dirty();
-        assert_eq!(dirty.data, vec![(DataId(0), DirtyKind::Rewritten)]);
+        assert_eq!(dirty.data, vec![DataId(0), DataId(2)]);
+        assert_eq!(dirty.appended_windows, 1);
+        // A drain resets every flag, so a later edit lists its datum again.
+        let mut again = TraceDelta::new();
+        again.set_run(DataId(2), 0, [(ProcId(4), 1)]);
+        t.apply(&again).unwrap();
+        assert_eq!(t.take_dirty().data, vec![DataId(2)]);
     }
 
     #[test]
@@ -1044,7 +1015,7 @@ mod tests {
                     }
                 }
                 let dirty = t.take_dirty();
-                let mut got: Vec<u32> = dirty.data.iter().map(|(d, _)| d.0).collect();
+                let mut got: Vec<u32> = dirty.data.iter().map(|d| d.0).collect();
                 got.sort_unstable();
                 expect.sort_unstable();
                 prop_assert_eq!(got, expect);

@@ -65,7 +65,7 @@ pub mod window;
 pub use binfmt::{BinError, BinTrace};
 pub use builder::TraceBuilder;
 pub use dag::{DagError, Task, TaskDag};
-pub use edit::{DeltaJsonError, DirtyKind, DirtySummary, EditOp, EditableTrace, TraceDelta};
+pub use edit::{DeltaJsonError, DirtySummary, EditOp, EditableTrace, TraceDelta};
 pub use flat::{FlatRecord, FlatRef, FlatTrace, FlatTraceError, FlatView};
 pub use ids::DataId;
 pub use step::{Access, ExecStep, StepTrace};

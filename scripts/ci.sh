@@ -174,15 +174,16 @@ else
   echo "scale smoke: expected keys present (grep fallback)"
 fi
 
-# Churn smoke: drive the incremental engine through 5 edit ticks on a
-# 16×16 × 50k instance plus the tight-capacity fallback row, and validate
+# Churn smoke: drive the incremental engine through 5 edit ticks on
+# 16×16 × 50k SCDS/LOMCDS and 16×16 × 20k GOMCDS (unbounded and
+# scaled-min ×2) instances plus the tight-capacity fallback row, and validate
 # the BENCH_churn.json shape. Bit-identical parity with the from-scratch
 # path is asserted inside churn_row itself — the binary exits non-zero on
 # divergence; here we additionally check the parity flags made it into
 # the JSON and that the fallback row actually exercised the full-replay
 # path (fallbacks > 0 somewhere). Speedups are reported, not gated —
 # timings are machine-dependent.
-echo "== churn smoke (16x16 x 50k, 5 ticks) =="
+echo "== churn smoke (16x16 x 50k SCDS/LOMCDS, 20k GOMCDS, 5 ticks) =="
 ./target/release/report_churn --smoke --out "$metrics_tmp/churn_smoke.json"
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$metrics_tmp/churn_smoke.json" <<'PY'

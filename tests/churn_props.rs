@@ -13,7 +13,7 @@ use pim_array::grid::{Grid, ProcId};
 use pim_par::Pool;
 use pim_sched::{
     flat_gomcds, flat_lomcds, flat_scds, flat_total_cost, IncrementalRun, MemoryPolicy, Method,
-    Schedule,
+    Metrics, Schedule,
 };
 use pim_trace::edit::TraceDelta;
 use pim_trace::flat::{FlatRecord, FlatTrace};
@@ -73,6 +73,39 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
             num_data: nd,
             records,
         })
+    })
+}
+
+/// A 4×4 instance of 64–160 data: enough for one delta to dirty the 64
+/// data from which a resolve fans its kernel out over the pool.
+fn arb_wide_instance() -> impl Strategy<Value = Instance> {
+    (64usize..=160, 1usize..=4).prop_flat_map(|(nd, nw)| {
+        proptest::collection::vec((0..nd as u32, 0..nw as u32, 0u32..16, 1u32..5), nd..=2 * nd)
+            .prop_map(move |records| Instance {
+                grid: Grid::new(4, 4),
+                num_windows: nw,
+                num_data: nd,
+                records,
+            })
+    })
+}
+
+/// One run rewrite for each of 64–160 consecutive data from `start`; the
+/// ids wrap modulo the data count, so at least 64 distinct data change.
+fn arb_wide_delta() -> impl Strategy<Value = Vec<RawOp>> {
+    let run = (
+        0u32..=u32::MAX,
+        proptest::collection::vec((0u32..=u32::MAX, 1u32..5), 0..3),
+    );
+    (0u32..160, proptest::collection::vec(run, 64..=160)).prop_map(|(start, runs)| {
+        runs.into_iter()
+            .enumerate()
+            .map(|(i, (window, refs))| RawOp::SetRun {
+                datum: start + i as u32,
+                window,
+                refs,
+            })
+            .collect()
     })
 }
 
@@ -251,6 +284,33 @@ proptest! {
             delta.append_window([]);
             engine.incremental(&delta).unwrap();
             check_engine(&mut engine, "removal and idle window")?;
+        }
+    }
+
+    /// A delta that dirties at least 64 data takes the resolve's pooled
+    /// branch (on a two-thread pool) and still tracks scratch bit for bit,
+    /// cost ledger included, for every method and policy.
+    #[test]
+    fn pooled_resolves_track_scratch(
+        inst in arb_wide_instance(),
+        raw in arb_wide_delta(),
+    ) {
+        let delta = concretize(&inst, inst.num_windows, &raw);
+        for method in METHODS {
+            for policy in policies(&inst) {
+                let metrics = Metrics::enabled();
+                let mut engine = IncrementalRun::with_metrics(
+                    inst.flat(),
+                    method,
+                    policy,
+                    Pool::with_threads(2),
+                    metrics.clone(),
+                )
+                .expect("supported method");
+                engine.incremental(&delta).expect("in-range delta");
+                prop_assert!(metrics.report().incremental.dirty_data >= 64);
+                check_engine(&mut engine, "pooled delta")?;
+            }
         }
     }
 }
